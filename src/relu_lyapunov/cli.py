@@ -140,6 +140,9 @@ def cmd_sgd(args) -> int:
     steps = args.steps if args.steps is not None else (preset.steps if preset else 100_000)
     seed = args.seed if args.seed is not None else 0
     out = args.out or f"sgd_{res.tag}.csv"
+    for flag, value in (("--steps", steps), ("--trials", trials), ("--eval-samples", args.eval_samples)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
 
     theta0s = gaussian_init(res.arch, seed, res.init_scale, trials)
     norms = np.sqrt(np.sum(theta0s * theta0s, axis=1))

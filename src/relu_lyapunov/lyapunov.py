@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arch import Architecture, check_params
-from .network import _forward_exact_batch
+from .arch import Architecture, check_params, layer_views
+from .network import _forward, _relu_unit
 from .risk import DiscreteMeasure, TargetSpec
 
 
@@ -87,7 +87,7 @@ def pairing(
     theta = check_params(ctx.arch, theta)
     depth = ctx.arch.depth
     lhs = float(np.dot(lyapunov_gradient(ctx, theta), generalized_gradient(ctx.arch, theta, measure, target)))
-    pres, _ = _forward_exact_batch(ctx.arch, theta, measure.points)
+    pres, _ = _forward(layer_views(ctx.arch, theta), measure.points, _relu_unit)
     out = pres[-1]
     inner = np.sum((out - target.values(measure.points)) * (out - ctx.f0), axis=1)
     rhs = 4.0 * depth * float(np.sum(measure.weights * inner))

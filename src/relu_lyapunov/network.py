@@ -5,6 +5,10 @@ realization replaces ReLU after hidden layer k with the smooth unit at
 per-layer sharpness ``sharpness**(1/k)`` (computed as ``exp(ln(sharpness)/k)``),
 so deeper layers smooth more gently; this keeps the composed map converging
 to the exact one with an explicit rate as sharpness grows.
+
+Every evaluation in the package, of one network or of a trial-stacked block of
+networks, goes through `_forward`; exact and smoothed differ only in the unit
+passed to it.
 """
 
 from __future__ import annotations
@@ -58,39 +62,31 @@ def _check_input(arch: Architecture, x) -> np.ndarray:
     return x
 
 
-def _forward_exact_batch(
-    arch: Architecture, theta: np.ndarray, points: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Batched exact pass: points (M, l_0) -> (preactivations, activations)."""
-    layers = layer_views(arch, theta)
+def _relu_unit(k: int, z: np.ndarray) -> np.ndarray:
+    return relu(z)
+
+
+def _smooth_unit(sharpness: float, cfg: ClampConfig):
+    """The smooth unit after hidden layer k, at sharpness layer_sharpness(sharpness, k)."""
+    return lambda k, z: smooth_relu(cfg, layer_sharpness(sharpness, k), z)
+
+
+def _forward(layers, points: np.ndarray, unit) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Batched pass through per-layer ``(W_k, b_k)``: (preactivations, activations).
+
+    ``points`` is (..., M, l_0), ``W_k`` (..., l_k, l_{k-1}) and ``b_k``
+    (..., l_k); a leading trial axis on the parameters evaluates a stack of
+    networks, each on its own points.  ``unit(k, z)`` is the nonlinearity
+    after hidden layer k: `_relu_unit` or a `_smooth_unit`.
+    """
     pres: list[np.ndarray] = []
     acts: list[np.ndarray] = []
     h = points
     for k, (w, b) in enumerate(layers, start=1):
-        z = h @ w.T + b
+        z = h @ w.swapaxes(-1, -2) + b[..., None, :]
         pres.append(z)
-        if k < arch.depth:
-            h = relu(z)
-            acts.append(h)
-    return pres, acts
-
-
-def _forward_smooth_batch(
-    arch: Architecture,
-    theta: np.ndarray,
-    points: np.ndarray,
-    sharpness: float,
-    cfg: ClampConfig = DEFAULT_CLAMP,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    layers = layer_views(arch, theta)
-    pres: list[np.ndarray] = []
-    acts: list[np.ndarray] = []
-    h = points
-    for k, (w, b) in enumerate(layers, start=1):
-        z = h @ w.T + b
-        pres.append(z)
-        if k < arch.depth:
-            h = smooth_relu(cfg, layer_sharpness(sharpness, k), z)
+        if k < len(layers):
+            h = unit(k, z)
             acts.append(h)
     return pres, acts
 
@@ -99,7 +95,7 @@ def forward_exact(arch: Architecture, theta: np.ndarray, x) -> ForwardTrace:
     """Exact ReLU forward pass at a single input."""
     theta = check_params(arch, theta)
     x = _check_input(arch, x)
-    pres, acts = _forward_exact_batch(arch, theta, x[None, :])
+    pres, acts = _forward(layer_views(arch, theta), x[None, :], _relu_unit)
     return ForwardTrace(
         x=x,
         preactivations=[z[0] for z in pres],
@@ -120,7 +116,7 @@ def forward_smooth(
     x = _check_input(arch, x)
     if not float(sharpness) >= 1.0:
         raise ValueError(f"sharpness must be >= 1, got {sharpness}")
-    pres, acts = _forward_smooth_batch(arch, theta, x[None, :], float(sharpness), cfg)
+    pres, acts = _forward(layer_views(arch, theta), x[None, :], _smooth_unit(float(sharpness), cfg))
     return ForwardTrace(
         x=x,
         preactivations=[z[0] for z in pres],

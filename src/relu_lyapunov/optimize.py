@@ -7,6 +7,8 @@ Three dynamics share one logging format: full-measure gradient descent
 because experiment-scale runs (hundreds of trials, 1e5 steps) would otherwise
 spend their time in Python per-step overhead.  Trials never interact: each has
 its own initial parameters and its own slice of the per-step sample block.
+All four loops run the same forward pass and reverse sweep; the ensemble hands
+them per-layer stacks with a leading trial axis.
 
 Step-size thresholds (`gd_threshold`, `sgd_threshold`) reproduce the regime in
 which the Lyapunov function is guaranteed to decrease; `descent_certificate`
@@ -24,10 +26,10 @@ from typing import Callable
 
 import numpy as np
 
-from .arch import Architecture, check_params
-from .gradient import _exact_grad_core
+from .arch import Architecture, check_params, layer_views
+from .gradient import _backward, _grad_core, _left_gate
 from .lyapunov import LyapunovContext, lyapunov_value
-from .network import _forward_exact_batch
+from .network import _forward, _relu_unit
 from .risk import DiscreteMeasure, TargetSpec, UniformSampler
 
 
@@ -225,7 +227,7 @@ def _deterministic_run(
     snapshots: dict[int, np.ndarray] = {}
     integral = 0.0
     for n in range(steps + 1):
-        grad, risk = _exact_grad_core(arch, theta, points, weights, fvals)
+        grad, risk = _grad_core(arch, theta, points, weights, fvals)
         if not math.isfinite(risk):
             if n == 0:
                 raise ValueError("risk is not finite at the initial parameters")
@@ -297,7 +299,7 @@ def sgd_run(
         m = cfg.batch_at(n)
         batch = sampler.with_seed(entropy + (1, n)).sample(m)
         fvals = np.broadcast_to(xi, (m, xi.shape[0]))
-        grad, risk = _exact_grad_core(arch, theta, batch, np.full(m, 1.0 / m), fvals)
+        grad, risk = _grad_core(arch, theta, batch, np.full(m, 1.0 / m), fvals)
         if not math.isfinite(risk):
             if n == 0:
                 raise ValueError("risk is not finite at the initial parameters")
@@ -306,7 +308,7 @@ def sgd_run(
         if n % cfg.log_stride == 0 or n == cfg.steps:
             rows.append((n, lyapunov_value(ctx, theta), risk, _norm(grad), _norm(theta), gamma))
         if n in eval_set and eval_points is not None:
-            pres, _ = _forward_exact_batch(arch, theta, eval_points)
+            pres, _ = _forward(layer_views(arch, theta), eval_points, _relu_unit)
             resid = pres[-1] - xi
             mc_rows.append((n, float(np.mean(np.sum(resid * resid, axis=1)))))
         if n in snaps:
@@ -359,60 +361,44 @@ def gaussian_init(arch: Architecture, seed, scale: float, trials: int) -> np.nda
     return out
 
 
-def _stack_forward(weights, biases, x):
-    pres = []
-    acts = []
-    h = x
-    last = len(weights) - 1
-    for k, (w, b) in enumerate(zip(weights, biases)):
-        z = np.matmul(h, w.transpose(0, 2, 1)) + b[:, None, :]
-        pres.append(z)
-        if k < last:
-            h = np.maximum(z, 0.0)
-            acts.append(h)
-    return pres, acts
-
-
 def _ensemble_chunk(arch, theta0s, lo, hi, schedule, a, b, xi, cfg, eval_grid):
     """Run trials [lo, hi) of the stacked ensemble.
 
     The per-step sample block and the evaluation block are always drawn at
     full trial count and sliced, so results do not depend on the chunking.
     """
-    depth = arch.depth
     trials = theta0s.shape[0]
     span = b - a
     entropy = _entropy(cfg.seed)
-    weights = []
-    biases = []
-    for k in range(1, depth + 1):
+    # contiguous per-layer stacks, updated in place
+    layers = []
+    for k in range(1, arch.depth + 1):
         fan_in, fan_out = arch.layer_sizes(k)
-        weights.append(theta0s[lo:hi, arch.weight_slice(k)].reshape(hi - lo, fan_out, fan_in).copy())
-        biases.append(theta0s[lo:hi, arch.bias_slice(k)].copy())
+        weights = theta0s[lo:hi, arch.weight_slice(k)].reshape(hi - lo, fan_out, fan_in).copy()
+        layers.append((weights, theta0s[lo:hi, arch.bias_slice(k)].copy()))
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
 
     eval_points = None
-    if eval_grid and cfg.eval_samples > 0:
+    if eval_grid:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy + (0,))))
         block = rng.random((trials, cfg.eval_samples, arch.widths[0]))
         eval_points = a + span * block[lo:hi]
 
     risk_out = np.empty((hi - lo, len(eval_grid)))
     eval_pos = {n: c for c, n in enumerate(eval_grid)}
-    ones_rows: dict[int, np.ndarray] = {}
 
     def eval_risk() -> np.ndarray:
         # chunk the sample axis to keep transients small
         total = np.zeros(hi - lo)
         count = eval_points.shape[1]
         for s0 in range(0, count, 1000):
-            pres, _ = _stack_forward(weights, biases, eval_points[:, s0 : s0 + 1000])
+            pres, _ = _forward(layers, eval_points[:, s0 : s0 + 1000], _relu_unit)
             resid = pres[-1] - xi
             total += np.sum(np.sum(resid * resid, axis=2), axis=1)
         return total / count
 
     for n in range(cfg.steps + 1):
-        if n in eval_pos and eval_points is not None:
+        if n in eval_pos:
             risk_out[:, eval_pos[n]] = eval_risk()
         if n == cfg.steps:
             break
@@ -420,28 +406,32 @@ def _ensemble_chunk(arch, theta0s, lo, hi, schedule, a, b, xi, cfg, eval_grid):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy + (1, n))))
         block = rng.random((trials, m, arch.widths[0]))
         x = a + span * block[lo:hi]
-        pres, acts = _stack_forward(weights, biases, x)
-        gamma = schedule.rate(n)
+        pres, acts = _forward(layers, x, _relu_unit)
         # gamma and the 2/m of the minibatch objective fold into delta
-        delta = (pres[-1] - xi) * (2.0 * gamma / m)
-        ones_row = ones_rows.get(m)
-        if ones_row is None:
-            ones_row = ones_rows[m] = np.ones((1, m))
-        for k in range(depth, 0, -1):
-            inputs = acts[k - 2] if k > 1 else x
-            gw = np.matmul(delta.transpose(0, 2, 1), inputs)
-            gb = np.matmul(ones_row, delta)[:, 0, :]
-            if k > 1:
-                delta = np.matmul(delta, weights[k - 1]) * (pres[k - 2] > 0.0)
-            weights[k - 1] -= gw
-            biases[k - 1] -= gb
-        if not np.isfinite(biases[-1]).all():
+        delta = (pres[-1] - xi) * (2.0 * schedule.rate(n) / m)
+        grads = _backward(layers, x, pres, acts, delta, _left_gate)
+        for (weights, biases), (gw, gb) in zip(layers, grads):
+            weights -= gw
+            biases -= gb
+        if not np.isfinite(layers[-1][1]).all():
             raise DivergenceError(n, None, f"ensemble trial block [{lo},{hi}) diverged at step {n}")
 
     flat = np.concatenate(
-        [arr for k in range(depth) for arr in (weights[k].reshape(hi - lo, -1), biases[k])], axis=1
+        [arr for weights, biases in layers for arr in (weights.reshape(hi - lo, -1), biases)], axis=1
     )
     return risk_out, flat
+
+
+def _thread_count() -> int:
+    """RELU_LYAPUNOV_THREADS as an integer >= 1; unset or empty means 1."""
+    text = os.environ.get("RELU_LYAPUNOV_THREADS", "")
+    try:
+        threads = int(text or "1")
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"RELU_LYAPUNOV_THREADS must be an integer >= 1, got {text!r}")
+    return threads
 
 
 def sgd_ensemble(
@@ -457,20 +447,21 @@ def sgd_ensemble(
 
     ``theta0s`` has one row per trial.  Each trial t reads row t of the step-n
     sample block drawn from stream (seed, 1, n) and row t of the evaluation
-    block from (seed, 0).  ``RELU_LYAPUNOV_THREADS`` chunks the trial axis
-    without changing any output bit.
+    block from (seed, 0).  ``RELU_LYAPUNOV_THREADS`` (an integer >= 1,
+    default 1) chunks the trial axis without changing any output bit.
     """
     theta0s = np.asarray(theta0s, dtype=np.float64)
-    if theta0s.ndim != 2 or theta0s.shape[1] != arch.param_count:
-        raise ValueError(f"theta0s must have shape (trials, {arch.param_count})")
+    if theta0s.ndim != 2 or theta0s.shape[0] < 1 or theta0s.shape[1] != arch.param_count:
+        raise ValueError(f"theta0s must have shape (trials >= 1, {arch.param_count})")
     if b <= a:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     schedule = Schedule.of(schedule)
     trials = theta0s.shape[0]
     eval_grid = decade_steps(cfg.steps) if cfg.eval_steps is None else tuple(cfg.eval_steps)
+    if eval_grid and cfg.eval_samples < 1:
+        raise ValueError(f"eval_samples must be >= 1 when eval steps are set, got {cfg.eval_samples}")
 
-    threads = int(os.environ.get("RELU_LYAPUNOV_THREADS", "1") or "1")
-    threads = max(1, min(threads, trials))
+    threads = min(_thread_count(), trials)
     bounds = np.linspace(0, trials, threads + 1).astype(int)
     ranges = [(int(bounds[i]), int(bounds[i + 1])) for i in range(threads) if bounds[i] < bounds[i + 1]]
 

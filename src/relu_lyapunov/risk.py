@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .activation import DEFAULT_CLAMP, ClampConfig
-from .arch import Architecture, check_params
-from .network import _forward_exact_batch, _forward_smooth_batch
+from .arch import Architecture, check_params, layer_views
+from .network import _forward, _relu_unit, _smooth_unit
 
 
 @dataclass
@@ -155,19 +155,14 @@ class UniformSampler:
         return self.a + (self.b - self.a) * self._rng.random((n, self.dim))
 
 
-def _squared_errors(arch, theta, points, fvals) -> np.ndarray:
-    pres, _ = _forward_exact_batch(arch, theta, points)
-    resid = pres[-1] - fvals
-    return np.sum(resid * resid, axis=1)
-
-
 def risk_exact(arch: Architecture, theta, measure: DiscreteMeasure, target: TargetSpec) -> float:
     """sum_p w_p ||N(x_p) - f(x_p)||^2 with the exact ReLU network."""
     theta = check_params(arch, theta)
     if measure.dim != arch.widths[0]:
         raise ValueError(f"measure dim {measure.dim} != input width {arch.widths[0]}")
-    fvals = target.values(measure.points)
-    return float(np.sum(measure.weights * _squared_errors(arch, theta, measure.points, fvals)))
+    pres, _ = _forward(layer_views(arch, theta), measure.points, _relu_unit)
+    resid = pres[-1] - target.values(measure.points)
+    return float(np.sum(measure.weights * np.sum(resid * resid, axis=1)))
 
 
 def risk_smooth(
@@ -180,7 +175,7 @@ def risk_smooth(
 ) -> float:
     """Exact-measure risk of the smoothed network."""
     theta = check_params(arch, theta)
-    pres, _ = _forward_smooth_batch(arch, theta, measure.points, float(sharpness), cfg)
+    pres, _ = _forward(layer_views(arch, theta), measure.points, _smooth_unit(float(sharpness), cfg))
     resid = pres[-1] - target.values(measure.points)
     return float(np.sum(measure.weights * np.sum(resid * resid, axis=1)))
 
@@ -192,7 +187,7 @@ def empirical_risk(arch: Architecture, theta, batch: np.ndarray, xi) -> float:
     if batch.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    pres, _ = _forward_exact_batch(arch, theta, batch)
+    pres, _ = _forward(layer_views(arch, theta), batch, _relu_unit)
     resid = pres[-1] - xi
     return float(np.mean(np.sum(resid * resid, axis=1)))
 
@@ -212,8 +207,9 @@ def population_risk_mc(
         raise ValueError("need at least 2 samples for a standard error")
     theta = check_params(arch, theta)
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    points = sampler.sample(n_samples)
-    sq = _squared_errors(arch, theta, points, xi)
+    pres, _ = _forward(layer_views(arch, theta), sampler.sample(n_samples), _relu_unit)
+    resid = pres[-1] - xi
+    sq = np.sum(resid * resid, axis=1)
     estimate = float(np.mean(sq))
     std_error = float(np.std(sq, ddof=1) / np.sqrt(n_samples))
     return estimate, std_error

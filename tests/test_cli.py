@@ -94,6 +94,18 @@ def test_sgd_csv_reproducible(tmp_path, capsys):
     assert lines[1].startswith("1,")
 
 
+@pytest.mark.parametrize(
+    "bad", [("--steps", "0"), ("--trials", "0"), ("--eval-samples", "0"), ("--eval-samples", "-1")]
+)
+def test_sgd_rejects_empty_runs(tmp_path, capsys, bad):
+    out_path = tmp_path / "s.csv"
+    small = ["--trials", "2", "--steps", "10", "--eval-samples", "10"]
+    code, out, err = run(capsys, "sgd", "--preset", "shallow", *small, *bad, "--out", str(out_path))
+    assert code == 2
+    assert bad[0] in err
+    assert not out_path.exists()
+
+
 def test_sgd_prints_threshold_comparison(tmp_path, capsys):
     code, out, err = run(
         capsys, "sgd", "--arch", "1,2,1", "--trials", "2", "--steps", "50",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relu_lyapunov import (
     Architecture,
@@ -14,6 +16,10 @@ from relu_lyapunov import (
     smooth_gradient,
     risk_smooth,
 )
+from relu_lyapunov.activation import DEFAULT_CLAMP
+from relu_lyapunov.arch import layer_views
+from relu_lyapunov.gradient import _backward, _left_gate, _smooth_gate
+from relu_lyapunov.network import _forward, _relu_unit, _smooth_unit
 
 
 def random_instance(rng, widths, max_points=5):
@@ -155,3 +161,71 @@ def test_growth_bound_input_scale_default():
     b1 = gradient_growth_bound(arch, theta, 1.0, 1.0)
     b2 = gradient_growth_bound(arch, theta, 1.0, 1.0, input_scale=3.0)
     assert abs(b2 - 9.0 * b1) < 1e-9 * b2
+
+
+@st.composite
+def stacked_instances(draw):
+    """Random trial-stacked problem: depth 1-3, widths 1-3, 1-4 trials, 1-5 points."""
+    depth = draw(st.integers(1, 3))
+    widths = tuple(draw(st.lists(st.integers(1, 3), min_size=depth + 1, max_size=depth + 1)))
+    trials, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arch = Architecture(widths)
+    thetas = rng.normal(0.0, 0.8, (trials, arch.param_count))
+    points = rng.uniform(-1.0, 1.0, (trials, m, widths[0]))
+    weights = rng.uniform(0.0, 1.0, m)
+    xi = rng.normal(size=widths[-1])
+    return arch, thetas, points, weights, xi
+
+
+def _stack_layers(arch, thetas):
+    layers = []
+    for k in range(1, arch.depth + 1):
+        fan_in, fan_out = arch.layer_sizes(k)
+        weights = thetas[:, arch.weight_slice(k)].reshape(len(thetas), fan_out, fan_in)
+        layers.append((weights, thetas[:, arch.bias_slice(k)]))
+    return layers
+
+
+def _sweep(layers, points, weights, xi, unit, gate):
+    pres, acts = _forward(layers, points, unit)
+    delta = 2.0 * (pres[-1] - xi) * weights[:, None]
+    return pres, acts, _backward(layers, points, pres, acts, delta, gate)
+
+
+def _assert_close(a, b):
+    # stacked and single matmuls may sum in different orders: a few ulps
+    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * max(1.0, float(np.abs(b).max())))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacked_instances(), st.one_of(st.none(), st.floats(1.0, 1e3)))
+def test_stacked_kernel_matches_single_networks(instance, sharpness):
+    """_forward/_backward on a trial-stacked block equal one call per trial,
+    for the exact unit (sharpness None) and the smooth one."""
+    arch, thetas, points, weights, xi = instance
+    if sharpness is None:
+        unit, gate = _relu_unit, _left_gate
+    else:
+        unit, gate = _smooth_unit(sharpness, DEFAULT_CLAMP), _smooth_gate(sharpness, DEFAULT_CLAMP)
+    pres, acts, grads = _sweep(_stack_layers(arch, thetas), points, weights, xi, unit, gate)
+    for t, theta in enumerate(thetas):
+        pres_t, acts_t, grads_t = _sweep(layer_views(arch, theta), points[t], weights, xi, unit, gate)
+        for stacked, single in zip(pres + acts, pres_t + acts_t):
+            _assert_close(stacked[t], single)
+        for (gw, gb), (gw_t, gb_t) in zip(grads, grads_t):
+            _assert_close(gw[t], gw_t)
+            _assert_close(gb[t], gb_t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_instances())
+def test_stacked_kernel_matches_pathsum_oracle(instance):
+    """The exact gate on a stacked block gives each trial's path-sum gradient."""
+    arch, thetas, points, weights, xi = instance
+    _, _, grads = _sweep(_stack_layers(arch, thetas), points, weights, xi, _relu_unit, _left_gate)
+    for t, theta in enumerate(thetas):
+        fast = np.concatenate([part for gw, gb in grads for part in (gw[t].ravel(), gb[t])])
+        measure = DiscreteMeasure(points[t], weights, -1.0, 1.0)
+        slow = gradient_pathsum_oracle(arch, theta, measure, TargetSpec.constant(xi))
+        assert np.abs(fast - slow).max() <= 1e-12 * max(1.0, float(np.linalg.norm(slow)))

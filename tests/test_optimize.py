@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,6 +235,17 @@ def test_ensemble_thread_count_is_invisible(monkeypatch):
     np.testing.assert_array_equal(base.theta_final, threaded.theta_final)
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_ensemble_rejects_bad_thread_count(monkeypatch, value):
+    arch = Architecture((1, 2, 1))
+    cfg = SgdConfig(batch_size=5, steps=3, seed=0, eval_samples=10)
+    monkeypatch.setenv("RELU_LYAPUNOV_THREADS", value)
+    with pytest.raises(ValueError, match=f"RELU_LYAPUNOV_THREADS.*{value}"):
+        sgd_ensemble(arch, np.zeros((2, 7)), 1e-4, 0.0, 1.0, 0.5, cfg)
+    monkeypatch.setenv("RELU_LYAPUNOV_THREADS", "")
+    assert sgd_ensemble(arch, np.zeros((2, 7)), 1e-4, 0.0, 1.0, 0.5, cfg).risk.shape == (2, 3)
+
+
 def test_ensemble_statistics_shapes():
     arch = Architecture((1, 2, 1))
     theta0s = gaussian_init(arch, seed=6, scale=0.5, trials=3)
@@ -252,6 +264,14 @@ def test_ensemble_validates_inputs():
         sgd_ensemble(arch, np.zeros((2, 3)), 1e-4, 0.0, 1.0, 0.5, cfg)
     with pytest.raises(ValueError):
         sgd_ensemble(arch, np.zeros((2, 7)), 1e-4, 1.0, 1.0, 0.5, cfg)
+    with pytest.raises(ValueError):
+        sgd_ensemble(arch, np.zeros((0, 7)), 1e-4, 0.0, 1.0, 0.5, cfg)
+    # an eval grid with no samples would report uninitialized memory
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="eval_samples"):
+            sgd_ensemble(arch, np.zeros((2, 7)), 1e-4, 0.0, 1.0, 0.5, replace(cfg, eval_samples=samples))
+    no_eval = replace(cfg, eval_samples=0, eval_steps=())
+    assert sgd_ensemble(arch, np.zeros((2, 7)), 1e-4, 0.0, 1.0, 0.5, no_eval).risk.shape == (2, 0)
 
 
 def test_sgd_descent_at_threshold():
