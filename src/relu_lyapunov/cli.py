@@ -131,6 +131,12 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _require_positive(*flags: tuple[str, int]) -> None:
+    for flag, value in flags:
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_sgd(args) -> int:
     res = _resolve(args)
     preset = res.preset
@@ -140,9 +146,7 @@ def cmd_sgd(args) -> int:
     steps = args.steps if args.steps is not None else (preset.steps if preset else 100_000)
     seed = args.seed if args.seed is not None else 0
     out = args.out or f"sgd_{res.tag}.csv"
-    for flag, value in (("--steps", steps), ("--trials", trials), ("--eval-samples", args.eval_samples)):
-        if value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
+    _require_positive(("--steps", steps), ("--trials", trials), ("--eval-samples", args.eval_samples))
 
     theta0s = gaussian_init(res.arch, seed, res.init_scale, trials)
     norms = np.sqrt(np.sum(theta0s * theta0s, axis=1))
@@ -182,9 +186,10 @@ def _deterministic_setup(args):
 
 
 def cmd_gd(args) -> int:
+    steps = args.steps if args.steps is not None else 10_000
+    _require_positive(("--steps", steps))
     res, measure, target, theta0, threshold = _deterministic_setup(args)
     gamma = args.gamma if args.gamma is not None else 0.9 * threshold
-    steps = args.steps if args.steps is not None else 10_000
     out = args.out or f"gd_{res.tag}.csv"
     print(f"configured gamma: {gamma:.17g}")
     print(f"gd descent threshold: {threshold:.17g}" + ("" if gamma < threshold else "  (gamma at or above it; descent not guaranteed)"))
@@ -197,9 +202,10 @@ def cmd_gd(args) -> int:
 
 
 def cmd_gf(args) -> int:
+    steps = args.steps if args.steps is not None else 10_000
+    _require_positive(("--steps", steps))
     res, measure, target, theta0, threshold = _deterministic_setup(args)
     dt = args.dt if args.dt is not None else 0.5 * threshold
-    steps = args.steps if args.steps is not None else 10_000
     out = args.out or f"gf_{res.tag}.csv"
     print(f"euler dt: {dt:.17g} (descent threshold {threshold:.17g})")
     trajectory = gf_euler_run(res.arch, theta0, measure, target, dt, steps)

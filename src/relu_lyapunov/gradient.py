@@ -5,7 +5,8 @@ computes the limit of the smoothed gradients: a reverse sweep whose hidden
 gates are the left derivative of ReLU (0 exactly at a kink).  For smoothed
 networks `smooth_gradient` is the honest gradient of `risk_smooth`.  Both, and
 every training loop, run the one reverse sweep `_backward`; only the gate
-differs.
+differs.  Like `_forward`, it works on feature-major ``(..., width, samples)``
+arrays.
 
 `gradient_pathsum_oracle` is an independent reference implementation that
 expands the same quantity as a literal sum over neuron paths.  It is
@@ -46,18 +47,19 @@ def _backward(layers, points, pres, acts, delta, gate) -> list[tuple[np.ndarray,
     """Reverse sweep from output sensitivities ``delta``: [(dW_k, db_k)] for k = 1..L.
 
     Shapes and the optional leading trial axis follow `_forward`, whose
-    outputs ``pres``/``acts`` this consumes; ``gate(k, z)`` is the derivative
-    of the unit after hidden layer k.  Bias gradients sum the point axis as a
-    product with a ones row, which is several times faster than ``sum`` on
-    trial-stacked blocks.
+    outputs ``pres``/``acts`` this consumes: ``delta`` is (..., l_L, M), and
+    bias gradients sum its contiguous sample axis.  ``gate(k, z)`` is the
+    derivative of the unit after hidden layer k.  Through a fan-out-1 layer
+    the delta is back-propagated as the broadcast product ``W_k^T * delta``.
     """
-    ones = np.ones((1, delta.shape[-2]))
     grads = []
     for k in range(len(layers), 0, -1):
         inputs = acts[k - 2] if k > 1 else points
-        grads.append((delta.swapaxes(-1, -2) @ inputs, (ones @ delta)[..., 0, :]))
+        grads.append((delta @ inputs.swapaxes(-1, -2), delta.sum(axis=-1)))
         if k > 1:
-            delta = (delta @ layers[k - 1][0]) * gate(k - 1, pres[k - 2])
+            back = layers[k - 1][0].swapaxes(-1, -2)
+            delta = back * delta if back.shape[-1] == 1 else back @ delta
+            delta *= gate(k - 1, pres[k - 2])
     return grads[::-1]
 
 
@@ -70,12 +72,12 @@ def _grad_core(
     unit=_relu_unit,
     gate=_left_gate,
 ) -> tuple[np.ndarray, float]:
-    """Weighted risk gradient (flat) and risk, in one forward and one reverse pass."""
+    """Weighted risk gradient (flat) and risk at (M, l_0) points, in one forward and one reverse pass."""
     layers = layer_views(arch, theta)
-    pres, acts = _forward(layers, points, unit)
-    resid = pres[-1] - fvals
-    risk = float(np.sum(point_weights * np.sum(resid * resid, axis=1)))
-    grads = _backward(layers, points, pres, acts, 2.0 * resid * point_weights[:, None], gate)
+    pres, acts = _forward(layers, points.T, unit)
+    resid = pres[-1] - fvals.T
+    risk = float(np.sum(point_weights * np.sum(resid * resid, axis=0)))
+    grads = _backward(layers, points.T, pres, acts, 2.0 * resid * point_weights, gate)
     return np.concatenate([part for gw, gb in grads for part in (gw.ravel(), gb)]), risk
 
 

@@ -87,8 +87,8 @@ def pairing(
     theta = check_params(ctx.arch, theta)
     depth = ctx.arch.depth
     lhs = float(np.dot(lyapunov_gradient(ctx, theta), generalized_gradient(ctx.arch, theta, measure, target)))
-    pres, _ = _forward(layer_views(ctx.arch, theta), measure.points, _relu_unit)
+    pres, _ = _forward(layer_views(ctx.arch, theta), measure.points.T, _relu_unit)
     out = pres[-1]
-    inner = np.sum((out - target.values(measure.points)) * (out - ctx.f0), axis=1)
+    inner = np.sum((out - target.values(measure.points).T) * (out - ctx.f0[:, None]), axis=0)
     rhs = 4.0 * depth * float(np.sum(measure.weights * inner))
     return lhs, rhs

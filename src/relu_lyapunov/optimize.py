@@ -8,7 +8,8 @@ because experiment-scale runs (hundreds of trials, 1e5 steps) would otherwise
 spend their time in Python per-step overhead.  Trials never interact: each has
 its own initial parameters and its own slice of the per-step sample block.
 All four loops run the same forward pass and reverse sweep; the ensemble hands
-them per-layer stacks with a leading trial axis.
+them per-layer stacks with a leading trial axis and views each (trials,
+samples, l_0) draw as the kernel's feature-major (trials, l_0, samples).
 
 Step-size thresholds (`gd_threshold`, `sgd_threshold`) reproduce the regime in
 which the Lyapunov function is guaranteed to decrease; `descent_certificate`
@@ -164,6 +165,12 @@ def _norm(x: np.ndarray) -> float:
     return float(np.sqrt(x @ x))
 
 
+def _require_finite(theta: np.ndarray) -> np.ndarray:
+    if not np.isfinite(theta).all():
+        raise ValueError("initial parameters must be finite")
+    return theta
+
+
 def gd_run(
     arch: Architecture,
     theta0,
@@ -196,6 +203,7 @@ def gf_euler_run(
     dt = float(dt)
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    theta0 = _require_finite(check_params(arch, theta0))
     threshold = gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale)
     if dt > threshold:
         warnings.warn(
@@ -209,7 +217,7 @@ def gf_euler_run(
 def _deterministic_run(
     arch, theta0, measure, target, schedule, steps, log_stride, snapshot_steps, dt
 ) -> Trajectory:
-    theta = check_params(arch, theta0).copy()
+    theta = _require_finite(check_params(arch, theta0)).copy()
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if log_stride < 1:
@@ -276,7 +284,7 @@ def sgd_run(
     the pre-update parameters; the final row draws one extra batch so the last
     parameters get a row too.
     """
-    theta = check_params(arch, theta0).copy()
+    theta = _require_finite(check_params(arch, theta0)).copy()
     if sampler.dim != arch.widths[0]:
         raise ValueError(f"sampler dim {sampler.dim} != input width {arch.widths[0]}")
     schedule = Schedule.of(schedule)
@@ -308,9 +316,9 @@ def sgd_run(
         if n % cfg.log_stride == 0 or n == cfg.steps:
             rows.append((n, lyapunov_value(ctx, theta), risk, _norm(grad), _norm(theta), gamma))
         if n in eval_set and eval_points is not None:
-            pres, _ = _forward(layer_views(arch, theta), eval_points, _relu_unit)
-            resid = pres[-1] - xi
-            mc_rows.append((n, float(np.mean(np.sum(resid * resid, axis=1)))))
+            pres, _ = _forward(layer_views(arch, theta), eval_points.T, _relu_unit)
+            resid = pres[-1] - xi[:, None]
+            mc_rows.append((n, float(np.mean(np.sum(resid * resid, axis=0)))))
         if n in snaps:
             snapshots[n] = theta.copy()
         if n == cfg.steps:
@@ -382,7 +390,7 @@ def _ensemble_chunk(arch, theta0s, lo, hi, schedule, a, b, xi, cfg, eval_grid):
     if eval_grid:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy + (0,))))
         block = rng.random((trials, cfg.eval_samples, arch.widths[0]))
-        eval_points = a + span * block[lo:hi]
+        eval_points = (a + span * block[lo:hi]).swapaxes(-1, -2)
 
     risk_out = np.empty((hi - lo, len(eval_grid)))
     eval_pos = {n: c for c, n in enumerate(eval_grid)}
@@ -390,11 +398,11 @@ def _ensemble_chunk(arch, theta0s, lo, hi, schedule, a, b, xi, cfg, eval_grid):
     def eval_risk() -> np.ndarray:
         # chunk the sample axis to keep transients small
         total = np.zeros(hi - lo)
-        count = eval_points.shape[1]
+        count = eval_points.shape[-1]
         for s0 in range(0, count, 1000):
-            pres, _ = _forward(layers, eval_points[:, s0 : s0 + 1000], _relu_unit)
-            resid = pres[-1] - xi
-            total += np.sum(np.sum(resid * resid, axis=2), axis=1)
+            pres, _ = _forward(layers, eval_points[..., s0 : s0 + 1000], _relu_unit)
+            resid = pres[-1] - xi[:, None]
+            total += np.sum(np.sum(resid * resid, axis=1), axis=1)
         return total / count
 
     for n in range(cfg.steps + 1):
@@ -405,15 +413,15 @@ def _ensemble_chunk(arch, theta0s, lo, hi, schedule, a, b, xi, cfg, eval_grid):
         m = cfg.batch_at(n)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy + (1, n))))
         block = rng.random((trials, m, arch.widths[0]))
-        x = a + span * block[lo:hi]
+        x = (a + span * block[lo:hi]).swapaxes(-1, -2)
         pres, acts = _forward(layers, x, _relu_unit)
         # gamma and the 2/m of the minibatch objective fold into delta
-        delta = (pres[-1] - xi) * (2.0 * schedule.rate(n) / m)
+        delta = (pres[-1] - xi[:, None]) * (2.0 * schedule.rate(n) / m)
         grads = _backward(layers, x, pres, acts, delta, _left_gate)
         for (weights, biases), (gw, gb) in zip(layers, grads):
             weights -= gw
             biases -= gb
-        if not np.isfinite(layers[-1][1]).all():
+        if not all(np.isfinite(arr).all() for layer in layers for arr in layer):
             raise DivergenceError(n, None, f"ensemble trial block [{lo},{hi}) diverged at step {n}")
 
     flat = np.concatenate(
@@ -453,6 +461,7 @@ def sgd_ensemble(
     theta0s = np.asarray(theta0s, dtype=np.float64)
     if theta0s.ndim != 2 or theta0s.shape[0] < 1 or theta0s.shape[1] != arch.param_count:
         raise ValueError(f"theta0s must have shape (trials >= 1, {arch.param_count})")
+    _require_finite(theta0s)
     if b <= a:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     schedule = Schedule.of(schedule)

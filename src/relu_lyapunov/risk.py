@@ -33,10 +33,12 @@ class DiscreteMeasure:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.a = float(self.a)
         self.b = float(self.b)
-        if self.b <= self.a:
+        if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
         if self.weights.ndim != 1 or self.weights.shape[0] != self.points.shape[0]:
             raise ValueError("one weight per point required")
+        if not (np.isfinite(self.points).all() and np.isfinite(self.weights).all()):
+            raise ValueError("points and weights must be finite")
         if np.any(self.weights < 0.0):
             raise ValueError("weights must be nonnegative")
         if self.points.size and (self.points.min() < self.a or self.points.max() > self.b):
@@ -160,9 +162,9 @@ def risk_exact(arch: Architecture, theta, measure: DiscreteMeasure, target: Targ
     theta = check_params(arch, theta)
     if measure.dim != arch.widths[0]:
         raise ValueError(f"measure dim {measure.dim} != input width {arch.widths[0]}")
-    pres, _ = _forward(layer_views(arch, theta), measure.points, _relu_unit)
-    resid = pres[-1] - target.values(measure.points)
-    return float(np.sum(measure.weights * np.sum(resid * resid, axis=1)))
+    pres, _ = _forward(layer_views(arch, theta), measure.points.T, _relu_unit)
+    resid = pres[-1] - target.values(measure.points).T
+    return float(np.sum(measure.weights * np.sum(resid * resid, axis=0)))
 
 
 def risk_smooth(
@@ -175,9 +177,9 @@ def risk_smooth(
 ) -> float:
     """Exact-measure risk of the smoothed network."""
     theta = check_params(arch, theta)
-    pres, _ = _forward(layer_views(arch, theta), measure.points, _smooth_unit(float(sharpness), cfg))
-    resid = pres[-1] - target.values(measure.points)
-    return float(np.sum(measure.weights * np.sum(resid * resid, axis=1)))
+    pres, _ = _forward(layer_views(arch, theta), measure.points.T, _smooth_unit(float(sharpness), cfg))
+    resid = pres[-1] - target.values(measure.points).T
+    return float(np.sum(measure.weights * np.sum(resid * resid, axis=0)))
 
 
 def empirical_risk(arch: Architecture, theta, batch: np.ndarray, xi) -> float:
@@ -187,9 +189,9 @@ def empirical_risk(arch: Architecture, theta, batch: np.ndarray, xi) -> float:
     if batch.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    pres, _ = _forward(layer_views(arch, theta), batch, _relu_unit)
-    resid = pres[-1] - xi
-    return float(np.mean(np.sum(resid * resid, axis=1)))
+    pres, _ = _forward(layer_views(arch, theta), batch.T, _relu_unit)
+    resid = pres[-1] - xi[:, None]
+    return float(np.mean(np.sum(resid * resid, axis=0)))
 
 
 def population_risk_mc(
@@ -207,9 +209,9 @@ def population_risk_mc(
         raise ValueError("need at least 2 samples for a standard error")
     theta = check_params(arch, theta)
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    pres, _ = _forward(layer_views(arch, theta), sampler.sample(n_samples), _relu_unit)
-    resid = pres[-1] - xi
-    sq = np.sum(resid * resid, axis=1)
+    pres, _ = _forward(layer_views(arch, theta), sampler.sample(n_samples).T, _relu_unit)
+    resid = pres[-1] - xi[:, None]
+    sq = np.sum(resid * resid, axis=0)
     estimate = float(np.mean(sq))
     std_error = float(np.std(sq, ddof=1) / np.sqrt(n_samples))
     return estimate, std_error

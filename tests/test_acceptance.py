@@ -79,7 +79,7 @@ def _clean_smooth_instance(rng, arch, lo_exp, hi_exp, h):
         measure = DiscreteMeasure(pts, rng.uniform(0.0, 1.0, m), 0.0, 1.0)
         target = TargetSpec.constant(rng.normal(0.0, 1.0, arch.widths[-1]))
         sharp = float(2.0 ** rng.uniform(lo_exp, hi_exp))
-        pres, _ = _forward(layer_views(arch, theta), measure.points, _smooth_unit(sharp, DEFAULT_CLAMP))
+        pres, _ = _forward(layer_views(arch, theta), measure.points.T, _smooth_unit(sharp, DEFAULT_CLAMP))
         ok = True
         for k, pre in enumerate(pres[:-1], start=1):
             rk = layer_sharpness(sharp, k)

@@ -106,6 +106,16 @@ def test_sgd_rejects_empty_runs(tmp_path, capsys, bad):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command", ["gd", "gf"])
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_deterministic_runs_reject_empty_runs(tmp_path, capsys, command, steps):
+    out_path = tmp_path / "d.csv"
+    code, out, err = run(capsys, command, "--arch", "1,7,1", "--steps", steps, "--out", str(out_path))
+    assert code == 2
+    assert "--steps" in err
+    assert not out_path.exists()
+
+
 def test_sgd_prints_threshold_comparison(tmp_path, capsys):
     code, out, err = run(
         capsys, "sgd", "--arch", "1,2,1", "--trials", "2", "--steps", "50",

@@ -188,8 +188,10 @@ def _stack_layers(arch, thetas):
 
 
 def _sweep(layers, points, weights, xi, unit, gate):
+    # the kernel is feature-major: (..., width, samples)
+    points = points.swapaxes(-1, -2)
     pres, acts = _forward(layers, points, unit)
-    delta = 2.0 * (pres[-1] - xi) * weights[:, None]
+    delta = 2.0 * (pres[-1] - xi[:, None]) * weights
     return pres, acts, _backward(layers, points, pres, acts, delta, gate)
 
 

@@ -210,16 +210,20 @@ def test_gaussian_init_streams():
     assert np.abs(block[0] - block[1]).max() > 0.0
 
 
-def test_ensemble_single_trial_matches_sgd_run():
-    arch = Architecture((1, 7, 1))
-    theta0 = gaussian_init(arch, seed=3, scale=7.0**-0.5, trials=1)
+# (1,7,1): fan-in-1 broadcast affine and fan-out-1 back-propagation;
+# (1,3,7,1): a general 3->7 matmul; (2,5,1): a multi-input first layer whose
+# points are a transposed view of the sample block
+@pytest.mark.parametrize("widths", [(1, 7, 1), (1, 3, 7, 1), (2, 5, 1)], ids=lambda w: "-".join(map(str, w)))
+def test_ensemble_single_trial_matches_sgd_run(widths):
+    arch = Architecture(widths)
+    theta0 = gaussian_init(arch, seed=3, scale=widths[1] ** -0.5, trials=1)
     cfg = SgdConfig(batch_size=25, steps=200, seed=77, eval_samples=400)
-    sampler = UniformSampler(0.0, 1.0, 1, seed=77)
+    sampler = UniformSampler(0.0, 1.0, widths[0], seed=77)
     traj = sgd_run(arch, theta0[0], 2e-4, sampler, 1.0, cfg)
     res = sgd_ensemble(arch, theta0, 2e-4, 0.0, 1.0, 1.0, cfg)
     np.testing.assert_array_equal(res.eval_steps, traj.mc_steps)
     np.testing.assert_allclose(res.risk[0], traj.mc_risk, rtol=1e-12, atol=1e-300)
-    assert res.theta_final.shape == (1, 22)
+    assert res.theta_final.shape == (1, arch.param_count)
     np.testing.assert_allclose(res.theta_final[0], traj.snapshots[200], rtol=1e-12)
 
 
@@ -272,6 +276,35 @@ def test_ensemble_validates_inputs():
             sgd_ensemble(arch, np.zeros((2, 7)), 1e-4, 0.0, 1.0, 0.5, replace(cfg, eval_samples=samples))
     no_eval = replace(cfg, eval_samples=0, eval_steps=())
     assert sgd_ensemble(arch, np.zeros((2, 7)), 1e-4, 0.0, 1.0, 0.5, no_eval).risk.shape == (2, 0)
+
+
+def test_loops_reject_non_finite_initial_parameters():
+    arch, measure, target, theta0 = shallow_problem()
+    bad = theta0.copy()
+    bad[arch.weight_index(1, 3, 1) - 1] = -np.inf
+    sampler = UniformSampler(0.0, 1.0, 1, seed=4)
+    cfg = SgdConfig(batch_size=10, steps=5, seed=4, eval_samples=50)
+    runs = [
+        lambda: gd_run(arch, bad, measure, target, 1e-3, 5),
+        lambda: gf_euler_run(arch, bad, measure, target, 1e-3, 5),
+        lambda: sgd_run(arch, bad, 1e-4, sampler, 1.0, cfg),
+        lambda: sgd_ensemble(arch, np.stack([theta0, bad]), 1e-4, 0.0, 1.0, 1.0, cfg),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="finite"):
+            run()
+
+
+def test_ensemble_divergence_check_covers_hidden_layers():
+    # a huge output weight overflows the layer-1 gradient while the output
+    # bias, the only block the step check used to read, stays finite
+    arch = Architecture((1, 7, 1))
+    theta0s = gaussian_init(arch, seed=9, scale=7.0**-0.5, trials=2)
+    theta0s[:, arch.weight_slice(2)] = 1e160
+    theta0s[:, arch.bias_slice(1)] = 1.0
+    cfg = SgdConfig(batch_size=10, steps=1, seed=3, eval_steps=())
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        sgd_ensemble(arch, theta0s, 1.0, 0.0, 1.0, 1.0, cfg)
 
 
 def test_sgd_descent_at_threshold():

@@ -30,12 +30,29 @@ def test_input_scale_covers_endpoints_and_one():
 
 
 def test_measure_validation():
+    with pytest.raises(ValueError, match="a < b"):
+        DiscreteMeasure([[0.5]], [1.0], np.nan, 1.0)
     with pytest.raises(ValueError):
         DiscreteMeasure(np.zeros((3, 1)), np.ones(2), 0.0, 1.0)
     with pytest.raises(ValueError):
         DiscreteMeasure(np.zeros((3, 1)), -np.ones(3), 0.0, 1.0)
     with pytest.raises(ValueError):
         DiscreteMeasure(np.zeros(3), np.ones(3), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "points, weights",
+    [
+        ([[0.5], [np.nan]], [0.5, 0.5]),
+        ([[0.5], [0.25]], [0.5, np.nan]),
+        ([[0.5], [np.nan]], [0.5, np.nan]),
+        ([[0.5], [0.25]], [0.5, np.inf]),
+        ([[0.5], [-np.inf]], [0.5, 0.5]),
+    ],
+)
+def test_measure_rejects_non_finite(points, weights):
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure(points, weights, 0.0, 1.0)
 
 
 def test_measure_from_file_round_trip(tmp_path):
