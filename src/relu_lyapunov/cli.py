@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 divergence.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -111,8 +112,8 @@ def _resolve(args) -> Resolved:
         raise UsageError("either --preset or --arch is required")
     a = args.a if args.a is not None else (preset.a if preset else 0.0)
     b = args.b if args.b is not None else (preset.b if preset else 1.0)
-    if b <= a:
-        raise UsageError(f"need a < b, got a={a}, b={b}")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise UsageError(f"need finite a < b, got a={a}, b={b}")
     xi_text = args.xi if args.xi is not None else str(preset.xi if preset else 1.0)
     xi = _parse_xi(xi_text, arch.widths[-1])
     return Resolved(arch=arch, xi=xi, a=float(a), b=float(b), preset=preset)

@@ -6,7 +6,9 @@ gates are the left derivative of ReLU (0 exactly at a kink).  For smoothed
 networks `smooth_gradient` is the honest gradient of `risk_smooth`.  Both, and
 every training loop, run the one reverse sweep `_backward`; only the gate
 differs.  Like `_forward`, it works on feature-major ``(..., width, samples)``
-arrays.
+arrays.  On a trial-stacked block with scalar output it factors the output
+weights out of the last hidden layer's gradients (see `_backward`); one network
+at a time takes the plain layer-by-layer loop.
 
 `gradient_pathsum_oracle` is an independent reference implementation that
 expands the same quantity as a literal sum over neuron paths.  It is
@@ -51,9 +53,41 @@ def _backward(layers, points, pres, acts, delta, gate) -> list[tuple[np.ndarray,
     bias gradients sum its contiguous sample axis.  ``gate(k, z)`` is the
     derivative of the unit after hidden layer k.  Through a fan-out-1 layer
     the delta is back-propagated as the broadcast product ``W_k^T * delta``.
+
+    A trial-stacked block with scalar output (l_L = 1, L >= 2) never forms
+    delta_{L-1} = w^T * delta * G, with ``w = W_L[..., 0, :]``, ``G`` the gate
+    after layer L-1 and ``a`` the input of layer L-1: ``w`` is factored out of
+    layer L-1's gradients.  With ``D = G * delta`` they are
+    ``w[..., :, None] * (D @ a^T)`` and ``w * D.sum(-1)``, and the loop
+    continues from ``delta_{L-2} = ((W_{L-1}^T * w[..., None, :]) @ D) * gate(L-2)``.
+    For a 1 -> h -> 1 network (L = 2, one input) delta goes on the two-row
+    side instead: both gradients are the one product
+    ``w[..., :, None] * (G @ [delta*a; delta]^T)`` with ``G`` as floats.  This
+    skips the broadcasts over the (trials, l_{L-1}, M) delta (the outer
+    product, and for 1 -> h -> 1 also the gate multiply and the bias sum).
+    Without a trial axis the arrays are small and the extra calls would save
+    nothing, so single networks keep the plain loop and its results bit for bit.
     """
     grads = []
-    for k in range(len(layers), 0, -1):
+    top = len(layers)
+    w_out = layers[-1][0]
+    if top > 1 and w_out.ndim > 2 and w_out.shape[-2] == 1:
+        w = w_out[..., 0, :]
+        inputs = acts[-2] if top > 2 else points
+        grads.append((delta @ acts[-1].swapaxes(-1, -2), delta.sum(axis=-1)))
+        if top == 2 and inputs.shape[-2] == 1:
+            g = np.asarray(gate(1, pres[0]), dtype=np.float64)
+            both = g @ np.concatenate((delta * inputs, delta), axis=-2).swapaxes(-1, -2)
+            both *= w[..., None]
+            grads.append((both[..., :-1], both[..., -1]))
+        else:
+            gated = gate(top - 1, pres[-2]) * delta
+            grads.append((w[..., :, None] * (gated @ inputs.swapaxes(-1, -2)), w * gated.sum(axis=-1)))
+            if top > 2:
+                delta = (layers[top - 2][0].swapaxes(-1, -2) * w[..., None, :]) @ gated
+                delta *= gate(top - 2, pres[top - 3])
+        top -= 2
+    for k in range(top, 0, -1):
         inputs = acts[k - 2] if k > 1 else points
         grads.append((delta @ inputs.swapaxes(-1, -2), delta.sum(axis=-1)))
         if k > 1:

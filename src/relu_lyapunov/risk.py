@@ -9,6 +9,7 @@ splittable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -135,8 +136,8 @@ class UniformSampler:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.b <= self.a:
-            raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"need finite a < b, got a={self.a}, b={self.b}")
         if self.dim < 1:
             raise ValueError("dim must be positive")
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.entropy)))

@@ -44,6 +44,16 @@ def test_bad_box_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bound", [("--a", "nan"), ("--b", "nan"), ("--b", "inf"), ("--a=-inf",)])
+def test_non_finite_box_is_usage_error(tmp_path, capsys, bound):
+    out_path = tmp_path / "s.csv"
+    small = ["--trials", "2", "--steps", "3", "--eval-samples", "10"]
+    code, out, err = run(capsys, "sgd", "--arch", "1,7,1", *small, *bound, "--out", str(out_path))
+    assert code == 2
+    assert "finite a < b" in err
+    assert not out_path.exists()
+
+
 def test_gd_writes_trajectory_csv(tmp_path, capsys):
     out_path = tmp_path / "gd.csv"
     code, out, err = run(

@@ -266,8 +266,10 @@ def test_ensemble_validates_inputs():
     cfg = SgdConfig(batch_size=5, steps=10, seed=0)
     with pytest.raises(ValueError):
         sgd_ensemble(arch, np.zeros((2, 3)), 1e-4, 0.0, 1.0, 0.5, cfg)
-    with pytest.raises(ValueError):
-        sgd_ensemble(arch, np.zeros((2, 7)), 1e-4, 1.0, 1.0, 0.5, cfg)
+    # `b <= a` is false for a NaN bound; an infinite one makes every draw inf or nan
+    for a, b in [(1.0, 1.0), (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)]:
+        with pytest.raises(ValueError, match="finite a < b"):
+            sgd_ensemble(arch, np.zeros((2, 7)), 1e-4, a, b, 0.5, cfg)
     with pytest.raises(ValueError):
         sgd_ensemble(arch, np.zeros((0, 7)), 1e-4, 0.0, 1.0, 0.5, cfg)
     # an eval grid with no samples would report uninitialized memory
@@ -297,14 +299,18 @@ def test_loops_reject_non_finite_initial_parameters():
 
 def test_ensemble_divergence_check_covers_hidden_layers():
     # a huge output weight overflows the layer-1 gradient while the output
-    # bias, the only block the step check used to read, stays finite
+    # bias, the only block the step check used to read, stays finite; the
+    # error names the diverged trials and keeps the last finite state
     arch = Architecture((1, 7, 1))
-    theta0s = gaussian_init(arch, seed=9, scale=7.0**-0.5, trials=2)
-    theta0s[:, arch.weight_slice(2)] = 1e160
+    theta0s = gaussian_init(arch, seed=9, scale=7.0**-0.5, trials=4)
+    theta0s[[1, 3], arch.weight_slice(2)] = 1e160
     theta0s[:, arch.bias_slice(1)] = 1.0
-    cfg = SgdConfig(batch_size=10, steps=1, seed=3, eval_steps=())
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+    cfg = SgdConfig(batch_size=10, steps=2, seed=3, eval_steps=())
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
         sgd_ensemble(arch, theta0s, 1.0, 0.0, 1.0, 1.0, cfg)
+    assert err.value.step == 0
+    assert "trials [1, 3] " in str(err.value)
+    np.testing.assert_array_equal(err.value.theta, theta0s)
 
 
 def test_sgd_descent_at_threshold():

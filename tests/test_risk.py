@@ -138,6 +138,15 @@ def test_sampler_determinism_and_range():
     assert shifted.min() >= -2.0 and shifted.max() < 3.0
 
 
+@pytest.mark.parametrize(
+    "a, b", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 0.0), (1.0, 1.0), (1.0, 0.0)]
+)
+def test_sampler_rejects_bad_box(a, b):
+    # `b <= a` is false for NaN, and an infinite bound makes every draw inf or nan
+    with pytest.raises(ValueError, match="finite a < b"):
+        UniformSampler(a, b, 1, seed=0)
+
+
 def test_sampler_derive_distinct_streams():
     s = UniformSampler(0.0, 1.0, 1, seed=7)
     x0 = s.derive(0).sample(5)
