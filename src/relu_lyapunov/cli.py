@@ -29,7 +29,6 @@ from .gradient import (
 from .lyapunov import LyapunovContext, lyapunov_gradient, lyapunov_value, pairing, sandwich_bounds
 from .optimize import (
     DivergenceError,
-    Schedule,
     SgdConfig,
     descent_certificate,
     gaussian_init,
@@ -162,7 +161,7 @@ def cmd_sgd(args) -> int:
     )
 
     cfg = SgdConfig(batch_size=batch, steps=steps, seed=seed, eval_samples=args.eval_samples)
-    result = sgd_ensemble(res.arch, theta0s, Schedule.constant(gamma), res.a, res.b, res.xi, cfg)
+    result = sgd_ensemble(res.arch, theta0s, gamma, res.a, res.b, res.xi, cfg)
     mean = result.mean_risk
     se = result.std_error if trials > 1 else np.zeros_like(mean)
     _write_csv(
@@ -176,6 +175,8 @@ def cmd_sgd(args) -> int:
 
 
 def _deterministic_setup(args):
+    steps = args.steps if args.steps is not None else 10_000
+    _require_positive(("--steps", steps))
     res = _resolve(args)
     points = args.points if getattr(args, "points", None) is not None else 101
     measure = DiscreteMeasure.uniform_grid(res.a, res.b, points)
@@ -183,18 +184,16 @@ def _deterministic_setup(args):
     seed = args.seed if args.seed is not None else 0
     theta0 = gaussian_init(res.arch, seed, res.init_scale, 1)[0]
     threshold = gd_threshold(res.arch, theta0, res.xi, measure.mass, measure.input_scale)
-    return res, measure, target, theta0, threshold
+    return res, measure, target, theta0, threshold, steps
 
 
 def cmd_gd(args) -> int:
-    steps = args.steps if args.steps is not None else 10_000
-    _require_positive(("--steps", steps))
-    res, measure, target, theta0, threshold = _deterministic_setup(args)
+    res, measure, target, theta0, threshold, steps = _deterministic_setup(args)
     gamma = args.gamma if args.gamma is not None else 0.9 * threshold
     out = args.out or f"gd_{res.tag}.csv"
     print(f"configured gamma: {gamma:.17g}")
     print(f"gd descent threshold: {threshold:.17g}" + ("" if gamma < threshold else "  (gamma at or above it; descent not guaranteed)"))
-    trajectory = gd_run(res.arch, theta0, measure, target, Schedule.constant(gamma), steps)
+    trajectory = gd_run(res.arch, theta0, measure, target, gamma, steps)
     trajectory.to_csv(out)
     report = descent_certificate(trajectory, LyapunovContext(res.arch, target.f0))
     print(f"descent certificate: {report.summary()}")
@@ -203,9 +202,7 @@ def cmd_gd(args) -> int:
 
 
 def cmd_gf(args) -> int:
-    steps = args.steps if args.steps is not None else 10_000
-    _require_positive(("--steps", steps))
-    res, measure, target, theta0, threshold = _deterministic_setup(args)
+    res, measure, target, theta0, threshold, steps = _deterministic_setup(args)
     dt = args.dt if args.dt is not None else 0.5 * threshold
     out = args.out or f"gf_{res.tag}.csv"
     print(f"euler dt: {dt:.17g} (descent threshold {threshold:.17g})")
@@ -463,7 +460,7 @@ def _verify_thresholds(seed: int):
     measure = DiscreteMeasure.uniform_grid(0.0, 1.0, 51)
     target = TargetSpec.constant([1.0])
     gamma = 0.99 * gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale)
-    trajectory = gd_run(arch, theta0, measure, target, Schedule.constant(gamma), 400)
+    trajectory = gd_run(arch, theta0, measure, target, gamma, 400)
     report = descent_certificate(trajectory, LyapunovContext(arch, target.f0))
     checks.append(("gd_descent", report.passed, report.summary()))
 
@@ -472,7 +469,7 @@ def _verify_thresholds(seed: int):
     gamma = sgd_threshold(arch, float(np.linalg.norm(theta0)), 1.0, 0.0, 1.0)
     sampler = UniformSampler(0.0, 1.0, 1, 7)
     cfg = SgdConfig(batch_size=20, steps=500, seed=7, eval_samples=0, eval_steps=())
-    trajectory = sgd_run(arch, theta0, Schedule.constant(gamma), sampler, [1.0], cfg)
+    trajectory = sgd_run(arch, theta0, gamma, sampler, [1.0], cfg)
     report = descent_certificate(trajectory, LyapunovContext(arch, [1.0]))
     checks.append(("sgd_descent", report.passed, report.summary()))
     return checks

@@ -34,8 +34,8 @@ class DiscreteMeasure:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.a = float(self.a)
         self.b = float(self.b)
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"need finite a < b, got a={self.a}, b={self.b}")
         if self.weights.ndim != 1 or self.weights.shape[0] != self.points.shape[0]:
             raise ValueError("one weight per point required")
         if not (np.isfinite(self.points).all() and np.isfinite(self.weights).all()):

@@ -136,6 +136,19 @@ def test_sgd_prints_threshold_comparison(tmp_path, capsys):
     assert "sgd descent threshold" in out
 
 
+def test_sgd_deep_net_threshold_is_zero(tmp_path, capsys):
+    # the threshold's power overflows a float on this net; exit 1 means a
+    # failed self-check, so the run must still succeed
+    arch = ",".join(["1"] + ["16"] * 30 + ["1"])
+    out_path = tmp_path / "s.csv"
+    code, out, err = run(
+        capsys, "sgd", "--arch", arch, "--steps", "1", "--trials", "1", "--eval-samples", "100", "--out", str(out_path)
+    )
+    assert code == 0
+    assert "min 0, max 0" in out
+    assert out_path.exists()
+
+
 def test_nonconvexity_output(capsys):
     code, out, err = run(capsys, "nonconvexity", "--arch", "1,7,1")
     assert code == 0

@@ -1,5 +1,4 @@
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +9,6 @@ from relu_lyapunov import (
     DiscreteMeasure,
     DivergenceError,
     LyapunovContext,
-    Schedule,
     SgdConfig,
     TargetSpec,
     UniformSampler,
@@ -38,16 +36,27 @@ def shallow_problem():
 
 
 def test_schedule_constant_and_callable():
-    s = Schedule.constant(0.25)
-    assert s.rate(0) == 0.25 and s.rate(10**6) == 0.25
-    t = Schedule(lambda n: 1.0 / (n + 1))
-    assert t.rate(0) == 1.0 and t.rate(9) == 0.1
-    assert Schedule.of(0.5).rate(3) == 0.5
-    assert Schedule.of(t) is t
-    with pytest.raises(ValueError):
-        Schedule.constant(-1.0)
-    with pytest.raises(ValueError):
-        Schedule(lambda n: -0.1).rate(0)
+    """Every loop takes a finite step size >= 0 or a function of the step."""
+    arch, measure, target, theta0 = shallow_problem()
+    sampler = UniformSampler(0.0, 1.0, 1, seed=4)
+    cfg = SgdConfig(batch_size=10, steps=9, seed=4, eval_samples=50)
+    logged = [
+        lambda rate: gd_run(arch, theta0, measure, target, rate, 9).gamma,
+        lambda rate: sgd_run(arch, theta0, rate, sampler, 1.0, cfg).gamma,
+    ]
+    for run in logged:
+        np.testing.assert_array_equal(run(2.5e-4), np.full(10, 2.5e-4))
+        np.testing.assert_array_equal(run(lambda n: 1e-3 / (n + 1)), 1e-3 / np.arange(1, 11))
+
+    def ensemble(rate):
+        return sgd_ensemble(arch, theta0[None], rate, 0.0, 1.0, 1.0, cfg).theta_final
+
+    np.testing.assert_array_equal(ensemble(lambda n: 2.5e-4), ensemble(2.5e-4))
+    for run in logged + [ensemble]:
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            run(-1.0)
+        with pytest.raises(ValueError, match="at step 0"):
+            run(lambda n: -0.1)
 
 
 def test_decade_steps_grid():
@@ -78,6 +87,16 @@ def test_sgd_threshold_reference_value():
     arch = Architecture((1, 7, 1))
     got = sgd_threshold(arch, 0.0, np.array([1.0]), 0.0, 1.0)
     assert abs(got - 176.0**-4) < 1e-25
+
+
+def test_thresholds_below_smallest_float_are_zero():
+    # deep nets: the power in the denominator overflows a float, or the one in
+    # the numerator underflows; either way the bound is below the smallest float
+    deep = Architecture((1,) + (16,) * 30 + (1,))
+    assert sgd_threshold(deep, 1.0, np.array([1.0]), 0.0, 1.0) == 0.0
+    assert sgd_threshold(Architecture((1,) + (16,) * 10 + (1,)), 1e300, np.array([1.0]), 0.0, 1.0) == 0.0
+    deeper = Architecture((1,) + (4,) * 200 + (1,))
+    assert gd_threshold(deeper, np.zeros(deeper.param_count), np.ones(1), 1.0) == 0.0
 
 
 def test_gd_run_descends_and_logs_consistently():
@@ -175,6 +194,26 @@ def test_sgd_run_reproducible_and_logged():
     assert set(t1.snapshots) == set(geometric_checkpoints(50))
 
 
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        pytest.param({"log_stride": 0}, "log_stride", id="log_stride_0"),
+        pytest.param({"steps": -1}, "steps", id="steps_negative"),
+        pytest.param({"steps": -1, "eval_steps": (0,)}, "steps", id="steps_negative_with_eval_grid"),
+        pytest.param({"eval_samples": 0}, "eval_samples", id="eval_samples_0"),
+        pytest.param({"eval_samples": -1, "eval_steps": (0, 3)}, "eval_samples", id="eval_samples_negative"),
+    ],
+)
+def test_sgd_run_rejects_bad_config(change, match):
+    # bad config is a ValueError before any step, not an arithmetic or index
+    # error mid-run; an eval grid with no samples would give an empty mc_risk
+    arch = Architecture((1, 2, 1))
+    sampler = UniformSampler(0.0, 1.0, 1, seed=0)
+    cfg = replace(SgdConfig(batch_size=5, steps=5, seed=0, eval_samples=10), **change)
+    with pytest.raises(ValueError, match=match):
+        sgd_run(arch, np.zeros(arch.param_count), 1e-4, sampler, 0.5, cfg)
+
+
 def test_sgd_run_explicit_eval_grid():
     arch = Architecture((1, 2, 1))
     theta0 = gaussian_init(arch, seed=2, scale=1.0, trials=1)[0]
@@ -225,29 +264,6 @@ def test_ensemble_single_trial_matches_sgd_run(widths):
     np.testing.assert_allclose(res.risk[0], traj.mc_risk, rtol=1e-12, atol=1e-300)
     assert res.theta_final.shape == (1, arch.param_count)
     np.testing.assert_allclose(res.theta_final[0], traj.snapshots[200], rtol=1e-12)
-
-
-def test_ensemble_thread_count_is_invisible(monkeypatch):
-    arch = Architecture((1, 7, 1))
-    theta0s = gaussian_init(arch, seed=4, scale=7.0**-0.5, trials=5)
-    cfg = SgdConfig(batch_size=10, steps=60, seed=5, eval_samples=200)
-    monkeypatch.delenv("RELU_LYAPUNOV_THREADS", raising=False)
-    base = sgd_ensemble(arch, theta0s, 1e-4, 0.0, 1.0, 1.0, cfg)
-    monkeypatch.setenv("RELU_LYAPUNOV_THREADS", "3")
-    threaded = sgd_ensemble(arch, theta0s, 1e-4, 0.0, 1.0, 1.0, cfg)
-    np.testing.assert_array_equal(base.risk, threaded.risk)
-    np.testing.assert_array_equal(base.theta_final, threaded.theta_final)
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_ensemble_rejects_bad_thread_count(monkeypatch, value):
-    arch = Architecture((1, 2, 1))
-    cfg = SgdConfig(batch_size=5, steps=3, seed=0, eval_samples=10)
-    monkeypatch.setenv("RELU_LYAPUNOV_THREADS", value)
-    with pytest.raises(ValueError, match=f"RELU_LYAPUNOV_THREADS.*{value}"):
-        sgd_ensemble(arch, np.zeros((2, 7)), 1e-4, 0.0, 1.0, 0.5, cfg)
-    monkeypatch.setenv("RELU_LYAPUNOV_THREADS", "")
-    assert sgd_ensemble(arch, np.zeros((2, 7)), 1e-4, 0.0, 1.0, 0.5, cfg).risk.shape == (2, 3)
 
 
 def test_ensemble_statistics_shapes():

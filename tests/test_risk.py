@@ -32,6 +32,10 @@ def test_input_scale_covers_endpoints_and_one():
 def test_measure_validation():
     with pytest.raises(ValueError, match="a < b"):
         DiscreteMeasure([[0.5]], [1.0], np.nan, 1.0)
+    # an infinite bound would make input_scale inf and gd_threshold 0.0
+    for a, b in [(0.0, np.inf), (-np.inf, 1.0)]:
+        with pytest.raises(ValueError, match="finite a < b"):
+            DiscreteMeasure([[0.5]], [1.0], a, b)
     with pytest.raises(ValueError):
         DiscreteMeasure(np.zeros((3, 1)), np.ones(2), 0.0, 1.0)
     with pytest.raises(ValueError):
