@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 divergence.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
 
@@ -39,7 +38,7 @@ from .optimize import (
     sgd_run,
     sgd_threshold,
 )
-from .risk import DiscreteMeasure, TargetSpec, UniformSampler, risk_exact, risk_smooth
+from .risk import DiscreteMeasure, TargetSpec, UniformSampler, _check_box, risk_exact, risk_smooth
 
 
 class UsageError(Exception):
@@ -111,8 +110,10 @@ def _resolve(args) -> Resolved:
         raise UsageError("either --preset or --arch is required")
     a = args.a if args.a is not None else (preset.a if preset else 0.0)
     b = args.b if args.b is not None else (preset.b if preset else 1.0)
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise UsageError(f"need finite a < b, got a={a}, b={b}")
+    try:
+        a, b = _check_box(a, b)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     xi_text = args.xi if args.xi is not None else str(preset.xi if preset else 1.0)
     xi = _parse_xi(xi_text, arch.widths[-1])
     return Resolved(arch=arch, xi=xi, a=float(a), b=float(b), preset=preset)
@@ -187,9 +188,18 @@ def _deterministic_setup(args):
     return res, measure, target, theta0, threshold, steps
 
 
+def _default_step(step: float, flag: str) -> float:
+    if step == 0.0:
+        raise UsageError(
+            f"the descent threshold of this network is 0.0 (below the smallest float), "
+            f"so the default step would be 0; pass {flag}"
+        )
+    return step
+
+
 def cmd_gd(args) -> int:
     res, measure, target, theta0, threshold, steps = _deterministic_setup(args)
-    gamma = args.gamma if args.gamma is not None else 0.9 * threshold
+    gamma = args.gamma if args.gamma is not None else _default_step(0.9 * threshold, "--gamma")
     out = args.out or f"gd_{res.tag}.csv"
     print(f"configured gamma: {gamma:.17g}")
     print(f"gd descent threshold: {threshold:.17g}" + ("" if gamma < threshold else "  (gamma at or above it; descent not guaranteed)"))
@@ -203,7 +213,7 @@ def cmd_gd(args) -> int:
 
 def cmd_gf(args) -> int:
     res, measure, target, theta0, threshold, steps = _deterministic_setup(args)
-    dt = args.dt if args.dt is not None else 0.5 * threshold
+    dt = args.dt if args.dt is not None else _default_step(0.5 * threshold, "--dt")
     out = args.out or f"gf_{res.tag}.csv"
     print(f"euler dt: {dt:.17g} (descent threshold {threshold:.17g})")
     trajectory = gf_euler_run(res.arch, theta0, measure, target, dt, steps)

@@ -6,9 +6,10 @@ gates are the left derivative of ReLU (0 exactly at a kink).  For smoothed
 networks `smooth_gradient` is the honest gradient of `risk_smooth`.  Both, and
 every training loop, run the one reverse sweep `_backward`; only the gate
 differs.  Like `_forward`, it works on feature-major ``(..., width, samples)``
-arrays.  On a trial-stacked block with scalar output it factors the output
-weights out of the last hidden layer's gradients (see `_backward`); one network
-at a time takes the plain layer-by-layer loop.
+arrays.  With the workspace of a trial-stacked run it writes into buffers
+allocated once and, for scalar output, factors the output weights out of the
+last hidden layer's gradients (see `_backward`); one network at a time takes
+the plain layer-by-layer loop.
 
 `gradient_pathsum_oracle` is an independent reference implementation that
 expands the same quantity as a literal sum over neuron paths.  It is
@@ -25,7 +26,7 @@ import numpy as np
 
 from .activation import DEFAULT_CLAMP, ClampConfig, smooth_relu_derivative
 from .arch import Architecture, check_params, layer_views
-from .network import _forward, _relu_unit, _smooth_unit, forward_exact, layer_sharpness
+from .network import _forward, _relu_unit, _smooth_unit, _Workspace, forward_exact, layer_sharpness
 from .risk import DiscreteMeasure, TargetSpec
 
 PATH_CAP = 10_000
@@ -35,9 +36,9 @@ class PathCountError(RuntimeError):
     """Raised when the path-sum oracle would enumerate too many paths."""
 
 
-def _left_gate(k: int, z: np.ndarray) -> np.ndarray:
+def _left_gate(k: int, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Strict left derivative of ReLU: only positive preactivations pass."""
-    return z > 0.0
+    return z > 0.0 if out is None else np.greater(z, 0.0, out=out)
 
 
 def _smooth_gate(sharpness: float, cfg: ClampConfig):
@@ -45,7 +46,9 @@ def _smooth_gate(sharpness: float, cfg: ClampConfig):
     return lambda k, z: smooth_relu_derivative(cfg, layer_sharpness(sharpness, k), z)
 
 
-def _backward(layers, points, pres, acts, delta, gate) -> list[tuple[np.ndarray, np.ndarray]]:
+def _backward(
+    layers, points, pres, acts, delta, gate, ws: _Workspace | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Reverse sweep from output sensitivities ``delta``: [(dW_k, db_k)] for k = 1..L.
 
     Shapes and the optional leading trial axis follow `_forward`, whose
@@ -54,46 +57,71 @@ def _backward(layers, points, pres, acts, delta, gate) -> list[tuple[np.ndarray,
     derivative of the unit after hidden layer k.  Through a fan-out-1 layer
     the delta is back-propagated as the broadcast product ``W_k^T * delta``.
 
-    A trial-stacked block with scalar output (l_L = 1, L >= 2) never forms
+    With the workspace ``ws`` that `_forward` ran on, the sweep allocates
+    nothing large: layer k's gradient is the one product
+    ``delta_k @ [h; 1]^T`` written into ``ws.grads[k-1]``, its bias column a
+    product with the ones row rather than a sum; ``gate`` takes an ``out``
+    argument, as `_left_gate` does, and each layer's delta overwrites its
+    preactivation in ``pres`` once the gate is taken.  On a trial-stacked
+    block with scalar output (l_L = 1, L >= 2) the sweep never forms
     delta_{L-1} = w^T * delta * G, with ``w = W_L[..., 0, :]``, ``G`` the gate
-    after layer L-1 and ``a`` the input of layer L-1: ``w`` is factored out of
-    layer L-1's gradients.  With ``D = G * delta`` they are
-    ``w[..., :, None] * (D @ a^T)`` and ``w * D.sum(-1)``, and the loop
+    after layer L-1 and ``a`` the input of layer L-1: ``w`` is factored out
+    of layer L-1's gradients,
+    ``w[..., :, None] * (D @ [a; 1]^T)`` with ``D = G * delta``, and the loop
     continues from ``delta_{L-2} = ((W_{L-1}^T * w[..., None, :]) @ D) * gate(L-2)``.
     For a 1 -> h -> 1 network (L = 2, one input) delta goes on the two-row
-    side instead: both gradients are the one product
-    ``w[..., :, None] * (G @ [delta*a; delta]^T)`` with ``G`` as floats.  This
-    skips the broadcasts over the (trials, l_{L-1}, M) delta (the outer
-    product, and for 1 -> h -> 1 also the gate multiply and the bias sum).
-    Without a trial axis the arrays are small and the extra calls would save
-    nothing, so single networks keep the plain loop and its results bit for bit.
+    side instead: ``w[..., :, None] * (G @ (delta * [x; 1])^T)``.  This skips
+    the broadcasts over the (trials, l_{L-1}, M) delta.  Without a workspace
+    (single networks, and the tests' reference loop) the sweep is the plain
+    layer-by-layer loop.
     """
     grads = []
+    if ws is None:
+        for k in range(len(layers), 0, -1):
+            inputs = acts[k - 2] if k > 1 else points
+            grads.append((delta @ inputs.swapaxes(-1, -2), delta.sum(axis=-1)))
+            if k > 1:
+                back = layers[k - 1][0].swapaxes(-1, -2)
+                delta = back * delta if back.shape[-1] == 1 else back @ delta
+                delta *= gate(k - 1, pres[k - 2])
+        return grads[::-1]
+
+    def layer_grad(k, d):
+        both = np.matmul(d, ws.inputs[k - 1].swapaxes(-1, -2), out=ws.grads[k - 1])
+        return both[..., :-1], both[..., -1]
+
+    def gate_at(k):
+        return gate(k, pres[k - 1], ws.gates[k - 1])
+
     top = len(layers)
-    w_out = layers[-1][0]
-    if top > 1 and w_out.ndim > 2 and w_out.shape[-2] == 1:
-        w = w_out[..., 0, :]
-        inputs = acts[-2] if top > 2 else points
-        grads.append((delta @ acts[-1].swapaxes(-1, -2), delta.sum(axis=-1)))
-        if top == 2 and inputs.shape[-2] == 1:
-            g = np.asarray(gate(1, pres[0]), dtype=np.float64)
-            both = g @ np.concatenate((delta * inputs, delta), axis=-2).swapaxes(-1, -2)
-            both *= w[..., None]
-            grads.append((both[..., :-1], both[..., -1]))
+    if top > 1 and layers[-1][0].shape[-2] == 1:
+        w = layers[-1][0][..., 0, :]
+        grads.append(layer_grad(top, delta))
+        # the gate as floats, over the spent preactivation: it multiplies the
+        # broadcast delta ~1.5x faster than as bools
+        g = pres[top - 2]
+        np.copyto(g, gate_at(top - 1))
+        if top == 2 and layers[0][0].shape[-1] == 1:
+            scaled = np.multiply(delta, ws.inputs[0], out=ws.scaled)
+            both = np.matmul(g, scaled.swapaxes(-1, -2), out=ws.grads[0])
         else:
-            gated = gate(top - 1, pres[-2]) * delta
-            grads.append((w[..., :, None] * (gated @ inputs.swapaxes(-1, -2)), w * gated.sum(axis=-1)))
+            gated = np.multiply(g, delta, out=g)
+            both = np.matmul(gated, ws.inputs[top - 2].swapaxes(-1, -2), out=ws.grads[top - 2])
             if top > 2:
-                delta = (layers[top - 2][0].swapaxes(-1, -2) * w[..., None, :]) @ gated
-                delta *= gate(top - 2, pres[top - 3])
+                g = gate_at(top - 2)
+                back = layers[top - 2][0].swapaxes(-1, -2) * w[..., None, :]
+                delta = np.matmul(back, gated, out=pres[top - 3])
+                delta *= g
+        both *= w[..., :, None]
+        grads.append((both[..., :-1], both[..., -1]))
         top -= 2
     for k in range(top, 0, -1):
-        inputs = acts[k - 2] if k > 1 else points
-        grads.append((delta @ inputs.swapaxes(-1, -2), delta.sum(axis=-1)))
+        grads.append(layer_grad(k, delta))
         if k > 1:
             back = layers[k - 1][0].swapaxes(-1, -2)
-            delta = back * delta if back.shape[-1] == 1 else back @ delta
-            delta *= gate(k - 1, pres[k - 2])
+            g = gate_at(k - 1)
+            delta = (np.multiply if back.shape[-1] == 1 else np.matmul)(back, delta, out=pres[k - 2])
+            delta *= g
     return grads[::-1]
 
 

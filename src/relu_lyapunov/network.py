@@ -63,8 +63,8 @@ def _check_input(arch: Architecture, x) -> np.ndarray:
     return x
 
 
-def _relu_unit(k: int, z: np.ndarray) -> np.ndarray:
-    return relu(z)
+def _relu_unit(k: int, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return relu(z) if out is None else np.maximum(z, 0.0, out=out)
 
 
 def _smooth_unit(sharpness: float, cfg: ClampConfig):
@@ -72,7 +72,64 @@ def _smooth_unit(sharpness: float, cfg: ClampConfig):
     return lambda k, z: smooth_relu(cfg, layer_sharpness(sharpness, k), z)
 
 
-def _forward(layers, points: np.ndarray, unit) -> tuple[list[np.ndarray], list[np.ndarray]]:
+class _Workspace:
+    """The buffers of the passes over one trial-stacked block at batch size m, allocated once.
+
+    The block's parameters are the augmented (trials, l_k, l_{k-1} + 1)
+    matrices ``blocks[k-1] = [W_k b_k]``, views of one (trials, d) array in
+    `_augmented_order`.  ``inputs[k-1]`` is layer k's input [h; 1] as
+    (trials, l_{k-1} + 1, m), its ones row written here once, so layer k is the
+    one product ``blocks[k-1] @ inputs[k-1]`` and its gradient [dW_k db_k] the
+    one product ``delta_k @ inputs[k-1]^T``, written into ``grads[k-1]``, a view
+    of the (trials, d) gradient block ``grad`` laid out like the parameters.
+    ``pres[k-1]`` holds layer k's preactivation and, once its gate is taken
+    into ``gates[k-1]``, layer k's delta.  ``draw`` is the
+    (trials, m, l_0) buffer a batch is drawn into and ``scaled`` the
+    (trials, l_0 + 1, m) product delta * [x; 1] of the 1 -> h -> 1 sweep.
+    """
+
+    def __init__(self, blocks: list[np.ndarray], m: int):
+        trials = blocks[0].shape[0]
+        widths = [blocks[0].shape[-1] - 1] + [a.shape[-2] for a in blocks]
+        self.blocks = blocks
+        self.draw = np.empty((trials, m, widths[0]))
+        # stored row-major as (width, trials, m) and viewed as (trials, width, m):
+        # the hidden rows of [h; 1] are then one contiguous block, which the
+        # unit writes ~1.6x faster than trials-many strided blocks
+        self.inputs = [np.ones((w + 1, trials, m)).transpose(1, 0, 2) for w in widths[:-1]]
+        self.scaled = np.empty((widths[0] + 1, trials, m)).transpose(1, 0, 2)
+        self.pres = [np.empty((w, trials, m)).transpose(1, 0, 2) for w in widths[1:]]
+        self.gates = [np.empty((w, trials, m), dtype=bool).transpose(1, 0, 2) for w in widths[1:-1]]
+        self.grad = np.empty((trials, sum(a[0].size for a in blocks)))
+        self.grads = _augmented_blocks(widths, self.grad)
+
+
+def _augmented_order(widths) -> np.ndarray:
+    """Flat positions of the augmented layout: ``theta[..., order]`` lists each [W_k b_k] row-major."""
+    order = []
+    start = 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        flat = np.arange(start, start + fan_out * (fan_in + 1))
+        weights = flat[: fan_out * fan_in].reshape(fan_out, fan_in)
+        order.append(np.concatenate((weights, flat[fan_out * fan_in :, None]), axis=1).ravel())
+        start += fan_out * (fan_in + 1)
+    return np.concatenate(order)
+
+
+def _augmented_blocks(widths, array: np.ndarray) -> list[np.ndarray]:
+    """(trials, l_k, l_{k-1} + 1) views [W_k b_k] of a (trials, d) array in augmented order."""
+    out = []
+    start = 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        size = fan_out * (fan_in + 1)
+        out.append(array[:, start : start + size].reshape(-1, fan_out, fan_in + 1))
+        start += size
+    return out
+
+
+def _forward(
+    layers, points: np.ndarray, unit, ws: _Workspace | None = None
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Batched pass through per-layer ``(W_k, b_k)``: (preactivations, activations).
 
     Arrays are feature-major: ``points`` is (..., l_0, M), ``W_k``
@@ -80,12 +137,20 @@ def _forward(layers, points: np.ndarray, unit) -> tuple[list[np.ndarray], list[n
     (..., l_k, M).  A leading trial axis on the parameters evaluates a stack
     of networks, each on its own points.  ``unit(k, z)`` is the nonlinearity
     after hidden layer k: `_relu_unit` or a `_smooth_unit`.
+
+    With a workspace ``ws`` the pass reads ``ws.blocks`` and the points already
+    in ``ws.inputs[0]``, allocates nothing and returns views of its buffers;
+    ``unit`` then takes an ``out`` argument, as `_relu_unit` does.  Each
+    layer's bias then enters through the ones row of its input rather than an
+    add, which moves outputs at the rounding level.
     """
     pres: list[np.ndarray] = []
     acts: list[np.ndarray] = []
     h = points
     for k, (w, b) in enumerate(layers, start=1):
-        if w.shape[-1] == 1:
+        if ws is not None:
+            z = np.matmul(ws.blocks[k - 1], ws.inputs[k - 1], out=ws.pres[k - 1])
+        elif w.shape[-1] == 1:
             # fan-in 1: [W_k b_k] @ [h; 1] runs several times faster than W_k * h + b_k
             z = np.concatenate((w, b[..., None]), axis=-1) @ np.concatenate((h, np.ones_like(h)), axis=-2)
         else:
@@ -93,7 +158,7 @@ def _forward(layers, points: np.ndarray, unit) -> tuple[list[np.ndarray], list[n
             z += b[..., None]
         pres.append(z)
         if k < len(layers):
-            h = unit(k, z)
+            h = unit(k, z) if ws is None else unit(k, z, ws.inputs[k][..., :-1, :])
             acts.append(h)
     return pres, acts
 

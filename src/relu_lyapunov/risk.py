@@ -20,6 +20,14 @@ from .arch import Architecture, check_params, layer_views
 from .network import _forward, _relu_unit, _smooth_unit
 
 
+def _check_box(a, b) -> tuple[float, float]:
+    """(a, b) as floats, for a box with finite a < b whose width b - a is finite too."""
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b and math.isfinite(b - a)):
+        raise ValueError(f"need finite a < b with finite b - a, got a={a}, b={b}")
+    return a, b
+
+
 @dataclass
 class DiscreteMeasure:
     """Finite measure sum_p weights[p] * delta_{points[p]} on [a, b]^dim."""
@@ -32,10 +40,7 @@ class DiscreteMeasure:
     def __post_init__(self) -> None:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.a = float(self.a)
-        self.b = float(self.b)
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
-            raise ValueError(f"need finite a < b, got a={self.a}, b={self.b}")
+        self.a, self.b = _check_box(self.a, self.b)
         if self.weights.ndim != 1 or self.weights.shape[0] != self.points.shape[0]:
             raise ValueError("one weight per point required")
         if not (np.isfinite(self.points).all() and np.isfinite(self.weights).all()):
@@ -136,8 +141,7 @@ class UniformSampler:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
-            raise ValueError(f"need finite a < b, got a={self.a}, b={self.b}")
+        _check_box(self.a, self.b)
         if self.dim < 1:
             raise ValueError("dim must be positive")
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.entropy)))

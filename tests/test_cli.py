@@ -126,6 +126,18 @@ def test_deterministic_runs_reject_empty_runs(tmp_path, capsys, command, steps):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command, flag", [("gd", "--gamma"), ("gf", "--dt")])
+def test_zero_default_step_is_usage_error(tmp_path, capsys, command, flag):
+    # 200 hidden layers: the descent threshold is 0.0, so the defaulted step
+    # would run nothing and certify nothing
+    out_path = tmp_path / "d.csv"
+    arch = ",".join(["1"] + ["4"] * 200 + ["1"])
+    code, out, err = run(capsys, command, "--arch", arch, "--steps", "2", "--points", "11", "--out", str(out_path))
+    assert code == 2
+    assert flag in err
+    assert not out_path.exists()
+
+
 def test_sgd_prints_threshold_comparison(tmp_path, capsys):
     code, out, err = run(
         capsys, "sgd", "--arch", "1,2,1", "--trials", "2", "--steps", "50",

@@ -204,9 +204,9 @@ def _assert_close(a, b):
 @given(stacked_instances(), st.one_of(st.none(), st.floats(1.0, 1e3)))
 def test_stacked_kernel_matches_single_networks(instance, sharpness):
     """_forward/_backward on a trial-stacked block equal one call per trial,
-    for the exact unit (sharpness None) and the smooth one.  With scalar output
-    and depth >= 2 the stacked sweep takes the factored route and the single
-    networks the generic loop, so this pins one against the other for both gates."""
+    for the exact unit (sharpness None) and the smooth one.  Without a
+    workspace both take the plain loop; the workspace sweep is pinned against
+    this loop by the ensemble tests in test_optimize."""
     arch, thetas, points, weights, xi = instance
     if sharpness is None:
         unit, gate = _relu_unit, _left_gate

@@ -24,6 +24,8 @@ from relu_lyapunov import (
     sgd_run,
     sgd_threshold,
 )
+from relu_lyapunov.gradient import _backward, _left_gate
+from relu_lyapunov.network import _forward, _relu_unit
 from relu_lyapunov.optimize import decade_steps, geometric_checkpoints
 
 
@@ -337,3 +339,127 @@ def test_sgd_descent_at_threshold():
     cfg = SgdConfig(batch_size=100, steps=400, seed=31, eval_samples=0, eval_steps=())
     traj = sgd_run(arch, theta0, gamma, sampler, 1.0, cfg)
     assert np.all(np.diff(traj.v) <= 1e-13 * (1.0 + np.abs(traj.v[:-1])))
+
+
+def test_eval_grid_one_rule_for_both_loops():
+    # eval steps outside 0..steps are dropped and repeats kept once, by sgd_run
+    # and the ensemble alike; the ensemble used to report np.empty for them
+    arch = Architecture((1, 7, 1))
+    theta0 = gaussian_init(arch, seed=1, scale=7.0**-0.5, trials=2)
+    cfg = SgdConfig(batch_size=10, steps=3, seed=5, eval_samples=50, eval_steps=(2, 0, 50, 2, -1))
+    res = sgd_ensemble(arch, theta0, 1e-3, 0.0, 1.0, 1.0, cfg)
+    traj = sgd_run(arch, theta0[0], 1e-3, UniformSampler(0.0, 1.0, 1, seed=5), 1.0, cfg)
+    np.testing.assert_array_equal(res.eval_steps, [0, 2])
+    np.testing.assert_array_equal(traj.mc_steps, [0, 2])
+    assert res.risk.shape == (2, 2)
+    np.testing.assert_allclose(res.risk[0], traj.mc_risk, rtol=1e-12)
+    for run in (
+        lambda c: sgd_ensemble(arch, theta0, 1e-3, 0.0, 1.0, 1.0, c),
+        lambda c: sgd_run(arch, theta0[0], 1e-3, UniformSampler(0.0, 1.0, 1, seed=5), 1.0, c),
+    ):
+        with pytest.raises(ValueError, match="steps must be nonnegative"):
+            run(replace(cfg, steps=-2))
+
+
+def _reference_ensemble(arch, theta0s, gamma, xi, cfg):
+    """sgd_ensemble's recursion on U[0, 1) with a fresh array for every result,
+    through the kernel without a workspace (its plain layer-by-layer loop)."""
+    trials, depth, l0 = len(theta0s), arch.depth, arch.widths[0]
+    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+
+    def stream(*key):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed,) + key)))
+
+    def layers(theta):
+        shapes = [(trials, arch.widths[k], arch.widths[k - 1]) for k in range(1, depth + 1)]
+        return [
+            (theta[:, arch.weight_slice(k)].reshape(shapes[k - 1]), theta[:, arch.bias_slice(k)])
+            for k in range(1, depth + 1)
+        ]
+
+    eval_points = stream(0).random((trials, cfg.eval_samples, l0)).swapaxes(-1, -2)
+    theta, risks = theta0s.copy(), []
+    for n in range(cfg.steps + 1):
+        if n in cfg.eval_steps:
+            pres, _ = _forward(layers(theta), eval_points, _relu_unit)
+            risks.append(np.mean(np.sum((pres[-1] - xi[:, None]) ** 2, axis=1), axis=1))
+        if n == cfg.steps:
+            break
+        m = cfg.batch_size
+        x = stream(1, n).random((trials, m, l0)).swapaxes(-1, -2)
+        pres, acts = _forward(layers(theta), x, _relu_unit)
+        delta = (pres[-1] - xi[:, None]) * (2.0 * gamma / m)
+        grads = _backward(layers(theta), x, pres, acts, delta, _left_gate)
+        theta = theta - np.concatenate([part for gw, gb in grads for part in (gw.reshape(trials, -1), gb)], axis=1)
+    return np.stack(risks, axis=1), theta
+
+
+# the presets 1,7,1 and 1,3,7,1 (the 1 -> h -> 1 and the factored sweep), two
+# inputs, depth 4, and an output of width 2 (the workspace's plain loop)
+@pytest.mark.parametrize(
+    "widths", [(1, 7, 1), (1, 3, 7, 1), (2, 5, 1), (1, 4, 3, 4, 1), (2, 3, 2)], ids=lambda w: "-".join(map(str, w))
+)
+def test_ensemble_workspace_matches_reference_loop(widths):
+    """The workspace path equals the plain-allocation loop within 1e-15 of each
+    array's largest magnitude: its bias terms are products with a ones row, so
+    they sum in another order than the reference's ``sum(axis=-1)``."""
+    arch = Architecture(widths)
+    theta0s = gaussian_init(arch, seed=4, scale=widths[1] ** -0.5, trials=6)
+    xi = np.linspace(0.5, 1.0, widths[-1])
+    cfg = SgdConfig(batch_size=30, steps=100, seed=12, eval_samples=300, eval_steps=(0, 50, 100))
+    res = sgd_ensemble(arch, theta0s, 2e-3, 0.0, 1.0, xi, cfg)
+    risk, theta = _reference_ensemble(arch, theta0s, 2e-3, xi, cfg)
+    assert np.abs(res.theta_final - theta).max() <= 1e-15 * np.abs(theta).max()
+    assert np.abs(res.risk - risk).max() <= 1e-15 * np.abs(risk).max()
+
+
+def test_ensemble_calls_share_no_state():
+    """Back-to-back calls, and a call after a divergence, give byte-identical
+    results; the error's theta is an owned copy of the last finite block."""
+    arch = Architecture((1, 3, 7, 1))
+    theta0s = gaussian_init(arch, seed=2, scale=3.0**-0.5, trials=5)
+    cfg = SgdConfig(batch_size=20, steps=30, seed=8, eval_samples=200, eval_steps=(0, 30))
+
+    def run():
+        res = sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, 1.0, cfg)
+        return res.eval_steps.tobytes() + res.risk.tobytes() + res.theta_final.tobytes()
+
+    first = run()
+    assert run() == first
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        sgd_ensemble(arch, theta0s * 30.0, 50.0, 0.0, 1.0, 1.0, replace(cfg, steps=500))
+    assert err.value.step > 0
+    assert err.value.theta.flags.owndata and err.value.theta.base is None
+    before = sgd_ensemble(arch, theta0s * 30.0, 50.0, 0.0, 1.0, 1.0, replace(cfg, steps=err.value.step, eval_steps=()))
+    np.testing.assert_array_equal(err.value.theta, before.theta_final)
+    assert run() == first
+
+
+def test_descent_certificate_counts_increases_beyond_rounding():
+    # once gd has converged V moves by a few ulps; such a move is no increase,
+    # one above the slack 1e-13 (1 + |V_n| + |V_{n+1}|) still is
+    arch, measure, target, theta0 = shallow_problem()
+    gamma = 0.9 * gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale)
+    traj = gd_run(arch, theta0, measure, target, gamma, 20)
+    ctx = LyapunovContext(arch, target.f0)
+    traj.risk[-2] = 0.0
+    traj.v[-1] = traj.v[-2] + 4.4e-16
+    report = descent_certificate(traj, ctx)
+    assert report.increase_count == 0 and report.passed
+    assert report.max_increase == pytest.approx(4.4e-16, rel=0.1)
+    traj.v[-1] = traj.v[-2] + 1e-9
+    assert descent_certificate(traj, ctx).increase_count == 1
+
+
+def test_descent_certificate_at_zero_step_on_overflowing_net():
+    # 200 hidden layers: the threshold's growth factor overflows, so gd_threshold
+    # is 0.0; a zero step has delta 0, not 0 * inf = nan
+    arch = Architecture((1,) + (4,) * 200 + (1,))
+    measure = DiscreteMeasure.uniform_grid(0.0, 1.0, 11)
+    target = TargetSpec.constant(1.0)
+    theta0 = gaussian_init(arch, seed=0, scale=0.5, trials=1)[0]
+    assert gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale) == 0.0
+    with np.errstate(over="ignore"):
+        report = descent_certificate(gd_run(arch, theta0, measure, target, 0.0, 2), LyapunovContext(arch, target.f0))
+    assert report.delta == 0.0 and report.stepwise_ok
+    assert "nan" not in report.summary()

@@ -1,0 +1,126 @@
+"""Property tests for the validators at the package boundary: every valid
+input is accepted, and every non-finite, non-positive or empty-box input
+raises ValueError, never another exception or a silent result."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from relu_lyapunov import DiscreteMeasure, SgdConfig, UniformSampler
+from relu_lyapunov.optimize import _rate_fn
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def boxes(draw):
+    a, b = sorted((draw(finite), draw(finite)))
+    assume(a < b and math.isfinite(b - a))
+    return a, b
+
+
+@st.composite
+def bad_boxes(draw):
+    kind = draw(st.sampled_from(["non-finite a", "non-finite b", "a >= b", "overflowing width"]))
+    if kind == "non-finite a":
+        return draw(non_finite), draw(finite)
+    if kind == "non-finite b":
+        return draw(finite), draw(non_finite)
+    if kind == "a >= b":
+        b = draw(finite)
+        return draw(st.floats(min_value=b, allow_infinity=False)), b
+    return draw(st.floats(max_value=-1e308)), draw(st.floats(min_value=1e308, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxes(), st.integers(1, 4), st.integers(0, 6), st.data())
+def test_valid_boxes_are_accepted(box, dim, count, data):
+    a, b = box
+    unit = data.draw(st.lists(st.floats(0.0, 1.0), min_size=count * dim, max_size=count * dim))
+    points = np.clip(a + (b - a) * np.reshape(unit, (count, dim)), a, b)
+    weights = data.draw(st.lists(st.floats(0.0, 1e6), min_size=count, max_size=count))
+    measure = DiscreteMeasure(points, weights, a, b)
+    assert measure.mass >= 0.0
+    draws = UniformSampler(a, b, dim, seed=data.draw(st.integers(0, 2**32))).sample(3)
+    assert np.all((draws >= a) & (draws <= b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bad_boxes())
+def test_bad_boxes_are_rejected(box):
+    a, b = box
+    with pytest.raises(ValueError, match="finite a < b"):
+        DiscreteMeasure([[0.0]], [1.0], a, b)
+    with pytest.raises(ValueError, match="finite a < b"):
+        UniformSampler(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_measure_rejects_bad_points_and_weights(index, data):
+    points = np.full((4, 1), 0.5)
+    weights = np.full(4, 0.25)
+    kind = data.draw(st.sampled_from(["point", "weight", "negative weight", "outside"]))
+    if kind == "point":
+        points[index, 0] = data.draw(non_finite)
+    elif kind == "weight":
+        weights[index] = data.draw(non_finite)
+    elif kind == "negative weight":
+        weights[index] = data.draw(st.floats(max_value=0.0, exclude_max=True, allow_infinity=False))
+    else:
+        outside = st.one_of(st.floats(max_value=0.0, exclude_max=True), st.floats(min_value=1.0, exclude_min=True))
+        points[index, 0] = data.draw(outside.filter(math.isfinite))
+    with pytest.raises(ValueError):
+        DiscreteMeasure(points, weights, 0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-5, 0))
+def test_sampler_rejects_non_positive_dim(dim):
+    with pytest.raises(ValueError, match="dim"):
+        UniformSampler(0.0, 1.0, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(1, 10**6), st.integers(1, 10**6).map(float)), st.booleans())
+def test_batch_at_accepts_positive_integers(size, as_function):
+    cfg = SgdConfig(batch_size=(lambda n: size) if as_function else size)
+    assert cfg.batch_at(7) == size and isinstance(cfg.batch_at(7), int)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.integers(max_value=0),
+        st.floats(max_value=1.0, exclude_max=True),
+        st.floats().filter(lambda v: not (math.isfinite(v) and v.is_integer())),
+        non_finite,
+    ),
+    st.booleans(),
+)
+def test_batch_at_rejects_non_positive_or_fractional_or_non_finite(size, as_function):
+    cfg = SgdConfig(batch_size=(lambda n: size) if as_function else size)
+    with pytest.raises(ValueError, match="batch size"):
+        cfg.batch_at(3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 10**6))
+def test_rate_fn_accepts_finite_nonnegative_steps(value, n):
+    # a zero step is allowed: the loops then leave the parameters where they are
+    assert _rate_fn(value)(n) == value
+    assert _rate_fn(lambda k: value)(n) == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(max_value=0.0, exclude_max=True), non_finite), st.integers(0, 10**6))
+def test_rate_fn_rejects_negative_or_non_finite_steps(value, n):
+    with pytest.raises(ValueError, match="step size"):
+        _rate_fn(value)
+    rate = _rate_fn(lambda k: value)
+    with pytest.raises(ValueError, match="invalid step size"):
+        rate(n)
