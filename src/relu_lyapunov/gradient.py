@@ -6,10 +6,10 @@ gates are the left derivative of ReLU (0 exactly at a kink).  For smoothed
 networks `smooth_gradient` is the honest gradient of `risk_smooth`.  Both, and
 every training loop, run the one reverse sweep `_backward`; only the gate
 differs.  Like `_forward`, it works on feature-major ``(..., width, samples)``
-arrays.  With the workspace of a trial-stacked run it writes into buffers
+arrays.  With the workspace of a training run it writes into buffers
 allocated once and, for scalar output, factors the output weights out of the
-last hidden layer's gradients (see `_backward`); one network at a time takes
-the plain layer-by-layer loop.
+last hidden layer's gradients (see `_backward`); the public gradient functions
+take the plain layer-by-layer loop.
 
 `gradient_pathsum_oracle` is an independent reference implementation that
 expands the same quantity as a literal sum over neuron paths.  It is
@@ -62,18 +62,17 @@ def _backward(
     ``delta_k @ [h; 1]^T`` written into ``ws.grads[k-1]``, its bias column a
     product with the ones row rather than a sum; ``gate`` takes an ``out``
     argument, as `_left_gate` does, and each layer's delta overwrites its
-    preactivation in ``pres`` once the gate is taken.  On a trial-stacked
-    block with scalar output (l_L = 1, L >= 2) the sweep never forms
-    delta_{L-1} = w^T * delta * G, with ``w = W_L[..., 0, :]``, ``G`` the gate
-    after layer L-1 and ``a`` the input of layer L-1: ``w`` is factored out
-    of layer L-1's gradients,
+    preactivation in ``pres`` once the gate is taken.  With scalar output
+    (l_L = 1, L >= 2) the sweep never forms delta_{L-1} = w^T * delta * G,
+    with ``w = W_L[..., 0, :]``, ``G`` the gate after layer L-1 and ``a`` the
+    input of layer L-1: ``w`` is factored out of layer L-1's gradients,
     ``w[..., :, None] * (D @ [a; 1]^T)`` with ``D = G * delta``, and the loop
     continues from ``delta_{L-2} = ((W_{L-1}^T * w[..., None, :]) @ D) * gate(L-2)``.
     For a 1 -> h -> 1 network (L = 2, one input) delta goes on the two-row
     side instead: ``w[..., :, None] * (G @ (delta * [x; 1])^T)``.  This skips
     the broadcasts over the (trials, l_{L-1}, M) delta.  Without a workspace
-    (single networks, and the tests' reference loop) the sweep is the plain
-    layer-by-layer loop.
+    (the public gradient functions and the tests' reference loops) the sweep
+    is the plain layer-by-layer loop.
     """
     grads = []
     if ws is None:

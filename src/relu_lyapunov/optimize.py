@@ -1,20 +1,13 @@
 """Training loops and the descent guarantees around them.
 
-Three dynamics are one recursion, theta_{n+1} = theta_n - gamma_n G(theta_n,
-X_n), and run through one step loop with one logging format: full-measure
-gradient descent (`gd_run`) and its explicit Euler gradient flow
-(`gf_euler_run`) use the whole measure at every step; minibatch SGD with a
-constant target (`sgd_run`) draws a fresh keyed batch.  `sgd_ensemble`
-evolves many SGD trials jointly with stacked arrays; it exists because
-experiment-scale runs (hundreds of trials, 1e5 steps) would otherwise spend
-their time in Python per-step overhead.  Trials never interact: each has its
-own initial parameters and its own row of the per-step sample block.  All
-four loops run the same forward pass and reverse sweep.  The ensemble keeps
-one (trials, d) parameter array in augmented order (each layer's [W_k b_k]
-row-major), allocates one `_Workspace` per call and passes it to the kernel,
-which then writes every intermediate and the (trials, d) gradient block into
-it; a step is one subtraction into a second state buffer and one finiteness
-check of it before the commit.
+Every run is the recursion theta_{n+1} = theta_n - gamma_n G(theta_n, X_n) on
+a (trials, d) block of independent trials, through one step loop, `_train`:
+`sgd_ensemble` with many trials; `sgd_run` (fresh keyed minibatches towards a
+constant target), `gd_run` (the whole measure at every step) and its explicit
+Euler gradient flow `gf_euler_run` with one, logged into a `Trajectory` by a
+per-step observer.  The state is one array in augmented order (each layer's
+[W_k b_k] row-major), and one `_Workspace` per call holds every intermediate of
+the kernel and the gradient block, so a step allocates no array of samples.
 
 A step-size ``schedule`` is a finite float >= 0 or a function of the step.
 Step-size thresholds (`gd_threshold`, `sgd_threshold`) reproduce the regime in
@@ -32,10 +25,10 @@ from typing import Callable
 import numpy as np
 
 from .arch import Architecture, check_params
-from .gradient import _backward, _grad_core, _left_gate
+from .gradient import _backward, _left_gate
 from .lyapunov import LyapunovContext, lyapunov_value
 from .network import _augmented_blocks, _augmented_order, _forward, _relu_unit, _Workspace
-from .risk import DiscreteMeasure, TargetSpec, UniformSampler, _check_box, empirical_risk
+from .risk import DiscreteMeasure, TargetSpec, UniformSampler, _check_box
 
 
 class DivergenceError(RuntimeError):
@@ -167,9 +160,9 @@ def _require_finite(theta: np.ndarray) -> np.ndarray:
 
 
 def _flat(theta: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """A (trials, d) array in augmented order back in the flat layout, as a new array."""
+    """Parameters in augmented order, (d,) or (trials, d), back in the flat layout, as a new array."""
     out = np.empty(theta.shape)
-    out[:, order] = theta
+    out[..., order] = theta
     return out
 
 
@@ -189,68 +182,117 @@ def _eval_grid(cfg: SgdConfig) -> tuple[int, ...]:
     return grid
 
 
-def _step_loop(
-    arch, theta0, ctx, batch, schedule, steps, log_stride, snapshot_steps, input_scale, mass,
-    dt=None, evaluate=None, eval_steps=(),
-) -> Trajectory:
-    """theta_{n+1} = theta_n - gamma_n G(theta_n, X_n), the loop of gd/gf/sgd_run.
+def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None, eval_grid=()):
+    """theta_{n+1} = theta_n - gamma_n G(theta_n, X_n) on a (trials, d) block: the one step loop.
 
-    ``batch(n)`` gives the step-n (points, weights, targets) of the objective
-    that step descends.  With ``dt`` the trajectory carries the time and the
-    running integral 4L sum risk dt; with ``evaluate`` (theta -> risk) the
-    Monte Carlo estimates at ``eval_steps``.
+    ``batch(n, blocks, ws)`` gives the `_Workspace` over ``blocks`` holding
+    step n's points in its first [x; 1] and their weights (float or (m,)),
+    which fold into delta with the targets ``fvals``: the gradient block is
+    unscaled and the update multiplies it by gamma_n.  ``observe(n, theta,
+    grad, risk, gamma)`` sees every step n = 0..steps and owns the divergence
+    check; without it a step that leaves a trial non-finite raises.  Returns
+    the ``evaluate(layers)`` risks at ``eval_grid`` and the flat parameters.
     """
-    theta = _require_finite(check_params(arch, theta0)).copy()
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
-    if log_stride < 1:
-        raise ValueError(f"log_stride must be positive, got {log_stride}")
-    rate = _rate_fn(schedule)
-    snaps = set(geometric_checkpoints(steps) if snapshot_steps is None else snapshot_steps)
-
-    rows: list[tuple] = []
-    mc_rows: list[tuple[int, float]] = []
-    snapshots: dict[int, np.ndarray] = {}
-    integral = 0.0
+    order = _augmented_order(arch.widths)
+    theta = np.take(theta0s, order, axis=1)
+    blocks = _augmented_blocks(arch.widths, theta)
+    layers = [(block[..., :-1], block[..., -1]) for block in blocks]
+    risk = np.empty((theta.shape[0], len(eval_grid)))
+    eval_pos = {n: c for c, n in enumerate(eval_grid)}
+    ws, new = None, np.empty_like(theta)
     for n in range(steps + 1):
-        points, weights, fvals = batch(n)
-        grad, risk = _grad_core(arch, theta, points, weights, fvals)
+        if n in eval_pos:
+            risk[:, eval_pos[n]] = evaluate(layers)
+        if n == steps and observe is None:
+            break
+        ws, weights = batch(n, blocks, ws)
+        pres, acts = _forward(layers, None, _relu_unit, ws)
+        delta = np.subtract(pres[-1], fvals, out=pres[-1])
+        if observe is not None:
+            loss = np.sum(weights * np.sum(delta * delta, axis=-2), axis=-1)
+        delta *= 2.0 * weights
+        _backward(layers, None, pres, acts, delta, _left_gate, ws)
+        gamma = rate(n)
+        if observe is not None:
+            observe(n, theta, ws.grad, loss, gamma)
+            if n == steps:
+                break
+        np.subtract(theta, np.multiply(ws.grad, gamma, out=ws.grad), out=new)
+        if observe is None and not np.isfinite(new).all():
+            bad = np.flatnonzero(~np.isfinite(new).all(axis=1))
+            raise DivergenceError(
+                n, _flat(theta, order), f"ensemble trials {bad.tolist()} diverged in the update at step {n}; "
+                f"theta holds the step-{n} parameters of every trial"
+            )
+        theta[...] = new
+    return risk, _flat(theta, order)
+
+
+class _Recorder:
+    """`_train`'s observer for one trial: the rows and flat snapshots of its `Trajectory`.
+
+    Rows come at every ``log_stride``-th step and the last; V is summed in the
+    augmented order, and with ``dt`` rows carry the running integral 4L sum
+    risk dt.  A non-finite risk at step n raises `DivergenceError` with step
+    n - 1 and its parameters, or at step 0 a ValueError.
+    """
+
+    def __init__(self, arch, f0, steps, log_stride, snapshot_steps, dt=None):
+        if steps < 0:
+            raise ValueError(f"steps must be nonnegative, got {steps}")
+        if log_stride < 1:
+            raise ValueError(f"log_stride must be positive, got {log_stride}")
+        ctx = LyapunovContext(arch, f0)
+        self.order = _augmented_order(arch.widths)
+        self.coeff, self.f0, self.depth = ctx._coeff[self.order], ctx.f0, arch.depth
+        self.top_bias = np.argsort(self.order)[arch.bias_slice(arch.depth)]
+        self.steps, self.stride, self.dt = steps, log_stride, dt
+        self.snaps = set(geometric_checkpoints(steps) if snapshot_steps is None else snapshot_steps)
+        self.rows, self.snapshots, self.last, self.integral = [], {}, np.empty(arch.param_count), 0.0
+
+    def __call__(self, n, theta, grad, risk, gamma) -> None:
+        risk, theta = float(risk[0]), theta[0]
         if not math.isfinite(risk):
             if n == 0:
                 raise ValueError("risk is not finite at the initial parameters")
-            raise DivergenceError(n - 1, prev_theta, f"risk became non-finite at step {n}")
-        gamma = rate(n)
-        if n % log_stride == 0 or n == steps:
-            rows.append((n, lyapunov_value(ctx, theta), risk, _norm(grad), _norm(theta), gamma, integral))
-        if n in eval_steps:
-            mc_rows.append((n, evaluate(theta)))
-        if n in snaps:
-            snapshots[n] = theta.copy()
-        if n == steps:
-            break
-        if dt is not None:
-            integral += 4.0 * arch.depth * risk * dt
-        prev_theta = theta
-        theta = theta - gamma * grad
+            raise DivergenceError(n - 1, _flat(self.last, self.order), f"risk became non-finite at step {n}")
+        if n % self.stride == 0 or n == self.steps:
+            v = float(np.dot(self.coeff * theta, theta)) - 2.0 * self.depth * float(np.dot(self.f0, theta[self.top_bias]))
+            self.rows.append((n, v, risk, _norm(grad[0]), _norm(theta), gamma, self.integral))
+        if n in self.snaps:
+            self.snapshots[n] = _flat(theta, self.order)
+        np.copyto(self.last, theta)
+        if self.dt is not None:
+            self.integral += 4.0 * self.depth * risk * self.dt
 
-    cols = [np.asarray(col) for col in zip(*rows)]
-    steps_arr = cols[0].astype(np.int64)
-    return Trajectory(
-        steps_arr, *cols[1:6], snapshots, input_scale, mass,
-        time=None if dt is None else steps_arr * dt,
-        descent_integral=None if dt is None else cols[6],
-        mc_steps=None if evaluate is None else np.asarray([r[0] for r in mc_rows], dtype=np.int64),
-        mc_risk=None if evaluate is None else np.asarray([r[1] for r in mc_rows]),
-    )
+    def trajectory(self, input_scale, mass, mc_steps=None, mc_risk=None) -> Trajectory:
+        steps, *cols, integral = (np.asarray(col) for col in zip(*self.rows))
+        gf = self.dt is not None
+        return Trajectory(steps.astype(np.int64), *cols, self.snapshots, input_scale, mass,
+                          steps * self.dt if gf else None, integral if gf else None, mc_steps, mc_risk)
 
 
-def _measure_loop(arch, theta0, measure, target, schedule, steps, log_stride, snapshot_steps, dt=None) -> Trajectory:
-    """`_step_loop` over the whole measure at every step (gd and gf)."""
-    fixed = (measure.points, measure.weights, np.ascontiguousarray(target.values(measure.points)))
-    return _step_loop(
-        arch, theta0, LyapunovContext(arch, target.f0), lambda n: fixed, schedule, steps, log_stride,
-        snapshot_steps, measure.input_scale, measure.mass, dt=dt,
-    )
+def _measure_run(arch, theta0, measure, target, schedule, steps, log_stride, snapshot_steps, dt=None) -> Trajectory:
+    """gd, and with ``dt`` gf: a one-trial `_train` over the whole measure, its [x; 1] written once."""
+    theta0 = _require_finite(check_params(arch, theta0))
+    if measure.dim != arch.widths[0]:
+        raise ValueError(f"measure dim {measure.dim} != input width {arch.widths[0]}")
+    if dt is not None:
+        threshold = gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale)
+        if dt > threshold:
+            warnings.warn(f"Euler step dt={dt:g} exceeds the descent threshold {threshold:g}; "
+                          "the flow approximation may lose monotonicity", stacklevel=3)
+    rate = _rate_fn(schedule)
+    record = _Recorder(arch, target.f0, steps, log_stride, snapshot_steps, dt)
+
+    def batch(n, blocks, ws):
+        if ws is None:
+            ws = _Workspace(blocks, len(measure.points))
+            ws.inputs[0][0, :-1] = measure.points.T
+        return ws, measure.weights
+
+    _train(arch, theta0[None], rate, steps, batch, np.ascontiguousarray(target.values(measure.points).T), record)
+    return record.trajectory(measure.input_scale, measure.mass)
 
 
 def gd_run(
@@ -264,7 +306,7 @@ def gd_run(
     snapshot_steps: tuple[int, ...] | None = None,
 ) -> Trajectory:
     """Full-measure gradient descent for ``steps`` steps."""
-    return _measure_loop(arch, theta0, measure, target, schedule, steps, log_stride, snapshot_steps)
+    return _measure_run(arch, theta0, measure, target, schedule, steps, log_stride, snapshot_steps)
 
 
 def gf_euler_run(
@@ -285,47 +327,7 @@ def gf_euler_run(
     dt = float(dt)
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    theta0 = _require_finite(check_params(arch, theta0))
-    threshold = gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale)
-    if dt > threshold:
-        warnings.warn(
-            f"Euler step dt={dt:g} exceeds the descent threshold {threshold:g}; "
-            "the flow approximation may lose monotonicity",
-            stacklevel=2,
-        )
-    return _measure_loop(arch, theta0, measure, target, dt, steps, log_stride, snapshot_steps, dt=dt)
-
-
-def sgd_run(
-    arch: Architecture,
-    theta0,
-    schedule,
-    sampler: UniformSampler,
-    xi,
-    cfg: SgdConfig,
-) -> Trajectory:
-    """Minibatch SGD towards a constant target, fresh i.i.d. batches per step.
-
-    The logged risk at step n is that step's minibatch objective, evaluated at
-    the pre-update parameters; the final row draws one extra batch so the last
-    parameters get a row too.
-    """
-    if sampler.dim != arch.widths[0]:
-        raise ValueError(f"sampler dim {sampler.dim} != input width {arch.widths[0]}")
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    entropy = _entropy(cfg.seed)
-    eval_grid = _eval_grid(cfg)
-    eval_points = sampler.with_seed(entropy + (0,)).sample(cfg.eval_samples) if eval_grid else None
-
-    def batch(n: int):
-        m = cfg.batch_at(n)
-        return sampler.with_seed(entropy + (1, n)).sample(m), np.full(m, 1.0 / m), np.broadcast_to(xi, (m, xi.shape[0]))
-
-    return _step_loop(
-        arch, theta0, LyapunovContext(arch, xi), batch, schedule, cfg.steps, cfg.log_stride, cfg.snapshot_steps,
-        max(abs(sampler.a), abs(sampler.b), 1.0), 1.0,
-        evaluate=lambda theta: empirical_risk(arch, theta, eval_points, xi), eval_steps=set(eval_grid),
-    )
+    return _measure_run(arch, theta0, measure, target, dt, steps, log_stride, snapshot_steps, dt=dt)
 
 
 @dataclass
@@ -343,6 +345,71 @@ class EnsembleResult:
     @property
     def std_error(self) -> np.ndarray:
         return np.std(self.risk, axis=0, ddof=1) / np.sqrt(self.risk.shape[0])
+
+
+def _sgd_train(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe=None):
+    """`_train` on keyed batches, with the Monte Carlo risks at the evaluation steps.
+
+    Trial t reads row t of the step-n block from stream (seed, 1, n), each
+    point weighing 1/m, and row t of the evaluation block from (seed, 0).
+    """
+    a, b = _check_box(a, b)
+    rate = _rate_fn(schedule)
+    eval_grid = _eval_grid(cfg)
+    trials, span, entropy = theta0s.shape[0], b - a, _entropy(cfg.seed)
+    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+
+    def batch(n, blocks, ws):
+        m = cfg.batch_at(n)
+        if ws is None or ws.draw.shape[1] != m:
+            ws = _Workspace(blocks, m)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy + (1, n))))
+        # a + span * u, in that order, into the x rows of the first layer's [x; 1]
+        np.multiply(rng.random(out=ws.draw), span, out=ws.draw)
+        np.add(a, ws.draw, out=ws.inputs[0][..., :-1, :].swapaxes(-1, -2))
+        return ws, 1.0 / m
+
+    if eval_grid:
+        # the raw draw is never named, so numpy scales the temporary in place
+        # and only one (trials, samples, l_0) block is alive
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy + (0,))))
+        points = (a + span * rng.random((trials, cfg.eval_samples, arch.widths[0]))).swapaxes(-1, -2)
+    # chunks of max(2,500, 100 trials) trial x sample elements: at one trial
+    # 2,500 samples ran ~2x faster than one 10^4-sample pass, and at 100
+    # trials 25-sample chunks ~1.3x slower than 100-sample ones
+    chunk = max(2_500 // trials, 100)
+
+    def evaluate(layers):
+        total = np.zeros(trials)
+        for s0 in range(0, cfg.eval_samples, chunk):
+            pres, _ = _forward(layers, points[..., s0 : s0 + chunk], _relu_unit)
+            resid = pres[-1] - xi[:, None]
+            total += np.sum(np.sum(resid * resid, axis=1), axis=1)
+        return total / cfg.eval_samples
+
+    risk, theta = _train(arch, theta0s, rate, cfg.steps, batch, xi[:, None], observe, evaluate, eval_grid)
+    return EnsembleResult(eval_steps=np.asarray(eval_grid, dtype=np.int64), risk=risk, theta_final=theta)
+
+
+def sgd_run(
+    arch: Architecture,
+    theta0,
+    schedule,
+    sampler: UniformSampler,
+    xi,
+    cfg: SgdConfig,
+) -> Trajectory:
+    """Minibatch SGD towards a constant target: a one-trial `sgd_ensemble`, logged.
+
+    Row n holds step n's minibatch risk at its pre-update parameters; one extra
+    batch gives the last parameters a row.  Streams are keyed by ``cfg.seed``.
+    """
+    if sampler.dim != arch.widths[0]:
+        raise ValueError(f"sampler dim {sampler.dim} != input width {arch.widths[0]}")
+    theta0 = _require_finite(check_params(arch, theta0))
+    record = _Recorder(arch, xi, cfg.steps, cfg.log_stride, cfg.snapshot_steps)
+    res = _sgd_train(arch, theta0[None], schedule, sampler.a, sampler.b, xi, cfg, record)
+    return record.trajectory(max(abs(sampler.a), abs(sampler.b), 1.0), 1.0, res.eval_steps, res.risk[0])
 
 
 def gaussian_init(arch: Architecture, seed, scale: float, trials: int) -> np.ndarray:
@@ -366,90 +433,16 @@ def sgd_ensemble(
 ) -> EnsembleResult:
     """Evolve many independent SGD trials jointly for cfg.steps steps.
 
-    ``theta0s`` has one row per trial.  Each trial t reads row t of the step-n
-    sample block drawn from stream (seed, 1, n) and row t of the evaluation
-    block from (seed, 0).  A step that would leave a trial non-finite raises
-    `DivergenceError` at once, naming the diverged trials, with a copy of the
-    (trials, d) parameters of that step as ``theta``.
-
-    The state is held in augmented order and converted from and to the flat
-    layout once per call and at each evaluation step.  One `_Workspace` per
-    call (per batch size) holds the draw, every layer's [h; 1], the
-    preactivations (which then hold the deltas), the gates and the gradient
-    block, so a step allocates no (trials, width, samples) array.  Bias terms
-    enter as products with the ones rows, so outputs agree with a
-    plain-allocation loop of the same recursion to ~1e-16 of each array's
-    largest value, not bit for bit.
+    ``theta0s`` has one row per trial; the streams are those of `_sgd_train`.
+    A step that would leave a trial non-finite raises `DivergenceError`,
+    naming the diverged trials, with a copy of the (trials, d) parameters of
+    that step.  Outputs agree with a plain-allocation loop to ~1e-16 of each
+    array's largest value (bias terms are products with ones rows).
     """
     theta0s = np.asarray(theta0s, dtype=np.float64)
     if theta0s.ndim != 2 or theta0s.shape[0] < 1 or theta0s.shape[1] != arch.param_count:
         raise ValueError(f"theta0s must have shape (trials >= 1, {arch.param_count})")
-    _require_finite(theta0s)
-    a, b = _check_box(a, b)
-    rate = _rate_fn(schedule)
-    eval_grid = _eval_grid(cfg)
-    trials = theta0s.shape[0]
-    span = b - a
-    entropy = _entropy(cfg.seed)
-    # one (trials, d) state in augmented order, updated in place through the
-    # [W_k b_k] blocks the workspace multiplies and the (W_k, b_k) views of them
-    order = _augmented_order(arch.widths)
-    theta = np.take(theta0s, order, axis=1)
-    blocks = _augmented_blocks(arch.widths, theta)
-    layers = [(block[..., :-1], block[..., -1]) for block in blocks]
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-
-    if eval_grid:
-        # the raw draw is never named, so numpy scales the temporary in place
-        # and only one (trials, samples, l_0) block is alive
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy + (0,))))
-        eval_points = (a + span * rng.random((trials, cfg.eval_samples, arch.widths[0]))).swapaxes(-1, -2)
-
-    risk = np.empty((trials, len(eval_grid)))
-    eval_pos = {n: c for c, n in enumerate(eval_grid)}
-    ws = None
-    new = np.empty_like(theta)
-    for n in range(cfg.steps + 1):
-        if n in eval_pos:
-            # 125-sample chunks keep the (trials, width, chunk) transients
-            # cache-sized; 1,000-sample chunks ran ~1.6x slower per checkpoint
-            total = np.zeros(trials)
-            flat = _flat(theta, order)
-            # the flat layout's W_k, contiguous per trial, multiply ~3 % faster
-            # per deep checkpoint than the strided W_k views of [W_k b_k]
-            flat_layers = [
-                (flat[:, arch.weight_slice(k)].reshape(trials, fan_out, fan_in), flat[:, arch.bias_slice(k)])
-                for k, (fan_in, fan_out) in enumerate(zip(arch.widths[:-1], arch.widths[1:]), start=1)
-            ]
-            for s0 in range(0, cfg.eval_samples, 125):
-                pres, _ = _forward(flat_layers, eval_points[..., s0 : s0 + 125], _relu_unit)
-                resid = pres[-1] - xi[:, None]
-                total += np.sum(np.sum(resid * resid, axis=1), axis=1)
-            risk[:, eval_pos[n]] = total / cfg.eval_samples
-        if n == cfg.steps:
-            break
-        m = cfg.batch_at(n)
-        if ws is None or ws.draw.shape[1] != m:
-            ws = _Workspace(blocks, m)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy + (1, n))))
-        # a + span * u, in that order, into the x rows of the first layer's [x; 1]
-        np.multiply(rng.random(out=ws.draw), span, out=ws.draw)
-        x = np.add(a, ws.draw, out=ws.inputs[0][..., :-1, :].swapaxes(-1, -2)).swapaxes(-1, -2)
-        pres, acts = _forward(layers, x, _relu_unit, ws)
-        # gamma and the 2/m of the minibatch objective fold into delta
-        delta = np.subtract(pres[-1], xi[:, None], out=pres[-1])
-        delta *= 2.0 * rate(n) / m
-        _backward(layers, x, pres, acts, delta, _left_gate, ws)
-        np.subtract(theta, ws.grad, out=new)
-        if not np.isfinite(new).all():
-            bad = np.flatnonzero(~np.isfinite(new).all(axis=1))
-            raise DivergenceError(
-                n, _flat(theta, order), f"ensemble trials {bad.tolist()} diverged in the update at step {n}; "
-                f"theta holds the step-{n} parameters of every trial"
-            )
-        theta[...] = new
-
-    return EnsembleResult(eval_steps=np.asarray(eval_grid, dtype=np.int64), risk=risk, theta_final=_flat(theta, order))
+    return _sgd_train(arch, _require_finite(theta0s), schedule, a, b, xi, cfg)
 
 
 def gd_threshold(arch: Architecture, theta0, f0, mass: float, input_scale: float = 1.0) -> float:
@@ -511,9 +504,11 @@ class DescentReport:
         return self.increase_count == 0 and self.stepwise_ok and self.norm_ok
 
     def summary(self) -> str:
+        stepwise = ("VOID: delta >= 1 certifies nothing" if self.delta >= 1.0
+                    else "ok" if self.stepwise_ok else "VIOLATED")
         return (
             f"increases={self.increase_count} (max {self.max_increase:.3g}), "
-            f"stepwise={'ok' if self.stepwise_ok else 'VIOLATED'} "
+            f"stepwise={stepwise} "
             f"(margin {self.stepwise_margin:.3g}, delta {self.delta:.3g}), "
             f"norms={'ok' if self.norm_ok else 'VIOLATED'} "
             f"(sup {self.sup_param_norm:.6g} vs bound {self.norm_bound:.6g})"
@@ -528,7 +523,9 @@ def descent_certificate(trajectory: Trajectory, ctx: LyapunovContext) -> Descent
     V_{n+1} - V_n <= -4 gamma_n L (1 - delta) risk_n with
     delta = sup gamma * L * scale^2 * prod(l_p+1) * (2 V_0 + 4 L^2 ||f0||^2 + 1)^(L-1) * mass,
     and (c) every logged parameter norm stays below
-    sqrt(2 V_0 + 4 L^2 ||f0||^2).  Requires every step to be logged.
+    sqrt(2 V_0 + 4 L^2 ||f0||^2).  (b) needs delta < 1: otherwise its bound
+    is nonnegative and ``stepwise_ok`` is false.  Requires every step to be
+    logged.
     """
     steps = trajectory.steps
     if len(steps) < 2:
@@ -558,7 +555,8 @@ def descent_certificate(trajectory: Trajectory, ctx: LyapunovContext) -> Descent
         * trajectory.mass
     )
     rhs = -4.0 * applied_gamma * depth * (1.0 - delta) * trajectory.risk[:-1]
-    stepwise_ok = bool(np.all(diffs <= rhs + slack))
+    # at delta >= 1 the bound is >= 0 and lets V rise: it certifies nothing
+    stepwise_ok = bool(delta < 1.0 and np.all(diffs <= rhs + slack))
     stepwise_margin = float(np.min(rhs - diffs))
 
     norm_bound_value = math.sqrt(max(2.0 * v[0] + 4.0 * depth**2 * f0_sq, 0.0))

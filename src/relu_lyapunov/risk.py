@@ -142,8 +142,9 @@ class UniformSampler:
 
     def __post_init__(self) -> None:
         _check_box(self.a, self.b)
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
+        if not (self.dim >= 1 and float(self.dim).is_integer()):
+            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        self.dim = int(self.dim)
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.entropy)))
 
     @property

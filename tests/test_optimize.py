@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,12 +14,14 @@ from relu_lyapunov import (
     TargetSpec,
     UniformSampler,
     descent_certificate,
+    empirical_risk,
     gaussian_init,
     gd_run,
     gd_threshold,
     generalized_gradient,
     gf_euler_run,
     lyapunov_value,
+    minibatch_gradient,
     risk_exact,
     sgd_ensemble,
     sgd_run,
@@ -152,12 +155,43 @@ def test_descent_certificate_needs_dense_rows():
         descent_certificate(traj, LyapunovContext(arch, target.f0))
 
 
+def _check_divergence(arch, run):
+    """``run(theta0, steps)`` diverges from a blown-up start: the error carries
+    the last step with a finite risk and its flat parameters, exactly the final
+    snapshot of a rerun that stops there; a non-finite risk at step 0 is a
+    ValueError instead."""
+    _, _, _, theta0 = shallow_problem()
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # gf: dt above the descent threshold
+        with pytest.raises(DivergenceError) as err:
+            run(theta0 * 50.0, 1000)
+        step, theta = err.value.step, err.value.theta
+        assert 0 <= step < 1000 and f"non-finite at step {step + 1}" in str(err.value)
+        assert theta.shape == (arch.param_count,) and np.isfinite(theta).all()
+        np.testing.assert_array_equal(theta, run(theta0 * 50.0, step).snapshots[step])
+        with pytest.raises(ValueError, match="risk is not finite at the initial parameters"):
+            run(theta0 * 1e200, 5)
+
+
 def test_gd_divergence_raises():
-    arch, measure, target, theta0 = shallow_problem()
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
-        gd_run(arch, theta0 * 50.0, measure, target, 10.0, 1000)
-    assert err.value.step >= 0
-    assert err.value.theta is not None
+    arch, measure, target, _ = shallow_problem()
+    _check_divergence(arch, lambda theta, steps: gd_run(arch, theta, measure, target, 10.0, steps))
+
+
+def test_gf_divergence_raises():
+    arch, measure, target, _ = shallow_problem()
+    _check_divergence(arch, lambda theta, steps: gf_euler_run(arch, theta, measure, target, 10.0, steps))
+
+
+def test_sgd_run_divergence_raises():
+    arch = Architecture((1, 7, 1))
+    sampler = UniformSampler(0.0, 1.0, 1)
+
+    def run(theta, steps):
+        cfg = SgdConfig(batch_size=20, steps=steps, seed=8, eval_steps=())
+        return sgd_run(arch, theta, 50.0, sampler, 1.0, cfg)
+
+    _check_divergence(arch, run)
 
 
 def test_gf_euler_warns_above_threshold():
@@ -256,16 +290,20 @@ def test_gaussian_init_streams():
 # points are a transposed view of the sample block
 @pytest.mark.parametrize("widths", [(1, 7, 1), (1, 3, 7, 1), (2, 5, 1)], ids=lambda w: "-".join(map(str, w)))
 def test_ensemble_single_trial_matches_sgd_run(widths):
+    """sgd_run is a one-trial block of the ensemble's loop, and trial 0 of a
+    3-trial block runs the same per-trial products: bit for bit equal.  The
+    400 eval samples are one chunk at 1 and at 3 trials, so the risks sum in
+    the same order too."""
     arch = Architecture(widths)
-    theta0 = gaussian_init(arch, seed=3, scale=widths[1] ** -0.5, trials=1)
+    theta0 = gaussian_init(arch, seed=3, scale=widths[1] ** -0.5, trials=3)
     cfg = SgdConfig(batch_size=25, steps=200, seed=77, eval_samples=400)
     sampler = UniformSampler(0.0, 1.0, widths[0], seed=77)
     traj = sgd_run(arch, theta0[0], 2e-4, sampler, 1.0, cfg)
     res = sgd_ensemble(arch, theta0, 2e-4, 0.0, 1.0, 1.0, cfg)
     np.testing.assert_array_equal(res.eval_steps, traj.mc_steps)
-    np.testing.assert_allclose(res.risk[0], traj.mc_risk, rtol=1e-12, atol=1e-300)
-    assert res.theta_final.shape == (1, arch.param_count)
-    np.testing.assert_allclose(res.theta_final[0], traj.snapshots[200], rtol=1e-12)
+    np.testing.assert_array_equal(res.risk[0], traj.mc_risk)
+    assert res.theta_final.shape == (3, arch.param_count)
+    np.testing.assert_array_equal(res.theta_final[0], traj.snapshots[200])
 
 
 def test_ensemble_statistics_shapes():
@@ -463,3 +501,103 @@ def test_descent_certificate_at_zero_step_on_overflowing_net():
         report = descent_certificate(gd_run(arch, theta0, measure, target, 0.0, 2), LyapunovContext(arch, target.f0))
     assert report.delta == 0.0 and report.stepwise_ok
     assert "nan" not in report.summary()
+
+
+def test_descent_certificate_void_when_delta_at_least_one():
+    # at delta >= 1 the stepwise bound -4 gamma L (1 - delta) risk is >= 0 and
+    # lets V rise, so it certifies nothing; it used to read "stepwise=ok"
+    arch, measure, target, theta0 = shallow_problem()
+    traj = gd_run(arch, theta0, measure, target, 0.05, 50)
+    report = descent_certificate(traj, LyapunovContext(arch, target.f0))
+    assert report.delta >= 1.0
+    assert not report.stepwise_ok and not report.passed
+    assert "stepwise=VOID: delta >= 1" in report.summary()
+
+
+# each Trajectory field against a plain loop over the public functions: the
+# loops run the augmented [W_k b_k] products and sum V, the norms and the
+# risks in another order, so they agree to rounding, not bit for bit
+REFERENCE_RTOL = 1e-14
+
+
+def _reference_trajectory(arch, theta0, f0, gamma, steps, grad_and_risk, snapshot_steps, dt=None, evaluate=None, eval_steps=()):
+    """theta_{n+1} = theta_n - gamma G_n with every logged quantity recomputed by a public function."""
+    ctx = LyapunovContext(arch, f0)
+    theta, rows, snaps, mc, integral = theta0.copy(), [], {}, [], 0.0
+    for n in range(steps + 1):
+        grad, risk = grad_and_risk(n, theta)
+        rows.append((n, lyapunov_value(ctx, theta), risk, np.linalg.norm(grad), np.linalg.norm(theta), gamma, integral))
+        if n in eval_steps:
+            mc.append(evaluate(theta))
+        if n in snapshot_steps:
+            snaps[n] = theta.copy()
+        if dt is not None:
+            integral += 4.0 * arch.depth * risk * dt
+        theta = theta - gamma * grad
+    return np.array(rows).T, snaps, np.array(mc)
+
+
+def _assert_matches_reference(traj, reference, dt=None):
+    rows, snaps, mc = reference
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= REFERENCE_RTOL * np.abs(want).max()
+
+    np.testing.assert_array_equal(traj.steps, rows[0])
+    np.testing.assert_array_equal(traj.gamma, rows[5])
+    for got, want in zip((traj.v, traj.risk, traj.grad_norm, traj.param_norm), rows[1:5]):
+        close(got, want)
+    assert traj.snapshots.keys() == snaps.keys()
+    for n, snap in snaps.items():
+        assert traj.snapshots[n].shape == snap.shape
+        close(traj.snapshots[n], snap)
+    if dt is None:
+        assert traj.time is None and traj.descent_integral is None
+    else:
+        np.testing.assert_array_equal(traj.time, rows[0] * dt)
+        close(traj.descent_integral, rows[6])
+    if len(mc):
+        close(traj.mc_risk, mc)
+
+
+# the presets 1,7,1 and 1,3,7,1, two inputs and two outputs; gd and gf also
+# fit a non-constant target
+@pytest.mark.parametrize("widths", [(1, 7, 1), (1, 3, 7, 1), (2, 5, 1), (1, 4, 2)], ids=lambda w: "-".join(map(str, w)))
+def test_single_runs_match_reference_loop(widths):
+    arch = Architecture(widths)
+    theta0 = gaussian_init(arch, seed=5, scale=widths[1] ** -0.5, trials=1)[0]
+    xi = np.linspace(0.5, 1.0, widths[-1])
+    rng = np.random.default_rng(2)
+    measure = DiscreteMeasure(rng.random((40, widths[0])), rng.random(40) / 20.0, 0.0, 1.0)
+    targets = [
+        TargetSpec.constant(xi),
+        TargetSpec.from_function(lambda p: xi + np.sin(3.0 * p.sum()) * np.arange(1, widths[-1] + 1), xi),
+    ]
+    snaps = (0, 17, 60)
+    for target in targets:
+        gamma = 0.9 * gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale)
+
+        def full(n, theta):
+            return generalized_gradient(arch, theta, measure, target), risk_exact(arch, theta, measure, target)
+
+        traj = gd_run(arch, theta0, measure, target, gamma, 60, snapshot_steps=snaps)
+        _assert_matches_reference(traj, _reference_trajectory(arch, theta0, target.f0, gamma, 60, full, snaps))
+        traj = gf_euler_run(arch, theta0, measure, target, 0.5 * gamma, 60, snapshot_steps=snaps)
+        reference = _reference_trajectory(arch, theta0, target.f0, 0.5 * gamma, 60, full, snaps, dt=0.5 * gamma)
+        _assert_matches_reference(traj, reference, dt=0.5 * gamma)
+
+    sampler = UniformSampler(0.0, 1.0, widths[0])
+    cfg = SgdConfig(batch_size=15, steps=60, seed=(4, 1), eval_samples=3_000, eval_steps=(0, 33, 60), snapshot_steps=snaps)
+    eval_points = sampler.with_seed((4, 1, 0)).sample(cfg.eval_samples)
+
+    def minibatch(n, theta):
+        batch = sampler.with_seed((4, 1, 1, n)).sample(cfg.batch_size)
+        return minibatch_gradient(arch, theta, batch, xi), empirical_risk(arch, theta, batch, xi)
+
+    traj = sgd_run(arch, theta0, 2e-3, sampler, xi, cfg)
+    reference = _reference_trajectory(
+        arch, theta0, xi, 2e-3, 60, minibatch, snaps,
+        evaluate=lambda theta: empirical_risk(arch, theta, eval_points, xi), eval_steps=cfg.eval_steps,
+    )
+    _assert_matches_reference(traj, reference)
+    np.testing.assert_array_equal(traj.mc_steps, cfg.eval_steps)

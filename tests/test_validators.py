@@ -86,6 +86,21 @@ def test_sampler_rejects_non_positive_dim(dim):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats().filter(lambda v: not (math.isfinite(v) and v.is_integer())), non_finite))
+def test_sampler_rejects_fractional_or_non_finite_dim(dim):
+    # a fractional dim used to construct and then fail in .sample with a TypeError
+    with pytest.raises(ValueError, match="dim"):
+        UniformSampler(0.0, 1.0, dim)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(st.integers(1, 4), st.integers(1, 4).map(float)))
+def test_sampler_accepts_integral_dim(dim):
+    sampler = UniformSampler(0.0, 1.0, dim)
+    assert isinstance(sampler.dim, int) and sampler.sample(2).shape == (2, dim)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.one_of(st.integers(1, 10**6), st.integers(1, 10**6).map(float)), st.booleans())
 def test_batch_at_accepts_positive_integers(size, as_function):
     cfg = SgdConfig(batch_size=(lambda n: size) if as_function else size)
