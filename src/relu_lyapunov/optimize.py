@@ -4,8 +4,8 @@ Every run is the recursion theta_{n+1} = theta_n - gamma_n G(theta_n, X_n) on
 a (trials, d) block of independent trials, through one step loop, `_train`:
 `sgd_ensemble` with many trials; `sgd_run` (fresh keyed minibatches towards a
 constant target), `gd_run` (the whole measure at every step) and its explicit
-Euler gradient flow `gf_euler_run` with one, logged into a `Trajectory` by a
-per-step observer.  The state is one array in augmented order (each layer's
+Euler gradient flow `gf_euler_run` with one, logged into a `Trajectory` by an
+observer that takes V and the norms a block of rows at a time.  The state is one array in augmented order (each layer's
 [W_k b_k] row-major), and one `_Workspace` per call holds every intermediate of
 the kernel and the gradient block, so a step allocates no array of samples.
 
@@ -28,7 +28,7 @@ from .arch import Architecture, check_params
 from .gradient import _backward, _left_gate
 from .lyapunov import LyapunovContext, lyapunov_value
 from .network import _augmented_blocks, _augmented_order, _forward, _relu_unit, _Workspace
-from .risk import DiscreteMeasure, TargetSpec, UniformSampler, _check_box
+from .risk import DiscreteMeasure, TargetSpec, UniformSampler, _check_box, _entropy, _KeyedStreams
 
 
 class DivergenceError(RuntimeError):
@@ -124,10 +124,10 @@ def decade_steps(last: int) -> tuple[int, ...]:
 class SgdConfig:
     """Knobs of one SGD run.
 
-    ``batch_size`` is an int or a function of the step.  ``seed`` is the
-    master seed: the step-n batch comes from stream (seed, 1, n) and the fixed
-    Monte Carlo evaluation sample from (seed, 0), so identical configs give
-    bit-identical runs.  ``eval_steps=None`` selects the 1-2-5 log grid.
+    ``batch_size`` is an int or a function of the step.  ``seed``, the master
+    seed, is a nonnegative int or a tuple of them: step n's batch comes from
+    stream (seed, 1, n) and the fixed Monte Carlo sample from (seed, 0), so
+    equal configs run bit-identically.  ``eval_steps=None`` selects the 1-2-5 log grid.
     """
 
     batch_size: int | Callable[[int], int] = 100
@@ -138,19 +138,14 @@ class SgdConfig:
     eval_steps: tuple[int, ...] | None = None
     snapshot_steps: tuple[int, ...] | None = None
 
+    def __post_init__(self) -> None:
+        _entropy(self.seed)
+
     def batch_at(self, n: int) -> int:
         size = self.batch_size(n) if callable(self.batch_size) else self.batch_size
         if not (size >= 1 and float(size).is_integer()):
             raise ValueError(f"batch size must be a positive integer, got {size} at step {n}")
         return int(size)
-
-
-def _entropy(seed) -> tuple[int, ...]:
-    return (int(seed),) if np.isscalar(seed) else tuple(int(s) for s in seed)
-
-
-def _norm(x: np.ndarray) -> float:
-    return float(np.sqrt(x @ x))
 
 
 def _require_finite(theta: np.ndarray) -> np.ndarray:
@@ -209,7 +204,7 @@ def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None
         pres, acts = _forward(layers, None, _relu_unit, ws)
         delta = np.subtract(pres[-1], fvals, out=pres[-1])
         if observe is not None:
-            loss = np.sum(weights * np.sum(delta * delta, axis=-2), axis=-1)
+            loss = np.add.reduce(weights * np.add.reduce(delta * delta, axis=-2), axis=-1)
         delta *= 2.0 * weights
         _backward(layers, None, pres, acts, delta, _left_gate, ws)
         gamma = rate(n)
@@ -231,10 +226,12 @@ def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None
 class _Recorder:
     """`_train`'s observer for one trial: the rows and flat snapshots of its `Trajectory`.
 
-    Rows come at every ``log_stride``-th step and the last; V is summed in the
-    augmented order, and with ``dt`` rows carry the running integral 4L sum
-    risk dt.  A non-finite risk at step n raises `DivergenceError` with step
-    n - 1 and its parameters, or at step 0 a ValueError.
+    Rows come at every ``log_stride``-th step and the last; their parameter and
+    gradient rows are copied into a block of up to 256, whose V (summed in the
+    augmented order) and norms are taken when it fills and at the last step.
+    With ``dt`` rows carry the running integral 4L sum risk dt.  A non-finite
+    risk at step n raises `DivergenceError` with step n - 1 and its
+    parameters, or at step 0 a ValueError.
     """
 
     def __init__(self, arch, f0, steps, log_stride, snapshot_steps, dt=None):
@@ -244,11 +241,14 @@ class _Recorder:
             raise ValueError(f"log_stride must be positive, got {log_stride}")
         ctx = LyapunovContext(arch, f0)
         self.order = _augmented_order(arch.widths)
-        self.coeff, self.f0, self.depth = ctx._coeff[self.order], ctx.f0, arch.depth
+        self.coeff, self.f0, self.depth, d = ctx._coeff[self.order], ctx.f0[:, None], arch.depth, len(self.order)
         self.top_bias = np.argsort(self.order)[arch.bias_slice(arch.depth)]
         self.steps, self.stride, self.dt = steps, log_stride, dt
         self.snaps = set(geometric_checkpoints(steps) if snapshot_steps is None else snapshot_steps)
-        self.rows, self.snapshots, self.last, self.integral = [], {}, np.empty(arch.param_count), 0.0
+        rows = -(-steps // log_stride) + 1  # steps 0, stride, 2 stride, ... and the last
+        # V, parameter and gradient norm of every row; (parameters, gradient) rows not yet in them
+        self.cols, self.block = np.empty((3, rows)), np.empty((min(rows, 256), 2, d))
+        self.rows, self.fill, self.snapshots, self.last, self.integral = [], 0, {}, np.empty(d), 0.0
 
     def __call__(self, n, theta, grad, risk, gamma) -> None:
         risk, theta = float(risk[0]), theta[0]
@@ -257,19 +257,34 @@ class _Recorder:
                 raise ValueError("risk is not finite at the initial parameters")
             raise DivergenceError(n - 1, _flat(self.last, self.order), f"risk became non-finite at step {n}")
         if n % self.stride == 0 or n == self.steps:
-            v = float(np.dot(self.coeff * theta, theta)) - 2.0 * self.depth * float(np.dot(self.f0, theta[self.top_bias]))
-            self.rows.append((n, v, risk, _norm(grad[0]), _norm(theta), gamma, self.integral))
+            row = self.block[self.fill]
+            row[0], row[1] = theta, grad[0]
+            self.rows.append((n, risk, gamma, self.integral))
+            self.fill += 1
+            if self.fill == len(self.block) or n == self.steps:
+                self.flush()
         if n in self.snaps:
             self.snapshots[n] = _flat(theta, self.order)
         np.copyto(self.last, theta)
         if self.dt is not None:
             self.integral += 4.0 * self.depth * risk * self.dt
 
+    def flush(self) -> None:
+        """V and the norms of the block's rows, as stacked vector products, which numpy sums as `np.dot`."""
+        end = len(self.rows)
+        block, cols = self.block[: self.fill, :, None], self.cols[:, end - self.fill : end]
+        theta = block[:, 0]
+        np.sqrt((block @ block.swapaxes(-1, -2))[..., 0, 0].T, out=cols[1:])
+        v = ((theta * self.coeff) @ theta.swapaxes(-1, -2))[:, 0, 0]
+        np.subtract(v, 2.0 * self.depth * (theta[..., self.top_bias] @ self.f0)[:, 0, 0], out=cols[0])
+        self.fill = 0
+
     def trajectory(self, input_scale, mass, mc_steps=None, mc_risk=None) -> Trajectory:
-        steps, *cols, integral = (np.asarray(col) for col in zip(*self.rows))
+        steps, risk, gamma, integral = np.array(self.rows).T
+        steps = steps.astype(np.int64)
         gf = self.dt is not None
-        return Trajectory(steps.astype(np.int64), *cols, self.snapshots, input_scale, mass,
-                          steps * self.dt if gf else None, integral if gf else None, mc_steps, mc_risk)
+        return Trajectory(steps, self.cols[0], risk, self.cols[2], self.cols[1], gamma, self.snapshots, input_scale,
+                          mass, steps * self.dt if gf else None, integral if gf else None, mc_steps, mc_risk)
 
 
 def _measure_run(arch, theta0, measure, target, schedule, steps, log_stride, snapshot_steps, dt=None) -> Trajectory:
@@ -358,14 +373,16 @@ def _sgd_train(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe=None):
     eval_grid = _eval_grid(cfg)
     trials, span, entropy = theta0s.shape[0], b - a, _entropy(cfg.seed)
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+    if xi.shape != (arch.widths[-1],):
+        raise ValueError(f"xi has shape {xi.shape}, expected ({arch.widths[-1]},) for output width {arch.widths[-1]}")
+    streams = _KeyedStreams(entropy + (1,), cfg.steps + 1)
 
     def batch(n, blocks, ws):
         m = cfg.batch_at(n)
         if ws is None or ws.draw.shape[1] != m:
             ws = _Workspace(blocks, m)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy + (1, n))))
         # a + span * u, in that order, into the x rows of the first layer's [x; 1]
-        np.multiply(rng.random(out=ws.draw), span, out=ws.draw)
+        np.multiply(streams(n).random(out=ws.draw), span, out=ws.draw)
         np.add(a, ws.draw, out=ws.inputs[0][..., :-1, :].swapaxes(-1, -2))
         return ws, 1.0 / m
 
@@ -414,11 +431,10 @@ def sgd_run(
 
 def gaussian_init(arch: Architecture, seed, scale: float, trials: int) -> np.ndarray:
     """Per-trial N(0, scale^2) initial parameters from streams (seed, 2, t)."""
-    entropy = _entropy(seed)
+    streams = _KeyedStreams(_entropy(seed) + (2,), trials)
     out = np.empty((trials, arch.param_count))
     for t in range(trials):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy + (2, t))))
-        out[t] = rng.normal(0.0, scale, arch.param_count)
+        out[t] = streams(t).normal(0.0, scale, arch.param_count)
     return out
 
 

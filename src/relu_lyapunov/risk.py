@@ -4,7 +4,7 @@ A DiscreteMeasure is a finite weighted point set on a box [a, b]^dim; the
 exact risk is the weighted sum of squared output errors over its points.
 Sampling-based quantities (minibatch risk, Monte Carlo population risk) use
 UniformSampler streams, which are keyed so runs are reproducible and
-splittable.
+splittable: a key's stream is numpy's ``Generator(PCG64(SeedSequence(key)))``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,90 @@ import numpy as np
 from .activation import DEFAULT_CLAMP, ClampConfig
 from .arch import Architecture, check_params, layer_views
 from .network import _forward, _relu_unit, _smooth_unit
+
+
+def _entropy(seed) -> tuple[int, ...]:
+    """The key words of a seed: a nonnegative Python or numpy int, or a tuple of them."""
+    words = seed if isinstance(seed, tuple) else (seed,)
+    for word in words:
+        if isinstance(word, bool) or not isinstance(word, (int, np.integer)):
+            raise TypeError(f"seed must be a nonnegative integer or a tuple of them, got {seed!r}")
+        if word < 0:
+            raise ValueError("expected non-negative integer")
+    return tuple(map(int, words))
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value``'s little-endian 32-bit words, as `SeedSequence` splits an int (0 is [0])."""
+    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init mult^i mod 2^32, i = 0..count: `SeedSequence`'s hash call i xors entry i, multiplies by entry i + 1."""
+    return np.multiply.accumulate(np.array([init] + [mult] * count, dtype=np.uint32), dtype=np.uint32)[:, None]
+
+
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG64_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) after seeding from `SeedSequence` of each column of a (words, keys) uint32 block."""
+    consts = _hash_consts(0x43B0D7E5, 0x931E8875, 16 + 4 * max(len(entropy) - 4, 0))
+
+    def hashmix(value, i, count):
+        value = (value ^ consts[i : i + count]) * consts[i + 1 : i + count + 1]
+        return value ^ value >> _SHIFT
+
+    def mix(x, y):
+        x = x * _MIX_L - y * _MIX_R
+        return x ^ x >> _SHIFT
+
+    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:4]
+    pool = hashmix(pool, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
+    for j, word in enumerate(entropy[4:]):
+        pool = mix(pool, hashmix(word, 16 + 4 * j, 4))
+    out = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:8]) * _HASH_B[1:]
+    out ^= out >> _SHIFT
+    # generate_state(4, uint64) gives (seed_hi, seed_lo, inc_hi, inc_lo), and
+    # pcg64_set_seed steps from 0 with inc, adds the seed and steps again
+    words = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").tolist()
+    seeds = [(s_hi << 64 | s_lo, (i_hi << 65 | i_lo << 1 | 1) & _MASK128) for s_hi, s_lo, i_hi, i_lo in words]
+    return [((seed + inc) * _PCG64_MULT + inc & _MASK128, inc) for seed, inc in seeds]
+
+
+class _KeyedStreams:
+    """The streams ``prefix + (k,)``, k < stop, each numpy's ``Generator(PCG64(SeedSequence(prefix + (k,))))``.
+
+    With 16 keys or more left, one pass vectorized over k derives up to 256 keys' PCG64 states, set one
+    per call on a reused `Generator` (valid until the next call); with fewer, numpy's set-up is cheaper.
+    """
+
+    def __init__(self, prefix: tuple[int, ...], stop: int):
+        self.prefix, self.stop, self.start, self.states, self.gen, self.record = prefix, stop, 0, [], None, None
+
+    def __call__(self, k: int) -> np.random.Generator:
+        i = k - self.start
+        if not 0 <= i < len(self.states):
+            if self.stop - k < 16:
+                return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.prefix + (k,))))
+            key = _uint32_words(k)  # the keys of a block differ in their lowest word only
+            count = min(self.stop - k, 256, 2**32 - key[0])
+            words = [w for p in self.prefix for w in _uint32_words(p)] + key
+            block = np.repeat(np.array(words, dtype=np.uint32)[:, None], count, axis=1)
+            block[-len(key)] += np.arange(count, dtype=np.uint32)
+            self.start, self.states, i = k, _pcg64_states(block), 0
+        if self.gen is None:
+            self.gen = np.random.Generator(np.random.PCG64(0))
+            self.record = self.gen.bit_generator.state
+        self.record["state"]["state"], self.record["state"]["inc"] = self.states[i]
+        self.gen.bit_generator.state = self.record
+        return self.gen
 
 
 def _check_box(a, b) -> tuple[float, float]:
@@ -128,7 +212,7 @@ class TargetSpec:
 class UniformSampler:
     """Uniform draws on [a, b)^dim from a keyed, reproducible stream.
 
-    ``seed`` may be an int or a tuple of ints.  ``derive(*key)`` returns an
+    ``seed`` is a nonnegative int or a tuple of them.  ``derive(*key)`` returns an
     independent child stream; equal seeds give equal sequences, so splitting
     a master seed into per-step keys makes every batch reproducible without
     keeping generator state around.
@@ -149,7 +233,7 @@ class UniformSampler:
 
     @property
     def entropy(self) -> tuple[int, ...]:
-        return (self.seed,) if isinstance(self.seed, int) else tuple(self.seed)
+        return _entropy(self.seed)
 
     def derive(self, *key: int) -> "UniformSampler":
         return UniformSampler(self.a, self.b, self.dim, self.entropy + tuple(key))

@@ -194,6 +194,34 @@ def test_sgd_run_divergence_raises():
     _check_divergence(arch, run)
 
 
+def test_divergence_mid_logging_block():
+    """A rate that turns large at step 300 blows up in the middle of the
+    second 256-row logging block: the error still carries the last finite step
+    and its flat parameters, the final snapshot of a rerun that stops there."""
+    arch, measure, target, theta0 = shallow_problem()
+    sampler = UniformSampler(0.0, 1.0, 1)
+
+    def rate(n):
+        return 1e-3 if n < 300 else 50.0
+
+    def gd(steps, stride):
+        return gd_run(arch, theta0, measure, target, rate, steps, log_stride=stride, snapshot_steps=(steps,))
+
+    def sgd(steps, stride):
+        cfg = SgdConfig(batch_size=20, steps=steps, seed=8, eval_steps=(), log_stride=stride, snapshot_steps=(steps,))
+        return sgd_run(arch, theta0, rate, sampler, 1.0, cfg)
+
+    for run in (gd, sgd):
+        for stride in (1, 3):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+                run(1000, stride)
+            step, theta = err.value.step, err.value.theta
+            assert 300 <= step < 511 and step % 256 not in (0, 255)
+            assert f"non-finite at step {step + 1}" in str(err.value)
+            assert theta.shape == (arch.param_count,) and np.isfinite(theta).all()
+            np.testing.assert_array_equal(theta, run(step, stride).snapshots[step])
+
+
 def test_gf_euler_warns_above_threshold():
     arch, measure, target, theta0 = shallow_problem()
     thr = gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale)
@@ -315,6 +343,17 @@ def test_ensemble_statistics_shapes():
     assert res.mean_risk.shape == (len(res.eval_steps),)
     assert res.std_error.shape == (len(res.eval_steps),)
     assert np.all(res.std_error >= 0.0)
+
+
+def test_ensemble_rejects_xi_of_the_wrong_width():
+    # a two-entry xi on a scalar-output net used to return the risk summed
+    # over both targets at steps=0, and fail inside the step otherwise
+    arch = Architecture((1, 3, 1))
+    theta0s = gaussian_init(arch, seed=0, scale=0.5, trials=2)
+    for steps, eval_steps in ((0, (0,)), (5, None)):
+        cfg = SgdConfig(steps=steps, eval_steps=eval_steps)
+        with pytest.raises(ValueError, match=r"xi has shape \(2,\), expected \(1,\) for output width 1"):
+            sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, [1.0, 2.0], cfg)
 
 
 def test_ensemble_validates_inputs():
@@ -520,8 +559,10 @@ def test_descent_certificate_void_when_delta_at_least_one():
 REFERENCE_RTOL = 1e-14
 
 
-def _reference_trajectory(arch, theta0, f0, gamma, steps, grad_and_risk, snapshot_steps, dt=None, evaluate=None, eval_steps=()):
-    """theta_{n+1} = theta_n - gamma G_n with every logged quantity recomputed by a public function."""
+def _reference_trajectory(arch, theta0, f0, gamma, steps, grad_and_risk, snapshot_steps, dt=None, evaluate=None,
+                          eval_steps=(), stride=1):
+    """theta_{n+1} = theta_n - gamma G_n with every logged quantity recomputed by
+    a public function; rows at every ``stride``-th step and the last."""
     ctx = LyapunovContext(arch, f0)
     theta, rows, snaps, mc, integral = theta0.copy(), [], {}, [], 0.0
     for n in range(steps + 1):
@@ -534,7 +575,8 @@ def _reference_trajectory(arch, theta0, f0, gamma, steps, grad_and_risk, snapsho
         if dt is not None:
             integral += 4.0 * arch.depth * risk * dt
         theta = theta - gamma * grad
-    return np.array(rows).T, snaps, np.array(mc)
+    rows = np.array(rows).T
+    return rows[:, (rows[0] % stride == 0) | (rows[0] == steps)], snaps, np.array(mc)
 
 
 def _assert_matches_reference(traj, reference, dt=None):
@@ -561,9 +603,16 @@ def _assert_matches_reference(traj, reference, dt=None):
 
 
 # the presets 1,7,1 and 1,3,7,1, two inputs and two outputs; gd and gf also
-# fit a non-constant target
+# fit a non-constant target.  Rows are taken in blocks of 256: 255, 256 and 257
+# steps log 256, 257 and 258 rows, so the last block is full, one row and two
+# rows; log_stride 3 logs 87 rows, the last one off the stride.
 @pytest.mark.parametrize("widths", [(1, 7, 1), (1, 3, 7, 1), (2, 5, 1), (1, 4, 2)], ids=lambda w: "-".join(map(str, w)))
 def test_single_runs_match_reference_loop(widths):
+    for steps, stride in ((255, 1), (256, 1), (257, 1), (257, 3)):
+        _check_single_runs(widths, steps, stride)
+
+
+def _check_single_runs(widths, steps, stride):
     arch = Architecture(widths)
     theta0 = gaussian_init(arch, seed=5, scale=widths[1] ** -0.5, trials=1)[0]
     xi = np.linspace(0.5, 1.0, widths[-1])
@@ -573,21 +622,22 @@ def test_single_runs_match_reference_loop(widths):
         TargetSpec.constant(xi),
         TargetSpec.from_function(lambda p: xi + np.sin(3.0 * p.sum()) * np.arange(1, widths[-1] + 1), xi),
     ]
-    snaps = (0, 17, 60)
+    snaps = (0, 17, steps)
     for target in targets:
         gamma = 0.9 * gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale)
 
         def full(n, theta):
             return generalized_gradient(arch, theta, measure, target), risk_exact(arch, theta, measure, target)
 
-        traj = gd_run(arch, theta0, measure, target, gamma, 60, snapshot_steps=snaps)
-        _assert_matches_reference(traj, _reference_trajectory(arch, theta0, target.f0, gamma, 60, full, snaps))
-        traj = gf_euler_run(arch, theta0, measure, target, 0.5 * gamma, 60, snapshot_steps=snaps)
-        reference = _reference_trajectory(arch, theta0, target.f0, 0.5 * gamma, 60, full, snaps, dt=0.5 * gamma)
+        traj = gd_run(arch, theta0, measure, target, gamma, steps, stride, snaps)
+        _assert_matches_reference(traj, _reference_trajectory(arch, theta0, target.f0, gamma, steps, full, snaps, stride=stride))
+        traj = gf_euler_run(arch, theta0, measure, target, 0.5 * gamma, steps, stride, snaps)
+        reference = _reference_trajectory(arch, theta0, target.f0, 0.5 * gamma, steps, full, snaps, dt=0.5 * gamma, stride=stride)
         _assert_matches_reference(traj, reference, dt=0.5 * gamma)
 
     sampler = UniformSampler(0.0, 1.0, widths[0])
-    cfg = SgdConfig(batch_size=15, steps=60, seed=(4, 1), eval_samples=3_000, eval_steps=(0, 33, 60), snapshot_steps=snaps)
+    cfg = SgdConfig(batch_size=15, steps=steps, seed=(4, 1), log_stride=stride, eval_samples=3_000,
+                    eval_steps=(0, 33, steps), snapshot_steps=snaps)
     eval_points = sampler.with_seed((4, 1, 0)).sample(cfg.eval_samples)
 
     def minibatch(n, theta):
@@ -596,8 +646,8 @@ def test_single_runs_match_reference_loop(widths):
 
     traj = sgd_run(arch, theta0, 2e-3, sampler, xi, cfg)
     reference = _reference_trajectory(
-        arch, theta0, xi, 2e-3, 60, minibatch, snaps,
-        evaluate=lambda theta: empirical_risk(arch, theta, eval_points, xi), eval_steps=cfg.eval_steps,
+        arch, theta0, xi, 2e-3, steps, minibatch, snaps,
+        evaluate=lambda theta: empirical_risk(arch, theta, eval_points, xi), eval_steps=cfg.eval_steps, stride=stride,
     )
     _assert_matches_reference(traj, reference)
     np.testing.assert_array_equal(traj.mc_steps, cfg.eval_steps)

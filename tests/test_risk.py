@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relu_lyapunov import (
     Architecture,
@@ -12,6 +14,7 @@ from relu_lyapunov import (
     risk_exact,
     risk_smooth,
 )
+from relu_lyapunov.risk import _KeyedStreams
 
 
 def test_uniform_grid_properties():
@@ -175,3 +178,27 @@ def test_population_risk_mc_needs_two_samples():
     sampler = UniformSampler(0.0, 1.0, 1, seed=0)
     with pytest.raises(ValueError):
         population_risk_mc(arch, np.zeros(2), sampler, 0.0, 1)
+
+
+words = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70))
+
+
+@st.composite
+def key_ranges(draw):
+    """A first key and a stop: one-word, two-word and 2**32-straddling keys, and
+    ranges just around the 16-key and 256-key sizes of a derived block."""
+    first = draw(st.one_of(st.integers(0, 600), st.integers(2**32 - 300, 2**32 + 20), st.integers(2**32, 2**64)))
+    return first, first + draw(st.one_of(st.integers(1, 20), st.integers(250, 262), st.integers(500, 520)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(words, min_size=1, max_size=5).map(tuple), key_ranges())
+def test_keyed_streams_equal_numpy_seed_sequence_streams(prefix, keys):
+    """Every stream, derived in blocks or one by one, is numpy's keyed stream:
+    the same PCG64 state and the same first uniform and normal draws."""
+    first, stop = keys
+    streams = _KeyedStreams(prefix, stop)
+    for k in range(first, stop):
+        got, want = streams(k), np.random.Generator(np.random.PCG64(np.random.SeedSequence(prefix + (k,))))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random() == want.random() and got.normal() == want.normal()

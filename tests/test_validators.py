@@ -1,6 +1,8 @@
 """Property tests for the validators at the package boundary: every valid
 input is accepted, and every non-finite, non-positive or empty-box input
-raises ValueError, never another exception or a silent result."""
+raises ValueError, never another exception or a silent result.  A seed that
+is not a nonnegative integer or a tuple of them raises TypeError, or
+ValueError for a negative word, as numpy's `SeedSequence` does."""
 
 import math
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relu_lyapunov import DiscreteMeasure, SgdConfig, UniformSampler
+from relu_lyapunov import Architecture, DiscreteMeasure, SgdConfig, UniformSampler, gaussian_init
 from relu_lyapunov.optimize import _rate_fn
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -139,3 +141,57 @@ def test_rate_fn_rejects_negative_or_non_finite_steps(value, n):
     rate = _rate_fn(lambda k: value)
     with pytest.raises(ValueError, match="invalid step size"):
         rate(n)
+
+
+seed_word = st.one_of(
+    st.integers(0, 2**70),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(0, 2**32 - 1).map(np.uint32),
+)
+seeds = st.one_of(seed_word, st.lists(seed_word, max_size=4).map(tuple))
+ARCH = Architecture((1, 2, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_seed_rule_accepts_nonnegative_python_and_numpy_ints(seed):
+    """SgdConfig, gaussian_init and UniformSampler take one seed rule, and a
+    numpy int keys the same streams as the equal Python int."""
+    plain = tuple(int(w) for w in seed) if isinstance(seed, tuple) else int(seed)
+    assert SgdConfig(seed=seed).seed == seed
+    np.testing.assert_array_equal(gaussian_init(ARCH, seed, 1.0, 2), gaussian_init(ARCH, plain, 1.0, 2))
+    np.testing.assert_array_equal(UniformSampler(0.0, 1.0, 1, seed).sample(3), UniformSampler(0.0, 1.0, 1, plain).sample(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.floats(),
+        st.booleans(),
+        st.sampled_from([np.float64(1.0), np.bool_(True), "1", None, [1, 2]]),
+    ),
+    st.lists(seed_word, max_size=2),
+)
+def test_seed_rule_rejects_non_integers(word, others):
+    # seed=1.5 and seed=True used to run as seed 1
+    for seed in (word, tuple(others) + (word,)):
+        with pytest.raises(TypeError, match="seed must be"):
+            SgdConfig(seed=seed)
+        with pytest.raises(TypeError, match="seed must be"):
+            gaussian_init(ARCH, seed, 1.0, 2)
+        with pytest.raises(TypeError, match="seed must be"):
+            UniformSampler(0.0, 1.0, 1, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(max_value=-1), st.integers(-(2**63), -1).map(np.int64)), st.lists(seed_word, max_size=2))
+def test_seed_rule_rejects_negative_words(word, others):
+    # 20 trials take the block-derived streams, whose word split never ends on a negative int
+    for seed in (word, tuple(others) + (word,)):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            SgdConfig(seed=seed)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            gaussian_init(ARCH, seed, 1.0, 20)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            UniformSampler(0.0, 1.0, 1, seed)
