@@ -365,8 +365,8 @@ class EnsembleResult:
 def _sgd_train(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe=None):
     """`_train` on keyed batches, with the Monte Carlo risks at the evaluation steps.
 
-    Trial t reads row t of the step-n block from stream (seed, 1, n), each
-    point weighing 1/m, and row t of the evaluation block from (seed, 0).
+    Trial t reads row t of the step-n block from numpy's `SeedSequence` stream
+    (seed, 1, n), each point weighing 1/m, and of the eval block from (seed, 0).
     """
     a, b = _check_box(a, b)
     rate = _rate_fn(schedule)
