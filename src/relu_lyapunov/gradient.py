@@ -57,25 +57,27 @@ def _backward(
     derivative of the unit after hidden layer k.  Through a fan-out-1 layer
     the delta is back-propagated as the broadcast product ``W_k^T * delta``.
 
-    With the workspace ``ws`` that `_forward` ran on, the sweep allocates
-    nothing large: layer k's gradient is the one product
+    With the workspace ``ws`` that `_forward` ran on, the sweep is a fixed
+    sequence of ``out=`` calls on the views ``ws`` binds and returns
+    ``ws.splits``: layer k's gradient is the one product
     ``delta_k @ [h; 1]^T`` written into ``ws.grads[k-1]``, its bias column a
     product with the ones row rather than a sum; ``gate`` takes an ``out``
     argument, as `_left_gate` does, and each layer's delta overwrites its
-    preactivation in ``pres`` once the gate is taken.  With scalar output
+    preactivation in ``ws.pres`` once the gate is taken.  With scalar output
     (l_L = 1, L >= 2) the sweep never forms delta_{L-1} = w^T * delta * G,
     with ``w = W_L[..., 0, :]``, ``G`` the gate after layer L-1 and ``a`` the
     input of layer L-1: ``w`` is factored out of layer L-1's gradients,
     ``w[..., :, None] * (D @ [a; 1]^T)`` with ``D = G * delta``, and the loop
-    continues from ``delta_{L-2} = ((W_{L-1}^T * w[..., None, :]) @ D) * gate(L-2)``.
+    continues from ``delta_{L-2} = ((W_{L-1}^T * w[..., None, :]) @ D) * gate(L-2)``,
+    the product in brackets written into ``ws.back``.
     For a 1 -> h -> 1 network (L = 2, one input) delta goes on the two-row
     side instead: ``w[..., :, None] * (G @ (delta * [x; 1])^T)``.  This skips
     the broadcasts over the (trials, l_{L-1}, M) delta.  Without a workspace
     (the public gradient functions and the tests' reference loops) the sweep
     is the plain layer-by-layer loop.
     """
-    grads = []
     if ws is None:
+        grads = []
         for k in range(len(layers), 0, -1):
             inputs = acts[k - 2] if k > 1 else points
             grads.append((delta @ inputs.swapaxes(-1, -2), delta.sum(axis=-1)))
@@ -85,43 +87,34 @@ def _backward(
                 delta *= gate(k - 1, pres[k - 2])
         return grads[::-1]
 
-    def layer_grad(k, d):
-        both = np.matmul(d, ws.inputs[k - 1].swapaxes(-1, -2), out=ws.grads[k - 1])
-        return both[..., :-1], both[..., -1]
-
-    def gate_at(k):
-        return gate(k, pres[k - 1], ws.gates[k - 1])
-
-    top = len(layers)
-    if top > 1 and layers[-1][0].shape[-2] == 1:
-        w = layers[-1][0][..., 0, :]
-        grads.append(layer_grad(top, delta))
+    top = len(ws.blocks)
+    if ws.factored:
+        np.matmul(delta, ws.inputs_t[top - 1], out=ws.grads[top - 1])
         # the gate as floats, over the spent preactivation: it multiplies the
         # broadcast delta ~1.5x faster than as bools
-        g = pres[top - 2]
-        np.copyto(g, gate_at(top - 1))
-        if top == 2 and layers[0][0].shape[-1] == 1:
-            scaled = np.multiply(delta, ws.inputs[0], out=ws.scaled)
-            both = np.matmul(g, scaled.swapaxes(-1, -2), out=ws.grads[0])
+        g = ws.pres[top - 2]
+        np.copyto(g, gate(top - 1, g, ws.gates[top - 2]))
+        if ws.narrow:
+            np.multiply(delta, ws.inputs[0], out=ws.scaled)
+            both = np.matmul(g, ws.scaled_t, out=ws.grads[0])
         else:
-            gated = np.multiply(g, delta, out=g)
-            both = np.matmul(gated, ws.inputs[top - 2].swapaxes(-1, -2), out=ws.grads[top - 2])
+            np.multiply(g, delta, out=g)
+            both = np.matmul(g, ws.inputs_t[top - 2], out=ws.grads[top - 2])
             if top > 2:
-                g = gate_at(top - 2)
-                back = layers[top - 2][0].swapaxes(-1, -2) * w[..., None, :]
-                delta = np.matmul(back, gated, out=pres[top - 3])
-                delta *= g
-        both *= w[..., :, None]
-        grads.append((both[..., :-1], both[..., -1]))
+                below = gate(top - 2, ws.pres[top - 3], ws.gates[top - 3])
+                np.multiply(ws.weights_t[top - 2], ws.w_row, out=ws.back)
+                delta = np.matmul(ws.back, g, out=ws.pres[top - 3])
+                delta *= below
+        both *= ws.w_col
         top -= 2
     for k in range(top, 0, -1):
-        grads.append(layer_grad(k, delta))
+        np.matmul(delta, ws.inputs_t[k - 1], out=ws.grads[k - 1])
         if k > 1:
-            back = layers[k - 1][0].swapaxes(-1, -2)
-            g = gate_at(k - 1)
-            delta = (np.multiply if back.shape[-1] == 1 else np.matmul)(back, delta, out=pres[k - 2])
-            delta *= g
-    return grads[::-1]
+            below = gate(k - 1, ws.pres[k - 2], ws.gates[k - 2])
+            back = ws.weights_t[k - 1]
+            delta = (np.multiply if back.shape[-1] == 1 else np.matmul)(back, delta, out=ws.pres[k - 2])
+            delta *= below
+    return ws.splits
 
 
 def _grad_core(

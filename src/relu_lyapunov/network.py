@@ -14,6 +14,7 @@ contiguous axis runs over samples rather than over a handful of neurons.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,39 +74,70 @@ def _smooth_unit(sharpness: float, cfg: ClampConfig):
 
 
 class _Workspace:
-    """The buffers of the passes over one trial-stacked block at batch size m, allocated once.
+    """The buffers of the passes over one trial-stacked block at batch size m, and every view of them, bound once.
 
     The block's parameters are the augmented (trials, l_k, l_{k-1} + 1)
     matrices ``blocks[k-1] = [W_k b_k]``, views of one (trials, d) array in
-    `_augmented_order`.  ``inputs[k-1]`` is layer k's input [h; 1] as
-    (trials, l_{k-1} + 1, m), its ones row written here once, so layer k is the
-    one product ``blocks[k-1] @ inputs[k-1]`` and its gradient [dW_k db_k] the
-    one product ``delta_k @ inputs[k-1]^T``, written into ``grads[k-1]``, a view
-    of the (trials, d) gradient block ``grad`` laid out like the parameters.
-    ``pres[k-1]`` holds layer k's preactivation and, once its gate is taken
-    into ``gates[k-1]``, layer k's delta.  ``draw`` is the
-    (trials, m, l_0) buffer a batch is drawn into and ``scaled`` the
-    (trials, l_0 + 1, m) product delta * [x; 1] of the 1 -> h -> 1 sweep.
+    `_augmented_order` that the caller updates in place; ``layers`` are their
+    ``(W_k, b_k)`` splits and ``weights_t[k-1]`` is ``W_k^T``.  ``inputs[k-1]``
+    is layer k's input [h; 1] as (trials, l_{k-1} + 1, m), its ones row written
+    here once, so layer k is the one product ``blocks[k-1] @ inputs[k-1]`` and
+    its gradient [dW_k db_k] the one product ``delta_k @ inputs_t[k-1]``
+    (``inputs_t`` the transposes), written into ``grads[k-1]``, a view of the
+    (trials, d) gradient block ``grad`` laid out like the parameters, and split
+    into ``splits[k-1] = (dW_k, db_k)``.  ``points`` are the x rows of the first
+    [x; 1], which a caller fills, and ``hidden[k-1]`` the h_k rows of layer
+    k + 1's input, which the unit writes.  ``pres[k-1]`` holds layer k's
+    preactivation and, once its gate is taken into ``gates[k-1]``, layer k's
+    delta.  ``draw`` is the (trials, m, l_0) buffer a batch is drawn into and
+    ``draw_target`` the points as (trials, m, l_0).
+
+    With scalar output (l_L = 1, L >= 2) `_backward` factors the output weights
+    out of the last hidden layer: ``w_col``/``w_row`` are ``w = W_L[..., 0, :]``
+    as a column and a row, and ``back`` (L >= 3) holds ``W_{L-1}^T * w_row``.
+    For a 1 -> h -> 1 network (``narrow``) ``scaled`` holds the
+    (trials, 2, m) product delta * [x; 1] instead.
     """
 
     def __init__(self, blocks: list[np.ndarray], m: int):
         trials = blocks[0].shape[0]
         widths = [blocks[0].shape[-1] - 1] + [a.shape[-2] for a in blocks]
+        depth = len(blocks)
         self.blocks = blocks
+        self.layers = [(a[..., :-1], a[..., -1]) for a in blocks]
+        self.weights_t = [w.swapaxes(-1, -2) for w, _ in self.layers]
         self.draw = np.empty((trials, m, widths[0]))
         # stored row-major as (width, trials, m) and viewed as (trials, width, m):
         # the hidden rows of [h; 1] are then one contiguous block, which the
         # unit writes ~1.6x faster than trials-many strided blocks
         self.inputs = [np.ones((w + 1, trials, m)).transpose(1, 0, 2) for w in widths[:-1]]
-        self.scaled = np.empty((widths[0] + 1, trials, m)).transpose(1, 0, 2)
+        self.inputs_t = [a.swapaxes(-1, -2) for a in self.inputs]
+        self.points = self.inputs[0][..., :-1, :]
+        self.draw_target = self.points.swapaxes(-1, -2)
+        self.hidden = [a[..., :-1, :] for a in self.inputs[1:]]
         self.pres = [np.empty((w, trials, m)).transpose(1, 0, 2) for w in widths[1:]]
         self.gates = [np.empty((w, trials, m), dtype=bool).transpose(1, 0, 2) for w in widths[1:-1]]
         self.grad = np.empty((trials, sum(a[0].size for a in blocks)))
         self.grads = _augmented_blocks(widths, self.grad)
+        self.splits = [(g[..., :-1], g[..., -1]) for g in self.grads]
+        self.factored = depth > 1 and widths[-1] == 1
+        self.narrow = self.factored and depth == 2 and widths[0] == 1
+        if self.factored:
+            w = self.layers[-1][0][..., 0, :]
+            self.w_col, self.w_row = w[..., :, None], w[..., None, :]
+        if self.narrow:
+            self.scaled = np.empty((2, trials, m)).transpose(1, 0, 2)
+            self.scaled_t = self.scaled.swapaxes(-1, -2)
+        elif self.factored and depth > 2:
+            self.back = np.empty((trials, widths[-3], widths[-2]))
 
 
-def _augmented_order(widths) -> np.ndarray:
-    """Flat positions of the augmented layout: ``theta[..., order]`` lists each [W_k b_k] row-major."""
+@functools.lru_cache(maxsize=64)
+def _augmented_order(widths: tuple[int, ...]) -> np.ndarray:
+    """Flat positions of the augmented layout: ``theta[..., order]`` lists each [W_k b_k] row-major.
+
+    Built once per ``widths`` and shared, so the array is read-only.
+    """
     order = []
     start = 0
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
@@ -113,7 +145,9 @@ def _augmented_order(widths) -> np.ndarray:
         weights = flat[: fan_out * fan_in].reshape(fan_out, fan_in)
         order.append(np.concatenate((weights, flat[fan_out * fan_in :, None]), axis=1).ravel())
         start += fan_out * (fan_in + 1)
-    return np.concatenate(order)
+    order = np.concatenate(order)
+    order.flags.writeable = False
+    return order
 
 
 def _augmented_blocks(widths, array: np.ndarray) -> list[np.ndarray]:
@@ -138,19 +172,24 @@ def _forward(
     of networks, each on its own points.  ``unit(k, z)`` is the nonlinearity
     after hidden layer k: `_relu_unit` or a `_smooth_unit`.
 
-    With a workspace ``ws`` the pass reads ``ws.blocks`` and the points already
-    in ``ws.inputs[0]``, allocates nothing and returns views of its buffers;
+    With a workspace ``ws`` (whose ``layers`` and ``points`` the caller
+    passes) the pass reads ``ws.blocks`` and the points already in
+    ``ws.points``, allocates nothing and returns ``ws.pres`` and ``ws.hidden``;
     ``unit`` then takes an ``out`` argument, as `_relu_unit` does.  Each
     layer's bias then enters through the ones row of its input rather than an
     add, which moves outputs at the rounding level.
     """
+    if ws is not None:
+        for k, (block, z) in enumerate(zip(ws.blocks, ws.pres), start=1):
+            np.matmul(block, ws.inputs[k - 1], out=z)
+            if k < len(ws.blocks):
+                unit(k, z, ws.hidden[k - 1])
+        return ws.pres, ws.hidden
     pres: list[np.ndarray] = []
     acts: list[np.ndarray] = []
     h = points
     for k, (w, b) in enumerate(layers, start=1):
-        if ws is not None:
-            z = np.matmul(ws.blocks[k - 1], ws.inputs[k - 1], out=ws.pres[k - 1])
-        elif w.shape[-1] == 1:
+        if w.shape[-1] == 1:
             # fan-in 1: [W_k b_k] @ [h; 1] runs several times faster than W_k * h + b_k
             z = np.concatenate((w, b[..., None]), axis=-1) @ np.concatenate((h, np.ones_like(h)), axis=-2)
         else:
@@ -158,7 +197,7 @@ def _forward(
             z += b[..., None]
         pres.append(z)
         if k < len(layers):
-            h = unit(k, z) if ws is None else unit(k, z, ws.inputs[k][..., :-1, :])
+            h = unit(k, z)
             acts.append(h)
     return pres, acts
 

@@ -28,8 +28,8 @@ from relu_lyapunov import (
     sgd_threshold,
 )
 from relu_lyapunov.gradient import _backward, _left_gate
-from relu_lyapunov.network import _forward, _relu_unit
-from relu_lyapunov.optimize import decade_steps, geometric_checkpoints
+from relu_lyapunov.network import _augmented_order, _forward, _relu_unit
+from relu_lyapunov.optimize import _eval_chunk, decade_steps, geometric_checkpoints
 
 
 def shallow_problem():
@@ -488,6 +488,66 @@ def test_ensemble_workspace_matches_reference_loop(widths):
     risk, theta = _reference_ensemble(arch, theta0s, 2e-3, xi, cfg)
     assert np.abs(res.theta_final - theta).max() <= 1e-15 * np.abs(theta).max()
     assert np.abs(res.risk - risk).max() <= 1e-15 * np.abs(risk).max()
+
+
+def _reference_mc_risk(arch, thetas, xi, cfg):
+    """The Monte Carlo risks of (trials, d) flat parameters on the (seed, 0)
+    sample through the allocating `_forward`, chunk by chunk and summed in the
+    same order as the workspace path, so that only the kernel differs; and the
+    mean squared outputs, the scale of that kernel's rounding."""
+    trials, depth = len(thetas), arch.depth
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 0))))
+    points = rng.random((trials, cfg.eval_samples, arch.widths[0])).swapaxes(-1, -2)
+    layers = [
+        (thetas[:, arch.weight_slice(k)].reshape(trials, arch.widths[k], arch.widths[k - 1]), thetas[:, arch.bias_slice(k)])
+        for k in range(1, depth + 1)
+    ]
+    chunk, total, scale = _eval_chunk(trials), np.zeros(trials), np.zeros(trials)
+    for s0 in range(0, cfg.eval_samples, chunk):
+        out = _forward(layers, points[..., s0 : s0 + chunk], _relu_unit)[0][-1]
+        total += np.sum(np.sum((out - xi[:, None]) ** 2, axis=1), axis=1)
+        scale += np.sum(np.sum(out**2, axis=1), axis=1)
+    return total / cfg.eval_samples, scale / cfg.eval_samples
+
+
+@pytest.mark.parametrize("widths", [(1, 7, 1), (1, 3, 7, 1)], ids=lambda w: "-".join(map(str, w)))
+@pytest.mark.parametrize("trials, samples", [(100, 10_001), (1, 2_501)])
+def test_ensemble_ragged_eval_chunk_matches_allocating_forward(widths, trials, samples):
+    """A sample count that is no multiple of the chunk ends in a one-sample
+    chunk on a workspace of its own; both workspaces are reused at every
+    checkpoint over the parameters the steps update in place.  The workspace
+    adds each bias as a product with a ones row, which moves an output N by
+    ~1e-16 |N|: within 1e-15 of the larger of the risks' max and the mean
+    squared output, since where N is near the target a risk's own relative
+    error grows as |N| / |N - xi|."""
+    assert samples % _eval_chunk(trials) == 1
+    arch = Architecture(widths)
+    theta0s = gaussian_init(arch, seed=7, scale=widths[1] ** -0.5, trials=trials)
+    cfg = SgdConfig(batch_size=20, steps=4, seed=21, eval_samples=samples, eval_steps=(0, 2, 4))
+    res = sgd_ensemble(arch, theta0s, 2e-3, 0.0, 1.0, 1.0, cfg)
+    thetas = [sgd_ensemble(arch, theta0s, 2e-3, 0.0, 1.0, 1.0, replace(cfg, steps=n, eval_steps=())).theta_final
+              for n in cfg.eval_steps]
+    risk, scale = map(np.stack, zip(*(_reference_mc_risk(arch, theta, np.ones(1), cfg) for theta in thetas)))
+    assert np.abs(res.risk - risk.T).max() <= 1e-15 * max(np.abs(risk).max(), scale.max())
+    if trials == 1:
+        traj = sgd_run(arch, theta0s[0], 2e-3, UniformSampler(0.0, 1.0, 1), 1.0, cfg)
+        np.testing.assert_array_equal(traj.mc_risk, res.risk[0])
+
+
+def test_augmented_order_built_once_per_widths():
+    """The augmented order is cached per widths as a read-only array: the
+    observer and the step loop of a run share one, and later runs reuse it."""
+    arch, measure, target, theta0 = shallow_problem()
+    _augmented_order.cache_clear()
+    gd_run(arch, theta0, measure, target, 1e-3, 3)
+    assert _augmented_order.cache_info().misses == 1
+    gf_euler_run(arch, theta0, measure, target, 1e-3, 3)
+    sgd_run(arch, theta0, 1e-3, UniformSampler(0.0, 1.0, 1), 1.0, SgdConfig(batch_size=5, steps=3, eval_samples=10))
+    sgd_ensemble(arch, theta0[None], 1e-3, 0.0, 1.0, 1.0, SgdConfig(batch_size=5, steps=3, eval_samples=10))
+    assert _augmented_order.cache_info().misses == 1
+    order = _augmented_order(arch.widths)
+    assert not order.flags.writeable
+    np.testing.assert_array_equal(np.sort(order), np.arange(arch.param_count))
 
 
 def test_ensemble_calls_share_no_state():

@@ -1,6 +1,7 @@
 """Property tests for the validators at the package boundary: every valid
 input is accepted, and every non-finite, non-positive or empty-box input
-raises ValueError, never another exception or a silent result.  A seed that
+raises ValueError, never another exception or a silent result; so does a
+count or step index that is not an integer.  A seed that
 is not a nonnegative integer or a tuple of them raises TypeError, or
 ValueError for a negative word, as numpy's `SeedSequence` does."""
 
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relu_lyapunov import Architecture, DiscreteMeasure, SgdConfig, UniformSampler, gaussian_init
-from relu_lyapunov.optimize import _rate_fn
+from relu_lyapunov.optimize import _eval_grid, _rate_fn
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -195,3 +196,55 @@ def test_seed_rule_rejects_negative_words(word, others):
             gaussian_init(ARCH, seed, 1.0, 20)
         with pytest.raises(ValueError, match="expected non-negative integer"):
             UniformSampler(0.0, 1.0, 1, seed)
+
+
+fractional = st.floats().filter(lambda v: not (math.isfinite(v) and v.is_integer()))
+non_integers = st.one_of(fractional, st.booleans(), st.sampled_from([np.bool_(True), np.float64(2.5), "3", None]))
+COUNTS = ("steps", "log_stride", "eval_samples")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(COUNTS + ("eval_steps", "snapshot_steps")), non_integers)
+def test_sgd_config_rejects_non_integral_fields(name, value):
+    # eval_steps=(2.5,) used to evaluate step 2 and (True,) step 1; a fractional
+    # steps, log_stride or eval_samples failed deep inside numpy
+    with pytest.raises(ValueError, match=name):
+        SgdConfig(**{name: value if name in COUNTS else (0, value)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(0, 50), st.integers(0, 50).map(float), st.integers(0, 50).map(np.int64)), max_size=6),
+    st.one_of(st.integers(0, 40), st.integers(0, 40).map(float), st.integers(0, 40).map(np.uint32)),
+)
+def test_sgd_config_takes_integral_values_as_ints(eval_steps, steps):
+    cfg = SgdConfig(steps=steps, eval_steps=tuple(eval_steps), snapshot_steps=tuple(eval_steps))
+    assert type(cfg.steps) is int and all(type(n) is int for n in cfg.eval_steps + cfg.snapshot_steps)
+    assert _eval_grid(cfg) == tuple(sorted({int(n) for n in eval_steps if n <= steps}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 10)),
+    st.one_of(st.integers(0, 4), st.integers(0, 4).map(float)),
+)
+def test_gaussian_init_accepts_finite_scale_and_nonnegative_trials(scale, trials):
+    block = gaussian_init(ARCH, 0, scale, trials)
+    assert block.shape == (trials, ARCH.param_count)
+    if trials:
+        np.testing.assert_array_equal(block, gaussian_init(ARCH, 0, scale, int(trials)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(non_finite, st.integers(0, 4))
+def test_gaussian_init_rejects_non_finite_scale(scale, trials):
+    # scale=nan used to return a block of NaNs
+    with pytest.raises(ValueError, match="scale"):
+        gaussian_init(ARCH, 0, scale, trials)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(max_value=-1), non_integers))
+def test_gaussian_init_rejects_negative_or_non_integral_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        gaussian_init(ARCH, 0, 1.0, trials)
