@@ -161,7 +161,7 @@ class SgdConfig:
 def _whole(name: str, value) -> int:
     """``value`` as an int: a Python or numpy int or an integral float; else a ValueError naming ``name``.
 
-    Bools are not integers here: ``eval_steps=(True,)`` used to evaluate step 1.
+    Bools are rejected, or ``eval_steps=(True,)`` would evaluate step 1.
     """
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
@@ -497,14 +497,12 @@ def sgd_ensemble(
     A step that would leave a trial non-finite raises `DivergenceError`,
     naming the diverged trials, with a copy of the (trials, d) parameters of
     that step.  Outputs agree with a plain-allocation loop to ~1e-16 of each
-    array's largest value (bias terms are products with ones rows).  The
-    Monte Carlo risks have run on the same kernel since the steps did; against
-    the allocating evaluation before that they moved by at most 4.2e-16 of
-    each array's largest value on 30 configurations, and by ~1e-16 of the
-    larger of that value and the mean squared output in general: where the
-    output is near ``xi`` a risk far below the squared output carries the
-    rounding of the output (2.9e-15 of the array's largest value on 1,3,7,1
-    at one trial and risk 0.002).  Parameters are bit-identical.
+    array's largest value (bias terms are products with ones rows).  The Monte
+    Carlo risks take the same kernel, and against the allocating `_forward`
+    they move by ~1e-16 of the larger of the array's largest value and the mean
+    squared output: a risk far below the squared output carries the output's
+    rounding (measured: at most 4.2e-16 of the array's largest value on 30
+    configurations, 2.9e-15 on 1,3,7,1 at one trial and risk 0.002).
     """
     theta0s = np.asarray(theta0s, dtype=np.float64)
     if theta0s.ndim != 2 or theta0s.shape[0] < 1 or theta0s.shape[1] != arch.param_count:
