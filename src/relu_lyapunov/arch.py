@@ -8,13 +8,14 @@ weight matrix in row-major order, then the ``l_k`` biases.
 Two index conventions coexist here on purpose.  The arithmetic index maps
 (:meth:`Architecture.weight_index`, :meth:`Architecture.bias_index`) are
 1-based, matching the convention used in hand calculations and in the tests
-that pin them down.  Everything that touches numpy (`extract_layer`,
-`pack_layer`, the slice helpers) is 0-based.
+that pin them down.  Everything that touches numpy (`layer_views`, the
+slice helpers) is 0-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ class Architecture:
 
     ``depth`` is the number of affine maps L.  ``offsets[k]`` is the total
     number of parameters consumed by layers 1..k, so layer k+1's block starts
-    at flat position ``offsets[k]`` (0-based).
+    at flat position ``offsets[k]`` (0-based); both are computed once.
     """
 
     widths: tuple[int, ...]
@@ -37,11 +38,11 @@ class Architecture:
             raise ValueError(f"widths must be positive integers, got {self.widths}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
-    @property
+    @cached_property
     def depth(self) -> int:
         return len(self.widths) - 1
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         """Cumulative parameter counts: offsets[k] = sum_{n<=k} l_n*(l_{n-1}+1)."""
         out = [0]
@@ -49,7 +50,7 @@ class Architecture:
             out.append(out[-1] + self.widths[k] * (self.widths[k - 1] + 1))
         return tuple(out)
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         return self.offsets[self.depth]
 
@@ -116,44 +117,10 @@ def check_params(arch: Architecture, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def extract_layer(arch: Architecture, theta: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Copy layer k out of the flat vector as (weights, biases).
-
-    ``weights`` has shape (l_k, l_{k-1}), ``biases`` shape (l_k,).
-    """
-    theta = check_params(arch, theta)
-    fan_in, fan_out = arch.layer_sizes(k)
-    weights = theta[arch.weight_slice(k)].reshape(fan_out, fan_in).copy()
-    biases = theta[arch.bias_slice(k)].copy()
-    return weights, biases
-
-
-def pack_layer(
-    arch: Architecture,
-    theta: np.ndarray,
-    k: int,
-    weights: np.ndarray,
-    biases: np.ndarray,
-) -> np.ndarray:
-    """Return a new flat vector equal to ``theta`` with layer k replaced."""
-    theta = check_params(arch, theta).copy()
-    fan_in, fan_out = arch.layer_sizes(k)
-    weights = np.asarray(weights, dtype=np.float64)
-    biases = np.asarray(biases, dtype=np.float64)
-    if weights.shape != (fan_out, fan_in):
-        raise ValueError(f"layer {k} weights must have shape {(fan_out, fan_in)}, got {weights.shape}")
-    if biases.shape != (fan_out,):
-        raise ValueError(f"layer {k} biases must have shape {(fan_out,)}, got {biases.shape}")
-    theta[arch.weight_slice(k)] = weights.reshape(-1)
-    theta[arch.bias_slice(k)] = biases
-    return theta
-
-
 def layer_views(arch: Architecture, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Read-only views of all layer blocks, cheap enough for hot loops.
+    """(weights (l_k, l_{k-1}), biases (l_k,)) views of every layer block, cheap enough for hot loops.
 
-    Mutating the views mutates ``theta``; callers that need value semantics
-    should go through extract_layer/pack_layer instead.
+    They alias ``theta``: writing a view writes the vector, so callers that need a separate layer copy it.
     """
     theta = check_params(arch, theta)
     out = []

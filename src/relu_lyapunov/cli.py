@@ -2,7 +2,7 @@
 
 Subcommands: ``sgd`` (multi-trial experiment, CSV of mean risk per
 checkpoint), ``gd`` and ``gf`` (single deterministic runs on a grid measure,
-CSV trajectory), ``verify`` (self-checks of the library's identities), and
+CSV trajectory), ``verify`` (runs the claims of `claims.CLAIMS`), and
 ``nonconvexity`` (prints an explicit midpoint-inequality violation).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 divergence.
@@ -16,16 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import DEFAULT_CLAMP, relu, smooth_relu, smooth_relu_derivative, smooth_relu_derivative_bound
 from .arch import Architecture
-from .convexity import last_layer_midpoint_check, midpoint_gap, nonconvexity_witness
-from .gradient import (
-    generalized_gradient,
-    gradient_growth_bound,
-    gradient_pathsum_oracle,
-    smooth_gradient,
-)
-from .lyapunov import LyapunovContext, lyapunov_gradient, lyapunov_value, pairing, sandwich_bounds
+from .claims import CLAIMS
+from .convexity import midpoint_gap, nonconvexity_witness
+from .lyapunov import LyapunovContext
 from .optimize import (
     DivergenceError,
     SgdConfig,
@@ -35,10 +29,9 @@ from .optimize import (
     gd_threshold,
     gf_euler_run,
     sgd_ensemble,
-    sgd_run,
     sgd_threshold,
 )
-from .risk import DiscreteMeasure, TargetSpec, UniformSampler, _check_box, risk_exact, risk_smooth
+from .risk import DiscreteMeasure, TargetSpec, _check_box, risk_exact
 
 
 class UsageError(Exception):
@@ -248,260 +241,14 @@ def cmd_nonconvexity(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify suites
-
-
-def _verify_activation(seed: int):
-    rng = np.random.default_rng(seed)
-    cfg = DEFAULT_CLAMP
-    checks = []
-
-    xs = rng.uniform(-10.0, 10.0, 4000)
-    worst = 0.0
-    for exp in range(0, 21, 2):
-        sharp = float(2**exp)
-        dev = np.abs(smooth_relu(cfg, sharp, xs) - relu(xs)) - cfg.hi / sharp
-        worst = max(worst, float(dev.max()))
-    checks.append(("uniform_approximation", worst <= 1e-15, f"max excess {worst:.3g}"))
-
-    bound = smooth_relu_derivative_bound(cfg)
-    sup = 0.0
-    for exp in range(0, 21, 2):
-        sharp = float(2**exp)
-        grid = np.linspace(-1.0, cfg.hi / sharp * 2.0, 20001)
-        sup = max(sup, float(np.abs(smooth_relu_derivative(cfg, sharp, grid)).max()))
-    checks.append(("derivative_bound", sup <= bound + 1e-12, f"sup {sup:.6g} vs bound {bound:g}"))
-
-    sharp = 64.0
-    lo_x, hi_x = cfg.lo / sharp, cfg.hi / sharp
-    pts = rng.uniform(-2.0, 2.0, 4000)
-    keep = np.ones(len(pts), dtype=bool)
-    for kink in (0.0, lo_x, hi_x):
-        keep &= np.abs(pts - kink) > 5e-6
-    pts = pts[keep][:1000]
-    h = 1e-6
-    fd = (smooth_relu(cfg, sharp, pts + h) - smooth_relu(cfg, sharp, pts - h)) / (2 * h)
-    an = smooth_relu_derivative(cfg, sharp, pts)
-    err = np.abs(fd - an) / np.maximum(np.abs(an), 1e-3)
-    checks.append(("derivative_fd", float(err.max()) <= 1e-6, f"max rel err {err.max():.3g}"))
-
-    x = 0.75
-    exact_candidates = [r for r in (2.0, 8.0, 1024.0) if cfg.hi / r < x]
-    ok = all(
-        smooth_relu(cfg, r, x) == x and smooth_relu_derivative(cfg, r, x) == 1.0
-        for r in exact_candidates
-    )
-    checks.append(("identity_above_window", ok, "ramp exact once hi/sharpness < x"))
-    return checks
-
-
-def _verify_gradient(seed: int):
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    worst = 0.0
-    for _ in range(40):
-        depth = int(rng.integers(1, 4))
-        widths = (int(rng.integers(1, 4)),) + tuple(int(rng.integers(1, 4)) for _ in range(depth))
-        arch = Architecture(widths)
-        theta = rng.normal(0.0, 1.0, arch.param_count)
-        m = int(rng.integers(1, 6))
-        measure = DiscreteMeasure(rng.uniform(-1, 1, (m, widths[0])), rng.uniform(0, 1, m), -1.0, 1.0)
-        target = TargetSpec.constant(rng.normal(0.0, 1.0, widths[-1]))
-        g = generalized_gradient(arch, theta, measure, target)
-        o = gradient_pathsum_oracle(arch, theta, measure, target)
-        denom = max(float(np.linalg.norm(o)), 1e-30)
-        worst = max(worst, float(np.linalg.norm(g - o)) / denom)
-    checks.append(("pathsum_oracle_agreement", worst <= 1e-12, f"max rel dev {worst:.3g}"))
-
-    worst = 0.0
-    for _ in range(20):
-        arch = Architecture((1, 2, 1))
-        theta = rng.normal(0.0, 0.6, arch.param_count)
-        sharp = float(2 ** rng.integers(2, 12))
-        measure = DiscreteMeasure(rng.uniform(0, 1, (3, 1)), rng.uniform(0, 0.5, 3), 0.0, 1.0)
-        target = TargetSpec.constant([0.5])
-        g = smooth_gradient(arch, theta, measure, target, sharp)
-        for i in range(arch.param_count):
-            tp = theta.copy()
-            tm = theta.copy()
-            tp[i] += 1e-6
-            tm[i] -= 1e-6
-            fd = (risk_smooth(arch, tp, measure, target, sharp) - risk_smooth(arch, tm, measure, target, sharp)) / (tp[i] - tm[i])
-            worst = max(worst, abs(fd - g[i]) / max(abs(g[i]), 1e-3))
-    checks.append(("smooth_gradient_fd", worst <= 1e-5, f"max rel err {worst:.3g}"))
-
-    bad = 0
-    for _ in range(2000):
-        depth = int(rng.integers(1, 4))
-        widths = (int(rng.integers(1, 4)),) + tuple(int(rng.integers(1, 4)) for _ in range(depth))
-        arch = Architecture(widths)
-        theta = rng.normal(0.0, 2.0, arch.param_count)
-        m = int(rng.integers(1, 4))
-        measure = DiscreteMeasure(rng.uniform(-1, 1, (m, widths[0])), rng.uniform(0, 1, m), -1.0, 1.0)
-        target = TargetSpec.constant(rng.normal(0.0, 1.0, widths[-1]))
-        g = generalized_gradient(arch, theta, measure, target)
-        risk = risk_exact(arch, theta, measure, target)
-        bound = gradient_growth_bound(arch, theta, measure.mass, risk, measure.input_scale)
-        if float(g @ g) > bound * (1 + 1e-12) + 1e-12:
-            bad += 1
-    checks.append(("growth_bound", bad == 0, f"{bad} violations in 2000 draws"))
-    return checks
-
-
-def _verify_lyapunov(seed: int):
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    worst = 0.0
-    for _ in range(2000):
-        depth = int(rng.integers(1, 4))
-        widths = (int(rng.integers(1, 4)),) + tuple(int(rng.integers(1, 4)) for _ in range(depth))
-        arch = Architecture(widths)
-        theta = rng.normal(0.0, 1.5, arch.param_count)
-        xi = rng.normal(0.0, 1.0, widths[-1])
-        m = int(rng.integers(1, 4))
-        measure = DiscreteMeasure(rng.uniform(-1, 1, (m, widths[0])), rng.uniform(0, 1, m), -1.0, 1.0)
-        target = TargetSpec.constant(xi)
-        ctx = LyapunovContext(arch, xi)
-        lhs, rhs = pairing(ctx, theta, measure, target)
-        dev = abs(lhs - rhs) / (1.0 + abs(lhs))
-        worst = max(worst, dev)
-        risk = risk_exact(arch, theta, measure, target)
-        worst = max(worst, abs(rhs - 4.0 * depth * risk) / (1.0 + abs(rhs)))
-    checks.append(("pairing_identity", worst <= 1e-10, f"max rel dev {worst:.3g}"))
-
-    worst = 0.0
-    for _ in range(50):
-        arch = Architecture((2, 3, 2))
-        ctx = LyapunovContext(arch, rng.normal(0.0, 1.0, 2))
-        theta = rng.normal(0.0, 1.0, arch.param_count)
-        g = lyapunov_gradient(ctx, theta)
-        for i in range(arch.param_count):
-            tp, tm = theta.copy(), theta.copy()
-            tp[i] += 1e-6
-            tm[i] -= 1e-6
-            fd = (lyapunov_value(ctx, tp) - lyapunov_value(ctx, tm)) / (tp[i] - tm[i])
-            worst = max(worst, abs(fd - g[i]) / max(1.0, abs(g[i])))
-    checks.append(("gradient_fd", worst <= 1e-8, f"max rel err {worst:.3g}"))
-
-    bad = 0
-    for _ in range(2000):
-        depth = int(rng.integers(1, 5))
-        widths = tuple(int(rng.integers(1, 4)) for _ in range(depth + 1))
-        arch = Architecture(widths)
-        ctx = LyapunovContext(arch, rng.normal(0.0, 1.0, widths[-1]))
-        theta = rng.normal(0.0, 2.0, arch.param_count)
-        low, high = sandwich_bounds(ctx, theta)
-        value = lyapunov_value(ctx, theta)
-        if not (low - 1e-9 <= value <= high + 1e-9):
-            bad += 1
-    checks.append(("sandwich", bad == 0, f"{bad} violations in 2000 draws"))
-    return checks
-
-
-def _verify_convexity(seed: int):
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    worst = 0.0
-    for widths in ((1, 2, 1), (1, 7, 1), (2, 3, 4, 2)):
-        arch = Architecture(widths)
-        xi = rng.normal(0.0, 1.0, widths[-1])
-        measure = DiscreteMeasure(rng.uniform(0, 1, (5, widths[0])), rng.uniform(0.1, 1, 5), 0.0, 1.0)
-        target = TargetSpec.constant(xi)
-        theta, vartheta = nonconvexity_witness(arch, xi, measure)
-        gap = midpoint_gap(arch, theta, vartheta, measure, target)
-        worst = max(worst, abs(gap - measure.mass / 16.0))
-    checks.append(("witness_gap", worst <= 1e-12, f"max |gap - mass/16| = {worst:.3g}"))
-
-    bad = 0
-    worst = 0.0
-    for _ in range(200):
-        depth = int(rng.integers(1, 4))
-        widths = tuple(int(rng.integers(1, 4)) for _ in range(depth + 1))
-        arch = Architecture(widths)
-        head = arch.offsets[depth - 1]
-        block = arch.param_count - head
-        hidden = rng.normal(0.0, 1.0, head)
-        v = rng.normal(0.0, 1.0, block)
-        w = rng.normal(0.0, 1.0, block)
-        m = int(rng.integers(1, 5))
-        measure = DiscreteMeasure(rng.uniform(-1, 1, (m, widths[0])), rng.uniform(0, 1, m), -1.0, 1.0)
-        target = TargetSpec.constant(rng.normal(0.0, 1.0, widths[-1]))
-        lhs, rhs = last_layer_midpoint_check(arch, hidden, v, w, measure, target)
-        if lhs > rhs + 1e-12:
-            bad += 1
-        worst = max(worst, lhs - rhs)
-    checks.append(("last_layer_convexity", bad == 0, f"max lhs-rhs = {worst:.3g}"))
-
-    bad = 0
-    for _ in range(200):
-        widths = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-        arch = Architecture(widths)
-        m = int(rng.integers(1, 5))
-        measure = DiscreteMeasure(rng.uniform(-1, 1, (m, widths[0])), rng.uniform(0, 1, m), -1.0, 1.0)
-        target = TargetSpec.constant(rng.normal(0.0, 1.0, widths[-1]))
-        t1 = rng.normal(0.0, 1.0, arch.param_count)
-        t2 = rng.normal(0.0, 1.0, arch.param_count)
-        if midpoint_gap(arch, t1, t2, measure, target) > 1e-12:
-            bad += 1
-    checks.append(("depth1_convex", bad == 0, f"{bad} violations in 200 pairs"))
-    return checks
-
-
-def _verify_thresholds(seed: int):
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    arch = Architecture((1, 1))
-    value = gd_threshold(arch, np.zeros(2), np.zeros(1), 1.0)
-    checks.append(("gd_threshold_example", value == 0.25, f"got {value!r}, expected 0.25"))
-
-    arch = Architecture((1, 7, 1))
-    value = sgd_threshold(arch, 0.0, 1.0, 0.0, 1.0)
-    checks.append(
-        ("sgd_threshold_example", abs(value - 176.0**-4) <= 1e-25, f"got {value:.6g}, expected 176^-4")
-    )
-
-    arch = Architecture((1, 3, 1))
-    theta0 = rng.normal(0.0, 0.5, arch.param_count)
-    measure = DiscreteMeasure.uniform_grid(0.0, 1.0, 51)
-    target = TargetSpec.constant([1.0])
-    gamma = 0.99 * gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale)
-    trajectory = gd_run(arch, theta0, measure, target, gamma, 400)
-    report = descent_certificate(trajectory, LyapunovContext(arch, target.f0))
-    checks.append(("gd_descent", report.passed, report.summary()))
-
-    arch = Architecture((1, 7, 1))
-    theta0 = gaussian_init(arch, 7, 7**-0.5, 1)[0]
-    gamma = sgd_threshold(arch, float(np.linalg.norm(theta0)), 1.0, 0.0, 1.0)
-    sampler = UniformSampler(0.0, 1.0, 1, 7)
-    cfg = SgdConfig(batch_size=20, steps=500, seed=7, eval_samples=0, eval_steps=())
-    trajectory = sgd_run(arch, theta0, gamma, sampler, [1.0], cfg)
-    report = descent_certificate(trajectory, LyapunovContext(arch, [1.0]))
-    checks.append(("sgd_descent", report.passed, report.summary()))
-    return checks
-
-
-VERIFY_SUITES = {
-    "activation": _verify_activation,
-    "gradient": _verify_gradient,
-    "lyapunov": _verify_lyapunov,
-    "convexity": _verify_convexity,
-    "thresholds": _verify_thresholds,
-}
-
-
 def cmd_verify(args) -> int:
-    names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     seed = args.seed if args.seed is not None else 0
     all_ok = True
-    for name in names:
-        for prop, ok, detail in VERIFY_SUITES[name](seed):
-            all_ok &= ok
-            print(f"{'PASS' if ok else 'FAIL'}  {name}.{prop}: {detail}")
+    for name, check in CLAIMS.items():
+        if args.suite in ("all", name.split(".")[0]):
+            ok, detail = check(seed)
+            all_ok &= bool(ok)
+            print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     return 0 if all_ok else 1
 
 
@@ -549,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_gf)
 
     sub = subparsers.add_parser("verify", help="run self-checks; exit 0 iff all pass")
-    sub.add_argument("--suite", choices=["all"] + sorted(VERIFY_SUITES), default="all")
+    sub.add_argument("--suite", choices=["all"] + sorted({name.split(".")[0] for name in CLAIMS}), default="all")
     sub.add_argument("--seed", type=int, help="seed for the randomized checks (default 0)")
     sub.set_defaults(func=cmd_verify)
 

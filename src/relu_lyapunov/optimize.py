@@ -30,7 +30,7 @@ from .arch import Architecture, check_params
 from .gradient import _backward, _left_gate
 from .lyapunov import LyapunovContext, lyapunov_value
 from .network import _augmented_blocks, _augmented_order, _forward, _relu_unit, _Workspace
-from .risk import DiscreteMeasure, TargetSpec, UniformSampler, _check_box, _entropy, _KeyedStreams
+from .risk import DiscreteMeasure, TargetSpec, UniformSampler, _check_box, _entropy, _KeyedStreams, _whole
 
 
 class DivergenceError(RuntimeError):
@@ -152,22 +152,10 @@ class SgdConfig:
                 object.__setattr__(self, name, tuple(_whole(f"{name} entry", n) for n in getattr(self, name)))
 
     def batch_at(self, n: int) -> int:
-        size = self.batch_size(n) if callable(self.batch_size) else self.batch_size
-        if not (size >= 1 and float(size).is_integer()):
+        size = _whole("batch size", self.batch_size(n) if callable(self.batch_size) else self.batch_size)
+        if size < 1:
             raise ValueError(f"batch size must be a positive integer, got {size} at step {n}")
-        return int(size)
-
-
-def _whole(name: str, value) -> int:
-    """``value`` as an int: a Python or numpy int or an integral float; else a ValueError naming ``name``.
-
-    Bools are rejected, or ``eval_steps=(True,)`` would evaluate step 1.
-    """
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        return size
 
 
 def _require_finite(theta: np.ndarray) -> np.ndarray:
@@ -216,31 +204,33 @@ def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None
     risk = np.empty((theta.shape[0], len(eval_grid)))
     eval_pos = {n: c for c, n in enumerate(eval_grid)}
     ws, new = None, np.empty_like(theta)
-    for n in range(steps + 1):
-        if n in eval_pos:
-            risk[:, eval_pos[n]] = evaluate(blocks)
-        if n == steps and observe is None:
-            break
-        ws, weights = batch(n, blocks, ws)
-        pres, acts = _forward(ws.layers, ws.points, _relu_unit, ws)
-        delta = np.subtract(pres[-1], fvals, out=pres[-1])
-        if observe is not None:
-            loss = np.add.reduce(weights * np.add.reduce(delta * delta, axis=-2), axis=-1)
-        delta *= 2.0 * weights
-        _backward(ws.layers, ws.points, pres, acts, delta, _left_gate, ws)
-        gamma = rate(n)
-        if observe is not None:
-            observe(n, theta, ws.grad, loss, gamma)
-            if n == steps:
+    # a diverging trial overflows before the check below sees it: report it once, as DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(steps + 1):
+            if n in eval_pos:
+                risk[:, eval_pos[n]] = evaluate(blocks)
+            if n == steps and observe is None:
                 break
-        np.subtract(theta, np.multiply(ws.grad, gamma, out=ws.grad), out=new)
-        if observe is None and not np.isfinite(new).all():
-            bad = np.flatnonzero(~np.isfinite(new).all(axis=1))
-            raise DivergenceError(
-                n, _flat(theta, order), f"ensemble trials {bad.tolist()} diverged in the update at step {n}; "
-                f"theta holds the step-{n} parameters of every trial"
-            )
-        theta[...] = new
+            ws, weights = batch(n, blocks, ws)
+            pres, acts = _forward(ws.layers, ws.points, _relu_unit, ws)
+            delta = np.subtract(pres[-1], fvals, out=pres[-1])
+            if observe is not None:
+                loss = np.add.reduce(weights * np.add.reduce(delta * delta, axis=-2), axis=-1)
+            delta *= 2.0 * weights
+            _backward(ws.layers, ws.points, pres, acts, delta, _left_gate, ws)
+            gamma = rate(n)
+            if observe is not None:
+                observe(n, theta, ws.grad, loss, gamma)
+                if n == steps:
+                    break
+            np.subtract(theta, np.multiply(ws.grad, gamma, out=ws.grad), out=new)
+            if observe is None and not np.isfinite(new).all():
+                bad = np.flatnonzero(~np.isfinite(new).all(axis=1))
+                raise DivergenceError(
+                    n, _flat(theta, order), f"ensemble trials {bad.tolist()} diverged in the update at step {n}; "
+                    f"theta holds the step-{n} parameters of every trial"
+                )
+            theta[...] = new
     return risk, _flat(theta, order)
 
 
@@ -468,11 +458,12 @@ def sgd_run(
 def gaussian_init(arch: Architecture, seed, scale: float, trials: int) -> np.ndarray:
     """Per-trial N(0, scale^2) initial parameters from streams (seed, 2, t).
 
-    ``scale`` must be finite and ``trials`` a nonnegative integer (ValueError).
+    ``scale`` must be finite and >= 0 (-0.0 is 0.0), ``trials`` a nonnegative integer (ValueError).
     """
     entropy, scale, trials = _entropy(seed), float(scale), _whole("trials", trials)
-    if not math.isfinite(scale):
-        raise ValueError(f"scale must be finite, got {scale}")
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ValueError(f"scale must be finite and nonnegative, got {scale}")
+    scale = abs(scale)
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     streams = _KeyedStreams(entropy + (2,), trials)

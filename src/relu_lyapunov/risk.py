@@ -31,6 +31,16 @@ def _entropy(seed) -> tuple[int, ...]:
     return tuple(map(int, words))
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int: a Python or numpy int or an integral float; else a ValueError naming ``name``.
+    Bools are rejected, or ``eval_steps=(True,)`` would evaluate step 1 and ``batch_size=True`` draw one point."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _uint32_words(value: int) -> list[int]:
     """``value``'s little-endian 32-bit words, as `SeedSequence` splits an int (0 is [0])."""
     return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
@@ -158,14 +168,6 @@ class DiscreteMeasure:
         weights = np.full(count, 1.0 / count)
         return cls(points, weights, a, b)
 
-    @classmethod
-    def from_file(cls, path, a: float, b: float) -> "DiscreteMeasure":
-        """Load "x_1 ... x_dim weight" rows, one point per line."""
-        rows = np.atleast_2d(np.loadtxt(path, dtype=np.float64, ndmin=2))
-        if rows.shape[1] < 2:
-            raise ValueError("each line needs at least one coordinate and a weight")
-        return cls(rows[:, :-1], rows[:, -1], a, b)
-
 
 @dataclass
 class TargetSpec:
@@ -210,12 +212,10 @@ class TargetSpec:
 
 @dataclass
 class UniformSampler:
-    """Uniform draws on [a, b)^dim from a keyed, reproducible stream.
+    """Uniform draws on [a, b)^dim, ``dim`` a positive integer, from numpy's ``Generator(PCG64(SeedSequence(seed)))``.
 
-    ``seed`` is a nonnegative int or a tuple of them.  ``derive(*key)`` returns an
-    independent child stream; equal seeds give equal sequences, so splitting
-    a master seed into per-step keys makes every batch reproducible without
-    keeping generator state around.
+    ``seed`` is a nonnegative int or a tuple of them: equal seeds give equal sequences, so a key such as
+    (master seed, purpose, index) makes every draw reproducible without keeping generator state around.
     """
 
     a: float
@@ -226,20 +226,10 @@ class UniformSampler:
 
     def __post_init__(self) -> None:
         _check_box(self.a, self.b)
-        if not (self.dim >= 1 and float(self.dim).is_integer()):
+        self.dim = _whole("dim", self.dim)
+        if self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        self.dim = int(self.dim)
-        self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.entropy)))
-
-    @property
-    def entropy(self) -> tuple[int, ...]:
-        return _entropy(self.seed)
-
-    def derive(self, *key: int) -> "UniformSampler":
-        return UniformSampler(self.a, self.b, self.dim, self.entropy + tuple(key))
-
-    def with_seed(self, seed) -> "UniformSampler":
-        return UniformSampler(self.a, self.b, self.dim, seed)
+        self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(self.seed))))
 
     def sample(self, n: int) -> np.ndarray:
         if n < 0:

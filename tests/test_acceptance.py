@@ -6,6 +6,7 @@ cheap algebraic checks fail fast.
 """
 
 import numpy as np
+import pytest
 
 from relu_lyapunov import (
     Architecture,
@@ -21,15 +22,11 @@ from relu_lyapunov import (
     gd_threshold,
     generalized_gradient,
     gf_euler_run,
-    gradient_pathsum_oracle,
     last_layer_midpoint_check,
-    lyapunov_gradient,
     lyapunov_value,
     midpoint_gap,
     nonconvexity_witness,
-    pairing,
     population_risk_mc,
-    risk_exact,
     risk_smooth,
     sgd_ensemble,
     sgd_run,
@@ -38,6 +35,7 @@ from relu_lyapunov import (
 )
 from relu_lyapunov.activation import DEFAULT_CLAMP
 from relu_lyapunov.arch import layer_views
+from relu_lyapunov.claims import CLAIMS
 from relu_lyapunov.cli import main
 from relu_lyapunov.network import _forward, _smooth_unit, layer_sharpness
 
@@ -47,26 +45,16 @@ def test_parameter_counts():
     assert Architecture((1, 3, 7, 1)).param_count == 42
 
 
-def test_gradient_oracle_equivalence():
-    """Reverse-sweep gradient equals the explicit path-sum on 220 random
-    narrow instances, to 1e-12 relative."""
-    rng = np.random.default_rng(0)
-    for _ in range(220):
-        depth = int(rng.integers(1, 4))
-        widths = tuple(int(w) for w in rng.integers(1, 4, depth + 1))
-        arch = Architecture(widths)
-        theta = rng.normal(0.0, 0.8, arch.param_count)
-        m = int(rng.integers(1, 6))
-        measure = DiscreteMeasure(
-            rng.uniform(-1.0, 1.0, (m, arch.widths[0])),
-            rng.uniform(0.0, 1.0, m),
-            -1.0,
-            1.0,
-        )
-        target = TargetSpec.constant(rng.normal(size=arch.widths[-1]))
-        fast = generalized_gradient(arch, theta, measure, target)
-        slow = gradient_pathsum_oracle(arch, theta, measure, target)
-        assert np.abs(fast - slow).max() <= 1e-12 * max(1.0, float(np.linalg.norm(slow)))
+@pytest.mark.parametrize("name", list(CLAIMS))
+def test_claim(name):
+    """Every claim of the registry that `relu-lyapunov verify` runs holds at
+    seed 0: the smoothed unit's bounds, the gradient against the path-sum
+    oracle and finite differences, the growth bound, the pairing identity, the
+    sandwich of V, the nonconvexity gap, the convex restrictions and the
+    step-size thresholds (in `relu_lyapunov.claims`, each check's docstring
+    gives its tolerances and its regimes its draws)."""
+    ok, detail = CLAIMS[name](0)
+    assert ok, detail
 
 
 def _clean_smooth_instance(rng, arch, lo_exp, hi_exp, h):
@@ -139,38 +127,6 @@ def test_smooth_gradient_fd_and_monotone_limit():
         for a, b in zip(devs, devs[1:]):
             assert b <= a + 1e-15 or a <= 1e-14, (trial, devs)
         assert devs[-1] <= 1e-12
-
-
-def test_lyapunov_pairing_identity():
-    """<grad V, G> agrees with the integral form on 10^4 random instances to
-    1e-10 * (1 + |lhs|); with a constant target both equal 4 L risk."""
-    rng = np.random.default_rng(4)
-    shapes = [(1, 2, 1), (2, 3, 2), (1, 3, 7, 1), (1, 1), (3, 2, 2)]
-    for trial in range(10_000):
-        arch = Architecture(shapes[trial % len(shapes)])
-        theta = rng.normal(0.0, 0.8, arch.param_count)
-        m = int(rng.integers(1, 5))
-        measure = DiscreteMeasure(
-            rng.uniform(-1.0, 1.0, (m, arch.widths[0])),
-            rng.uniform(0.0, 1.0, m),
-            -1.0,
-            1.0,
-        )
-        out_dim = arch.widths[-1]
-        constant = trial % 2 == 0
-        if constant:
-            target = TargetSpec.constant(rng.normal(size=out_dim))
-        else:
-            f0 = rng.normal(size=out_dim)
-            target = TargetSpec.from_function(
-                lambda p, f0=f0, d=out_dim: f0 + np.tanh(np.resize(p, d)), f0=f0
-            )
-        ctx = LyapunovContext(arch, target.f0)
-        lhs, rhs = pairing(ctx, theta, measure, target)
-        assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs)), trial
-        if constant:
-            four_l_risk = 4.0 * arch.depth * risk_exact(arch, theta, measure, target)
-            assert abs(rhs - four_l_risk) <= 1e-10 * (1.0 + abs(rhs)), trial
 
 
 def test_nonconvexity_midpoint_gap():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relu_lyapunov import Architecture, extract_layer, pack_layer
+from relu_lyapunov import Architecture
 from relu_lyapunov.arch import check_params, layer_views
 
 
@@ -110,28 +110,6 @@ def test_check_params_shape():
         check_params(arch, np.zeros((22, 1)))
 
 
-def test_extract_pack_round_trip():
-    rng = np.random.default_rng(1)
-    arch = Architecture((2, 3, 2))
-    theta = rng.normal(size=arch.param_count)
-    rebuilt = np.zeros(arch.param_count)
-    for k in range(1, arch.depth + 1):
-        w, b = extract_layer(arch, theta, k)
-        assert w.shape == (arch.widths[k], arch.widths[k - 1])
-        assert b.shape == (arch.widths[k],)
-        rebuilt = pack_layer(arch, rebuilt, k, w, b)
-    np.testing.assert_array_equal(rebuilt, theta)
-
-
-def test_extract_layer_copies():
-    arch = Architecture((1, 2, 1))
-    theta = np.zeros(arch.param_count)
-    w, b = extract_layer(arch, theta, 1)
-    w[0, 0] = 5.0
-    b[0] = 7.0
-    assert theta.sum() == 0.0
-
-
 def test_layer_views_alias_the_vector():
     arch = Architecture((1, 2, 1))
     theta = np.zeros(arch.param_count)
@@ -148,8 +126,7 @@ def test_entrywise_layout_matches_views():
     rng = np.random.default_rng(2)
     arch = Architecture((3, 2, 4))
     theta = rng.normal(size=arch.param_count)
-    for k in range(1, arch.depth + 1):
-        w, b = extract_layer(arch, theta, k)
+    for k, (w, b) in enumerate(layer_views(arch, theta), start=1):
         fan_in, fan_out = arch.layer_sizes(k)
         for i in range(1, fan_out + 1):
             for j in range(1, fan_in + 1):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relu_lyapunov.claims import CLAIMS
 from relu_lyapunov.cli import PRESETS, UsageError, _parse_xi, build_parser, main
 
 
@@ -185,13 +186,21 @@ def test_verify_single_suite(capsys):
     assert lines and all(l.startswith("PASS") for l in lines)
 
 
-def test_verify_all_suites(capsys):
-    code, out, err = run(capsys, "verify")
-    assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-    suites = {l.split()[1].split(".")[0] for l in lines}
-    assert suites == {"activation", "gradient", "lyapunov", "convexity", "thresholds"}
-    assert all(l.startswith("PASS") for l in lines)
+def test_verify_failing_claim_exits_one(capsys, monkeypatch):
+    # every claim runs in test_acceptance; here one failing entry turns the exit code to 1
+    monkeypatch.setitem(CLAIMS, "thresholds.always_fails", lambda seed: (False, f"seed {seed}"))
+    code, out, err = run(capsys, "verify", "--suite", "thresholds", "--seed", "3")
+    assert code == 1
+    assert "FAIL  thresholds.always_fails: seed 3" in out.splitlines()
+    assert sum(l.startswith("PASS  thresholds.") for l in out.splitlines()) == 4
+
+
+def test_verify_suites_are_the_registry_suites(capsys):
+    suites = sorted({name.split(".")[0] for name in CLAIMS})
+    assert suites == ["activation", "convexity", "gradient", "lyapunov", "thresholds"]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "--help"])
+    assert "--suite {" + ",".join(["all"] + suites) + "}" in capsys.readouterr().out
 
 
 def test_parser_help_smoke():

@@ -3,27 +3,19 @@ import pytest
 
 from relu_lyapunov import (
     Architecture,
-    DiscreteMeasure,
     LyapunovContext,
-    TargetSpec,
-    generalized_gradient,
     lyapunov_gradient,
     lyapunov_value,
     norm_bound,
-    pairing,
-    risk_exact,
     sandwich_bounds,
 )
-from relu_lyapunov.arch import extract_layer
+from relu_lyapunov.arch import layer_views
 
 
 def manual_value(arch, theta, f0):
-    total = 0.0
-    for k in range(1, arch.depth + 1):
-        w, b = extract_layer(arch, theta, k)
-        total += float(np.sum(w * w)) + k * float(b @ b)
-    _, b_last = extract_layer(arch, theta, arch.depth)
-    return total - 2.0 * arch.depth * float(np.dot(f0, b_last))
+    layers = layer_views(arch, theta)
+    total = sum(float(np.sum(w * w)) + k * float(b @ b) for k, (w, b) in enumerate(layers, start=1))
+    return total - 2.0 * arch.depth * float(np.dot(f0, layers[-1][1]))
 
 
 def test_value_matches_manual_sum():
@@ -95,44 +87,6 @@ def test_norm_bound_dominates():
     for _ in range(200):
         theta = rng.normal(size=arch.param_count)
         assert float(np.linalg.norm(theta)) <= norm_bound(ctx, theta) + 1e-12
-
-
-def test_pairing_identity():
-    rng = np.random.default_rng(4)
-    for widths in [(1, 2, 1), (2, 3, 2), (1, 3, 7, 1)]:
-        arch = Architecture(widths)
-        for _ in range(100):
-            theta = rng.normal(0.0, 0.8, arch.param_count)
-            m = int(rng.integers(1, 6))
-            pts = rng.uniform(-1.0, 1.0, (m, arch.widths[0]))
-            measure = DiscreteMeasure(pts, rng.uniform(0.0, 1.0, m), -1.0, 1.0)
-            f0 = rng.normal(size=arch.widths[-1])
-            target = TargetSpec.from_function(lambda p: np.tanh(p[: arch.widths[-1]]) + f0, f0=f0)
-            ctx = LyapunovContext(arch, f0)
-            lhs, rhs = pairing(ctx, theta, measure, target)
-            grad_v = lyapunov_gradient(ctx, theta)
-            grad_r = generalized_gradient(arch, theta, measure, target)
-            assert abs(lhs - float(grad_v @ grad_r)) <= 1e-12 * (1.0 + abs(lhs))
-            assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
-
-
-def test_pairing_constant_target_is_risk_multiple():
-    # the risk here is the weighted integral, so no extra mass factor appears
-    rng = np.random.default_rng(5)
-    arch = Architecture((1, 3, 1))
-    for _ in range(100):
-        theta = rng.normal(size=arch.param_count)
-        m = int(rng.integers(2, 8))
-        measure = DiscreteMeasure(
-            rng.uniform(0.0, 1.0, (m, 1)), rng.uniform(0.0, 2.0, m), 0.0, 1.0
-        )
-        xi = rng.normal()
-        target = TargetSpec.constant(xi)
-        ctx = LyapunovContext(arch, target.f0)
-        lhs, rhs = pairing(ctx, theta, measure, target)
-        expected = 4.0 * arch.depth * risk_exact(arch, theta, measure, target)
-        assert abs(rhs - expected) <= 1e-11 * (1.0 + abs(rhs))
-        assert abs(lhs - expected) <= 1e-10 * (1.0 + abs(lhs))
 
 
 def test_context_validates_f0():

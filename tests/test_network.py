@@ -9,14 +9,13 @@ from relu_lyapunov import (
     forward_smooth,
     smooth_relu_derivative_bound,
 )
-from relu_lyapunov.arch import extract_layer, pack_layer
+from relu_lyapunov.arch import layer_views
 from relu_lyapunov.network import layer_sharpness
 
 
 def manual_forward(arch, theta, x):
     h = np.asarray(x, dtype=np.float64)
-    for k in range(1, arch.depth + 1):
-        w, b = extract_layer(arch, theta, k)
+    for k, (w, b) in enumerate(layer_views(arch, theta), start=1):
         z = w @ h + b
         h = np.maximum(z, 0.0) if k < arch.depth else z
     return h
@@ -162,10 +161,9 @@ def test_hidden_unit_permutation_invariance():
     arch = Architecture((2, 4, 3))
     theta = rng.normal(size=arch.param_count)
     perm = rng.permutation(4)
-    w1, b1 = extract_layer(arch, theta, 1)
-    w2, b2 = extract_layer(arch, theta, 2)
-    permuted = pack_layer(arch, theta, 1, w1[perm], b1[perm])
-    permuted = pack_layer(arch, permuted, 2, w2[:, perm], b2)
+    permuted = theta.copy()
+    (w1, b1), (w2, _) = layer_views(arch, permuted)
+    w1[...], b1[...], w2[...] = w1[perm], b1[perm], w2[:, perm]
     for _ in range(20):
         x = rng.normal(size=2)
         np.testing.assert_allclose(

@@ -222,6 +222,30 @@ def test_divergence_mid_logging_block():
             np.testing.assert_array_equal(theta, run(step, stride).snapshots[step])
 
 
+def test_divergence_reports_once_through_the_error():
+    """A diverging run lets no numpy overflow warning out before its
+    DivergenceError: with warnings as errors, sgd_run, gd_run and a 3-trial
+    sgd_ensemble still stop at the step they stop at with warnings ignored."""
+    arch, measure, target, _ = shallow_problem()
+    theta0s = gaussian_init(arch, seed=0, scale=7.0**-0.5, trials=3)
+    cfg = SgdConfig(batch_size=100, steps=2000, seed=0, eval_steps=())
+    runs = [
+        lambda: sgd_run(arch, theta0s[0], 2.0, UniformSampler(0.0, 1.0, 1), 1.0, cfg),
+        lambda: gd_run(arch, theta0s[0], measure, target, 50.0, 5000),
+        lambda: sgd_ensemble(arch, theta0s, 2.0, 0.0, 1.0, 1.0, cfg),
+    ]
+    for run in runs:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            with pytest.raises(DivergenceError) as quiet:
+                run()
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as loud:
+                run()
+        assert loud.value.step == quiet.value.step
+
+
 def test_gf_euler_warns_above_threshold():
     arch, measure, target, theta0 = shallow_problem()
     thr = gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale)
@@ -698,10 +722,10 @@ def _check_single_runs(widths, steps, stride):
     sampler = UniformSampler(0.0, 1.0, widths[0])
     cfg = SgdConfig(batch_size=15, steps=steps, seed=(4, 1), log_stride=stride, eval_samples=3_000,
                     eval_steps=(0, 33, steps), snapshot_steps=snaps)
-    eval_points = sampler.with_seed((4, 1, 0)).sample(cfg.eval_samples)
+    eval_points = UniformSampler(0.0, 1.0, widths[0], (4, 1, 0)).sample(cfg.eval_samples)
 
     def minibatch(n, theta):
-        batch = sampler.with_seed((4, 1, 1, n)).sample(cfg.batch_size)
+        batch = UniformSampler(0.0, 1.0, widths[0], (4, 1, 1, n)).sample(cfg.batch_size)
         return minibatch_gradient(arch, theta, batch, xi), empirical_risk(arch, theta, batch, xi)
 
     traj = sgd_run(arch, theta0, 2e-3, sampler, xi, cfg)

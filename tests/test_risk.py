@@ -62,15 +62,6 @@ def test_measure_rejects_non_finite(points, weights):
         DiscreteMeasure(points, weights, 0.0, 1.0)
 
 
-def test_measure_from_file_round_trip(tmp_path):
-    path = tmp_path / "measure.txt"
-    path.write_text("0.1 0.2 0.5\n0.9 0.4 0.25\n")
-    m = DiscreteMeasure.from_file(path, 0.0, 1.0)
-    np.testing.assert_array_equal(m.points, [[0.1, 0.2], [0.9, 0.4]])
-    np.testing.assert_array_equal(m.weights, [0.5, 0.25])
-    assert m.mass == 0.75
-
-
 def test_target_constant():
     t = TargetSpec.constant(2.0)
     assert t.is_constant
@@ -152,15 +143,6 @@ def test_sampler_rejects_bad_box(a, b):
     # `b <= a` is false for NaN, and an infinite bound makes every draw inf or nan
     with pytest.raises(ValueError, match="finite a < b"):
         UniformSampler(a, b, 1, seed=0)
-
-
-def test_sampler_derive_distinct_streams():
-    s = UniformSampler(0.0, 1.0, 1, seed=7)
-    x0 = s.derive(0).sample(5)
-    x1 = s.derive(1).sample(5)
-    x00 = s.derive(0).sample(5)
-    np.testing.assert_array_equal(x0, x00)
-    assert np.abs(x0 - x1).max() > 0.0
 
 
 def test_population_risk_mc_matches_quadrature():

@@ -89,9 +89,10 @@ def test_sampler_rejects_non_positive_dim(dim):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(st.floats().filter(lambda v: not (math.isfinite(v) and v.is_integer())), non_finite))
+@given(st.one_of(st.floats().filter(lambda v: not (math.isfinite(v) and v.is_integer())), non_finite, st.booleans()))
 def test_sampler_rejects_fractional_or_non_finite_dim(dim):
-    # a fractional dim used to construct and then fail in .sample with a TypeError
+    # a fractional dim used to construct and then fail in .sample with a TypeError;
+    # dim=True used to draw 1-d points
     with pytest.raises(ValueError, match="dim"):
         UniformSampler(0.0, 1.0, dim)
 
@@ -117,10 +118,12 @@ def test_batch_at_accepts_positive_integers(size, as_function):
         st.floats(max_value=1.0, exclude_max=True),
         st.floats().filter(lambda v: not (math.isfinite(v) and v.is_integer())),
         non_finite,
+        st.booleans(),
     ),
     st.booleans(),
 )
 def test_batch_at_rejects_non_positive_or_fractional_or_non_finite(size, as_function):
+    # batch_size=True used to run batches of 1
     cfg = SgdConfig(batch_size=(lambda n: size) if as_function else size)
     with pytest.raises(ValueError, match="batch size"):
         cfg.batch_at(3)
@@ -236,11 +239,13 @@ def test_gaussian_init_accepts_finite_scale_and_nonnegative_trials(scale, trials
 
 
 @settings(max_examples=200, deadline=None)
-@given(non_finite, st.integers(0, 4))
+@given(st.one_of(non_finite, st.floats(max_value=-5e-324)), st.integers(0, 4))
 def test_gaussian_init_rejects_non_finite_scale(scale, trials):
-    # scale=nan used to return a block of NaNs
+    # scale=nan used to return a block of NaNs, and a negative scale an empty
+    # block at 0 trials or numpy's bare "scale < 0" at more
     with pytest.raises(ValueError, match="scale"):
         gaussian_init(ARCH, 0, scale, trials)
+    np.testing.assert_array_equal(gaussian_init(ARCH, 0, -0.0, trials), np.zeros((trials, ARCH.param_count)))
 
 
 @settings(max_examples=200, deadline=None)
