@@ -23,6 +23,7 @@ from .lyapunov import LyapunovContext
 from .optimize import (
     DivergenceError,
     SgdConfig,
+    _write_csv,
     descent_certificate,
     gaussian_init,
     gd_run,
@@ -38,30 +39,8 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ExperimentPreset:
-    """Named experiment configuration for the sgd command."""
-
-    name: str
-    widths: tuple[int, ...]
-    xi: float = 1.0
-    a: float = 0.0
-    b: float = 1.0
-    batch: int = 100
-    gamma: float = 1.0 / 2000.0
-    steps: int = 100_000
-    trials: int = 100
-
-    @property
-    def init_scale(self) -> float:
-        # std 1/sqrt(first hidden width)
-        return self.widths[1] ** -0.5
-
-
-PRESETS = {
-    "shallow": ExperimentPreset("shallow", (1, 7, 1)),
-    "deep": ExperimentPreset("deep", (1, 3, 7, 1)),
-}
+# the named sgd experiments; every other setting is the sgd command's default
+PRESETS = {"shallow": (1, 7, 1), "deep": (1, 3, 7, 1)}
 
 
 def _parse_xi(text: str, out_width: int) -> np.ndarray:
@@ -82,47 +61,27 @@ class Resolved:
     xi: np.ndarray
     a: float
     b: float
-    preset: ExperimentPreset | None
+    tag: str  # the preset's name, else the widths joined by "x", for the default output name
 
     @property
     def init_scale(self) -> float:
+        # std 1/sqrt(first hidden width)
         return self.arch.widths[1] ** -0.5
-
-    @property
-    def tag(self) -> str:
-        return self.preset.name if self.preset else "x".join(str(w) for w in self.arch.widths)
 
 
 def _resolve(args) -> Resolved:
-    preset = PRESETS[args.preset] if getattr(args, "preset", None) else None
-    if getattr(args, "arch", None):
+    if args.arch:
         arch = Architecture.from_string(args.arch)
-    elif preset:
-        arch = Architecture(preset.widths)
+    elif args.preset:
+        arch = Architecture(PRESETS[args.preset])
     else:
         raise UsageError("either --preset or --arch is required")
-    a = args.a if args.a is not None else (preset.a if preset else 0.0)
-    b = args.b if args.b is not None else (preset.b if preset else 1.0)
     try:
-        a, b = _check_box(a, b)
+        a, b = _check_box(args.a, args.b)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    xi_text = args.xi if args.xi is not None else str(preset.xi if preset else 1.0)
-    xi = _parse_xi(xi_text, arch.widths[-1])
-    return Resolved(arch=arch, xi=xi, a=float(a), b=float(b), preset=preset)
-
-
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(value) for value in row) + "\n")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+    tag = args.preset or "x".join(str(w) for w in arch.widths)
+    return Resolved(arch=arch, xi=_parse_xi(args.xi, arch.widths[-1]), a=a, b=b, tag=tag)
 
 
 def _require_positive(*flags: tuple[str, int]) -> None:
@@ -133,14 +92,9 @@ def _require_positive(*flags: tuple[str, int]) -> None:
 
 def cmd_sgd(args) -> int:
     res = _resolve(args)
-    preset = res.preset
-    trials = args.trials if args.trials is not None else (preset.trials if preset else 100)
-    batch = args.batch if args.batch is not None else (preset.batch if preset else 100)
-    gamma = args.gamma if args.gamma is not None else (preset.gamma if preset else 1.0 / 2000.0)
-    steps = args.steps if args.steps is not None else (preset.steps if preset else 100_000)
-    seed = args.seed if args.seed is not None else 0
+    trials, gamma, seed = args.trials, args.gamma, args.seed
     out = args.out or f"sgd_{res.tag}.csv"
-    _require_positive(("--steps", steps), ("--trials", trials), ("--eval-samples", args.eval_samples))
+    _require_positive(("--steps", args.steps), ("--trials", trials), ("--eval-samples", args.eval_samples))
 
     theta0s = gaussian_init(res.arch, seed, res.init_scale, trials)
     norms = np.sqrt(np.sum(theta0s * theta0s, axis=1))
@@ -154,7 +108,7 @@ def cmd_sgd(args) -> int:
         + ("" if gamma <= thresholds.min() else "  (gamma exceeds it; descent not guaranteed)")
     )
 
-    cfg = SgdConfig(batch_size=batch, steps=steps, seed=seed, eval_samples=args.eval_samples)
+    cfg = SgdConfig(batch_size=args.batch, steps=args.steps, seed=seed, eval_samples=args.eval_samples)
     result = sgd_ensemble(res.arch, theta0s, gamma, res.a, res.b, res.xi, cfg)
     mean = result.mean_risk
     se = result.std_error if trials > 1 else np.zeros_like(mean)
@@ -169,16 +123,13 @@ def cmd_sgd(args) -> int:
 
 
 def _deterministic_setup(args):
-    steps = args.steps if args.steps is not None else 10_000
-    _require_positive(("--steps", steps))
+    _require_positive(("--steps", args.steps))
     res = _resolve(args)
-    points = args.points if getattr(args, "points", None) is not None else 101
-    measure = DiscreteMeasure.uniform_grid(res.a, res.b, points)
+    measure = DiscreteMeasure.uniform_grid(res.a, res.b, args.points)
     target = TargetSpec.constant(res.xi)
-    seed = args.seed if args.seed is not None else 0
-    theta0 = gaussian_init(res.arch, seed, res.init_scale, 1)[0]
+    theta0 = gaussian_init(res.arch, args.seed, res.init_scale, 1)[0]
     threshold = gd_threshold(res.arch, theta0, res.xi, measure.mass, measure.input_scale)
-    return res, measure, target, theta0, threshold, steps
+    return res, measure, target, theta0, threshold, args.steps
 
 
 def _default_step(step: float, flag: str) -> float:
@@ -226,7 +177,7 @@ def cmd_nonconvexity(args) -> int:
             file=sys.stderr,
         )
         return 2
-    measure = DiscreteMeasure.uniform_grid(res.a, res.b, args.points if args.points is not None else 101)
+    measure = DiscreteMeasure.uniform_grid(res.a, res.b, args.points)
     target = TargetSpec.constant(res.xi)
     theta, vartheta = nonconvexity_witness(res.arch, res.xi, measure)
     mid = 0.5 * (theta + vartheta)
@@ -242,11 +193,10 @@ def cmd_nonconvexity(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     all_ok = True
     for name, check in CLAIMS.items():
         if args.suite in ("all", name.split(".")[0]):
-            ok, detail = check(seed)
+            ok, detail = check(args.seed)
             all_ok &= bool(ok)
             print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     return 0 if all_ok else 1
@@ -258,13 +208,13 @@ def cmd_verify(args) -> int:
 def _add_common(sub, *, points=False):
     sub.add_argument("--preset", choices=sorted(PRESETS), help="named experiment configuration")
     sub.add_argument("--arch", help="comma-separated widths, e.g. 1,7,1")
-    sub.add_argument("--xi", help="constant target value(s), comma-separated")
-    sub.add_argument("--a", type=float, help="input box lower end (default 0)")
-    sub.add_argument("--b", type=float, help="input box upper end (default 1)")
-    sub.add_argument("--seed", type=int, help="master seed (default 0)")
+    sub.add_argument("--xi", default="1.0", help="constant target value(s), comma-separated (default 1.0)")
+    sub.add_argument("--a", type=float, default=0.0, help="input box lower end (default 0)")
+    sub.add_argument("--b", type=float, default=1.0, help="input box upper end (default 1)")
+    sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     sub.add_argument("--out", help="output CSV path")
     if points:
-        sub.add_argument("--points", type=int, help="grid points of the measure (default 101)")
+        sub.add_argument("--points", type=int, default=101, help="grid points of the measure (default 101)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,28 +226,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("sgd", help="multi-trial SGD experiment, CSV of mean risk")
     _add_common(sub)
-    sub.add_argument("--gamma", type=float, help="step size (default preset's, else 1/2000)")
-    sub.add_argument("--batch", type=int, help="minibatch size (default 100)")
-    sub.add_argument("--steps", type=int, help="SGD steps (default 100000)")
-    sub.add_argument("--trials", type=int, help="independent trials (default 100)")
+    sub.add_argument("--gamma", type=float, default=1.0 / 2000.0, help="step size (default 1/2000)")
+    sub.add_argument("--batch", type=int, default=100, help="minibatch size (default 100)")
+    sub.add_argument("--steps", type=int, default=100_000, help="SGD steps (default 100000)")
+    sub.add_argument("--trials", type=int, default=100, help="independent trials (default 100)")
     sub.add_argument("--eval-samples", type=int, default=10_000, help="Monte Carlo sample size per checkpoint")
     sub.set_defaults(func=cmd_sgd)
 
     sub = subparsers.add_parser("gd", help="full-measure gradient descent on a grid")
     _add_common(sub, points=True)
     sub.add_argument("--gamma", type=float, help="step size (default 0.9x the descent threshold)")
-    sub.add_argument("--steps", type=int, help="steps (default 10000)")
+    sub.add_argument("--steps", type=int, default=10_000, help="steps (default 10000)")
     sub.set_defaults(func=cmd_gd)
 
     sub = subparsers.add_parser("gf", help="Euler gradient flow on a grid")
     _add_common(sub, points=True)
     sub.add_argument("--dt", type=float, help="Euler step (default 0.5x the descent threshold)")
-    sub.add_argument("--steps", type=int, help="steps (default 10000)")
+    sub.add_argument("--steps", type=int, default=10_000, help="steps (default 10000)")
     sub.set_defaults(func=cmd_gf)
 
     sub = subparsers.add_parser("verify", help="run self-checks; exit 0 iff all pass")
     sub.add_argument("--suite", choices=["all"] + sorted({name.split(".")[0] for name in CLAIMS}), default="all")
-    sub.add_argument("--seed", type=int, help="seed for the randomized checks (default 0)")
+    sub.add_argument("--seed", type=int, default=0, help="seed for the randomized checks (default 0)")
     sub.set_defaults(func=cmd_verify)
 
     sub = subparsers.add_parser("nonconvexity", help="print an explicit midpoint violation")

@@ -25,9 +25,9 @@ import math
 import numpy as np
 
 from .activation import DEFAULT_CLAMP, ClampConfig, smooth_relu_derivative
-from .arch import Architecture, check_params, layer_views
-from .network import _forward, _relu_unit, _smooth_unit, _Workspace, forward_exact, layer_sharpness
-from .risk import DiscreteMeasure, TargetSpec
+from .arch import Architecture, check_params
+from .network import _check_inputs, _relu_unit, _residual, _smooth_unit, _Workspace, forward_exact, layer_sharpness
+from .risk import DiscreteMeasure, TargetSpec, _batch, _constant_row
 
 PATH_CAP = 10_000
 
@@ -48,7 +48,7 @@ def _smooth_gate(sharpness: float, cfg: ClampConfig):
 
 def _backward(
     layers, points, pres, acts, delta, gate, ws: _Workspace | None = None
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> list[tuple[np.ndarray, np.ndarray]] | None:
     """Reverse sweep from output sensitivities ``delta``: [(dW_k, db_k)] for k = 1..L.
 
     Shapes and the optional leading trial axis follow `_forward`, whose
@@ -58,9 +58,9 @@ def _backward(
     the delta is back-propagated as the broadcast product ``W_k^T * delta``.
 
     With the workspace ``ws`` that `_forward` ran on, the sweep is a fixed
-    sequence of ``out=`` calls on the views ``ws`` binds and returns
-    ``ws.splits``: layer k's gradient is the one product
-    ``delta_k @ [h; 1]^T`` written into ``ws.grads[k-1]``, its bias column a
+    sequence of ``out=`` calls on the views ``ws`` binds and returns nothing:
+    layer k's gradient is the one product ``delta_k @ [h; 1]^T`` written into
+    ``ws.grads[k-1]``, a view of the block ``ws.grad``, its bias column a
     product with the ones row rather than a sum; ``gate`` takes an ``out``
     argument, as `_left_gate` does, and each layer's delta overwrites its
     preactivation in ``ws.pres`` once the gate is taken.  With scalar output
@@ -114,50 +114,39 @@ def _backward(
             back = ws.weights_t[k - 1]
             delta = (np.multiply if back.shape[-1] == 1 else np.matmul)(back, delta, out=ws.pres[k - 2])
             delta *= below
-    return ws.splits
 
 
 def _grad_core(
     arch: Architecture,
-    theta: np.ndarray,
+    theta,
     points: np.ndarray,
     point_weights: np.ndarray,
-    fvals: np.ndarray,
+    fvals,
     unit=_relu_unit,
     gate=_left_gate,
-) -> tuple[np.ndarray, float]:
-    """Weighted risk gradient (flat) and risk at (M, l_0) points, in one forward and one reverse pass."""
-    layers = layer_views(arch, theta)
-    pres, acts = _forward(layers, points.T, unit)
-    resid = pres[-1] - fvals.T
-    risk = float(np.sum(point_weights * np.sum(resid * resid, axis=0)))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted risk gradient (flat) at float (M, l_0) points, in one checked forward and one reverse pass.
+
+    Also returns that pass's (l_L, M) output N and residual N - f.  ``fvals``
+    are the target values or a function of the points, as `_check_inputs` takes them.
+    """
+    layers, pres, acts, resid = _residual(arch, theta, points, fvals, unit)
     grads = _backward(layers, points.T, pres, acts, 2.0 * resid * point_weights, gate)
-    return np.concatenate([part for gw, gb in grads for part in (gw.ravel(), gb)]), risk
+    return np.concatenate([part for gw, gb in grads for part in (gw.ravel(), gb)]), pres[-1], resid
 
 
 def generalized_gradient(
     arch: Architecture, theta, measure: DiscreteMeasure, target: TargetSpec
 ) -> np.ndarray:
     """Limit of the smoothed risk gradients for a finite measure."""
-    theta = check_params(arch, theta)
-    if measure.dim != arch.widths[0]:
-        raise ValueError(f"measure dim {measure.dim} != input width {arch.widths[0]}")
-    fvals = target.values(measure.points)
-    grad, _ = _grad_core(arch, theta, measure.points, measure.weights, fvals)
-    return grad
+    return _grad_core(arch, theta, measure.points, measure.weights, target.values)[0]
 
 
 def minibatch_gradient(arch: Architecture, theta, batch: np.ndarray, xi) -> np.ndarray:
     """Generalized gradient of the minibatch objective (mean squared error)."""
-    theta = check_params(arch, theta)
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if batch.shape[0] == 0:
-        raise ValueError("batch must be nonempty")
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+    batch = _batch(batch)
     weights = np.full(batch.shape[0], 1.0 / batch.shape[0])
-    fvals = np.broadcast_to(xi, (batch.shape[0], xi.shape[0]))
-    grad, _ = _grad_core(arch, theta, batch, weights, fvals)
-    return grad
+    return _grad_core(arch, theta, batch, weights, _constant_row(xi))[0]
 
 
 def smooth_gradient(
@@ -169,14 +158,9 @@ def smooth_gradient(
     cfg: ClampConfig = DEFAULT_CLAMP,
 ) -> np.ndarray:
     """Gradient of risk_smooth; hidden gates are the smooth unit's derivative."""
-    theta = check_params(arch, theta)
     sharpness = float(sharpness)
-    points = measure.points
-    grad, _ = _grad_core(
-        arch, theta, points, measure.weights, target.values(points),
-        _smooth_unit(sharpness, cfg), _smooth_gate(sharpness, cfg),
-    )
-    return grad
+    unit, gate = _smooth_unit(sharpness, cfg), _smooth_gate(sharpness, cfg)
+    return _grad_core(arch, theta, measure.points, measure.weights, target.values, unit, gate)[0]
 
 
 def gradient_pathsum_oracle(
@@ -190,19 +174,18 @@ def gradient_pathsum_oracle(
     incoming activation at j (the input coordinate when k = 1).  Bias entries
     drop the incoming factor.  Terms are combined with math.fsum.
     """
-    theta = check_params(arch, theta)
+    theta, points, fvals = _check_inputs(arch, theta, measure.points, target.values)
     depth = arch.depth
     widths = arch.widths
     if math.prod(widths[1:]) > PATH_CAP:
         raise PathCountError(
             f"{math.prod(widths[1:])} paths exceed the oracle cap of {PATH_CAP}"
         )
-    fvals = target.values(measure.points)
     terms: dict[int, list[float]] = {idx: [] for idx in range(arch.param_count)}
     weight_mats = [None] + [
         theta[arch.weight_slice(k)].reshape(widths[k], widths[k - 1]) for k in range(1, depth + 1)
     ]
-    for x, w, f in zip(measure.points, measure.weights, fvals):
+    for x, w, f in zip(points, measure.weights, fvals):
         trace = forward_exact(arch, theta, x)
         resid2 = 2.0 * (trace.output - f)
         for k in range(1, depth + 1):

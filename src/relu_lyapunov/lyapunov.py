@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arch import Architecture, check_params, layer_views
-from .network import _forward, _relu_unit
+from .arch import Architecture, check_params
+from .gradient import _grad_core
 from .risk import DiscreteMeasure, TargetSpec
 
 
@@ -80,15 +80,10 @@ def pairing(
     """(<grad V, generalized gradient>, 4 L int <N - f, N - f(0)> dmu).
 
     The two sides agree for every theta; with a constant target the right
-    side is 4 L times the exact risk.
+    side is 4 L times the exact risk.  Both come from one forward pass.
     """
-    from .gradient import generalized_gradient
-
-    theta = check_params(ctx.arch, theta)
-    depth = ctx.arch.depth
-    lhs = float(np.dot(lyapunov_gradient(ctx, theta), generalized_gradient(ctx.arch, theta, measure, target)))
-    pres, _ = _forward(layer_views(ctx.arch, theta), measure.points.T, _relu_unit)
-    out = pres[-1]
-    inner = np.sum((out - target.values(measure.points).T) * (out - ctx.f0[:, None]), axis=0)
-    rhs = 4.0 * depth * float(np.sum(measure.weights * inner))
+    grad, out, resid = _grad_core(ctx.arch, theta, measure.points, measure.weights, target.values)
+    lhs = float(np.dot(lyapunov_gradient(ctx, theta), grad))
+    inner = np.sum(resid * (out - ctx.f0[:, None]), axis=0)
+    rhs = 4.0 * ctx.arch.depth * float(np.sum(measure.weights * inner))
     return lhs, rhs

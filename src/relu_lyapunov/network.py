@@ -9,7 +9,9 @@ to the exact one with an explicit rate as sharpness grows.
 Every evaluation in the package, of one network or of a trial-stacked block of
 networks, goes through `_forward`; exact and smoothed differ only in the unit
 passed to it.  Its arrays are feature-major, ``(..., width, samples)``, so the
-contiguous axis runs over samples rather than over a handful of neurons.
+contiguous axis runs over samples rather than over a handful of neurons.  The
+public risks and gradients reach it through `_residual`, whose `_check_inputs`
+is their one input check, and the single-input traces through `_trace`.
 """
 
 from __future__ import annotations
@@ -57,13 +59,6 @@ def layer_sharpness(sharpness: float, k: int) -> float:
     return math.exp(math.log(sharpness) / k)
 
 
-def _check_input(arch: Architecture, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != arch.widths[0]:
-        raise ValueError(f"input has shape {x.shape}, expected ({arch.widths[0]},)")
-    return x
-
-
 def _relu_unit(k: int, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return relu(z) if out is None else np.maximum(z, 0.0, out=out)
 
@@ -84,10 +79,9 @@ class _Workspace:
     here once, so layer k is the one product ``blocks[k-1] @ inputs[k-1]`` and
     its gradient [dW_k db_k] the one product ``delta_k @ inputs_t[k-1]``
     (``inputs_t`` the transposes), written into ``grads[k-1]``, a view of the
-    (trials, d) gradient block ``grad`` laid out like the parameters, and split
-    into ``splits[k-1] = (dW_k, db_k)``.  ``points`` are the x rows of the first
-    [x; 1], which a caller fills, and ``hidden[k-1]`` the h_k rows of layer
-    k + 1's input, which the unit writes.  ``pres[k-1]`` holds layer k's
+    (trials, d) gradient block ``grad`` laid out like the parameters.
+    ``points`` are the x rows of the first [x; 1], which a caller fills, and
+    ``hidden[k-1]`` the h_k rows of layer k + 1's input, which the unit writes.  ``pres[k-1]`` holds layer k's
     preactivation and, once its gate is taken into ``gates[k-1]``, layer k's
     delta.  ``draw`` is the (trials, m, l_0) buffer a batch is drawn into and
     ``draw_target`` the points as (trials, m, l_0).
@@ -119,7 +113,6 @@ class _Workspace:
         self.gates = [np.empty((w, trials, m), dtype=bool).transpose(1, 0, 2) for w in widths[1:-1]]
         self.grad = np.empty((trials, sum(a[0].size for a in blocks)))
         self.grads = _augmented_blocks(widths, self.grad)
-        self.splits = [(g[..., :-1], g[..., -1]) for g in self.grads]
         self.factored = depth > 1 and widths[-1] == 1
         self.narrow = self.factored and depth == 2 and widths[0] == 1
         if self.factored:
@@ -202,17 +195,55 @@ def _forward(
     return pres, acts
 
 
+def _check_inputs(arch: Architecture, theta, points, fvals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """θ in the flat layout, points as (M, l_0) and target values as (M, l_L), as float arrays.
+
+    The one input check of the public risks, gradients and the path-sum oracle:
+    a wrong shape is a ValueError naming the width it misses.  ``fvals`` may
+    be a function of the checked points (`TargetSpec.values`), so that a target
+    function never sees points of the wrong width.  A constant target may give
+    its values as one (1, l_L) row, which holds at every point.
+    """
+    theta = check_params(arch, theta)
+    points = np.asarray(points, dtype=np.float64)
+    l_in, l_out = arch.widths[0], arch.widths[-1]
+    if points.ndim != 2 or points.shape[1] != l_in:
+        raise ValueError(f"points have shape {points.shape}, expected (M, {l_in}) for input width {l_in}")
+    fvals = np.asarray(fvals(points) if callable(fvals) else fvals, dtype=np.float64)
+    if fvals.shape not in ((points.shape[0], l_out), (1, l_out)):
+        raise ValueError(
+            f"target values have shape {fvals.shape}, expected ({points.shape[0]}, {l_out}) or (1, {l_out}) "
+            f"for output width {l_out}"
+        )
+    return theta, points, fvals
+
+
+def _residual(arch: Architecture, theta, points, fvals, unit=_relu_unit):
+    """The checked pass at (M, l_0) points against (M, l_L) or (1, l_L) target values: (layers, pres, acts, resid).
+
+    ``layers`` are θ's `layer_views`, ``pres``/``acts`` `_forward`'s outputs
+    and ``resid`` the (l_L, M) residual N - f, all feature-major.
+    """
+    theta, points, fvals = _check_inputs(arch, theta, points, fvals)
+    layers = layer_views(arch, theta)
+    pres, acts = _forward(layers, points.T, unit)
+    return layers, pres, acts, pres[-1] - fvals.T
+
+
+def _trace(arch: Architecture, theta, x, unit, pattern: bool) -> ForwardTrace:
+    """The pass at one input x of shape (l_0,); with ``pattern``, the strict activation pattern too."""
+    theta = check_params(arch, theta)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.shape[0] != arch.widths[0]:
+        raise ValueError(f"input has shape {x.shape}, expected ({arch.widths[0]},) for input width {arch.widths[0]}")
+    pres, acts = _forward(layer_views(arch, theta), x[:, None], unit)
+    pres = [z[:, 0] for z in pres]
+    return ForwardTrace(x, pres, [a[:, 0] for a in acts], [z > 0.0 for z in pres[:-1]] if pattern else None)
+
+
 def forward_exact(arch: Architecture, theta: np.ndarray, x) -> ForwardTrace:
     """Exact ReLU forward pass at a single input."""
-    theta = check_params(arch, theta)
-    x = _check_input(arch, x)
-    pres, acts = _forward(layer_views(arch, theta), x[:, None], _relu_unit)
-    return ForwardTrace(
-        x=x,
-        preactivations=[z[:, 0] for z in pres],
-        activations=[a[:, 0] for a in acts],
-        pattern=[z[:, 0] > 0.0 for z in pres[:-1]],
-    )
+    return _trace(arch, theta, x, _relu_unit, pattern=True)
 
 
 def forward_smooth(
@@ -223,17 +254,9 @@ def forward_smooth(
     cfg: ClampConfig = DEFAULT_CLAMP,
 ) -> ForwardTrace:
     """Smoothed forward pass at a single input; no activation pattern."""
-    theta = check_params(arch, theta)
-    x = _check_input(arch, x)
     if not float(sharpness) >= 1.0:
         raise ValueError(f"sharpness must be >= 1, got {sharpness}")
-    pres, acts = _forward(layer_views(arch, theta), x[:, None], _smooth_unit(float(sharpness), cfg))
-    return ForwardTrace(
-        x=x,
-        preactivations=[z[:, 0] for z in pres],
-        activations=[a[:, 0] for a in acts],
-        pattern=None,
-    )
+    return _trace(arch, theta, x, _smooth_unit(float(sharpness), cfg), pattern=False)
 
 
 def deviation_bound(

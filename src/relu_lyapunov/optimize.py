@@ -90,13 +90,16 @@ class Trajectory:
     mc_risk: np.ndarray | None = None
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("step,v,risk,grad_norm,param_norm,gamma\n")
-            for i in range(len(self.steps)):
-                fh.write(
-                    f"{int(self.steps[i])},{self.v[i]:.17g},{self.risk[i]:.17g},"
-                    f"{self.grad_norm[i]:.17g},{self.param_norm[i]:.17g},{self.gamma[i]:.17g}\n"
-                )
+        rows = zip(map(int, self.steps), self.v, self.risk, self.grad_norm, self.param_norm, self.gamma)
+        _write_csv(path, "step,v,risk,grad_norm,param_norm,gamma", rows)
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """The package's one CSV writer: ``header``, then each row with integers as such and other values as %.17g."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(str(int(v)) if isinstance(v, (int, np.integer)) else f"{float(v):.17g}" for v in row) + "\n")
 
 
 def geometric_checkpoints(steps: int, count: int = 10) -> tuple[int, ...]:

@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .activation import DEFAULT_CLAMP, ClampConfig
-from .arch import Architecture, check_params, layer_views
-from .network import _forward, _relu_unit, _smooth_unit
+from .arch import Architecture
+from .network import _check_inputs, _relu_unit, _residual, _smooth_unit
 
 
 def _entropy(seed) -> tuple[int, ...]:
@@ -237,14 +237,28 @@ class UniformSampler:
         return self.a + (self.b - self.a) * self._rng.random((n, self.dim))
 
 
+def _batch(batch) -> np.ndarray:
+    """A minibatch as an (M, l_0) float array with M >= 1; its width is checked with the other inputs."""
+    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    if batch.shape[0] == 0:
+        raise ValueError("batch must be nonempty")
+    return batch
+
+
+def _constant_row(xi) -> np.ndarray:
+    """A constant target ``xi`` as the one (1, l_L) row of target values that `_residual` takes for every point."""
+    return np.atleast_1d(np.asarray(xi, dtype=np.float64))[None, :]
+
+
+def _measure_risk(arch, theta, measure: DiscreteMeasure, target: TargetSpec, unit) -> float:
+    """sum_p w_p ||N(x_p) - f(x_p)||^2 with the hidden unit ``unit``."""
+    *_, resid = _residual(arch, theta, measure.points, target.values, unit)
+    return float(np.sum(measure.weights * np.sum(resid * resid, axis=0)))
+
+
 def risk_exact(arch: Architecture, theta, measure: DiscreteMeasure, target: TargetSpec) -> float:
     """sum_p w_p ||N(x_p) - f(x_p)||^2 with the exact ReLU network."""
-    theta = check_params(arch, theta)
-    if measure.dim != arch.widths[0]:
-        raise ValueError(f"measure dim {measure.dim} != input width {arch.widths[0]}")
-    pres, _ = _forward(layer_views(arch, theta), measure.points.T, _relu_unit)
-    resid = pres[-1] - target.values(measure.points).T
-    return float(np.sum(measure.weights * np.sum(resid * resid, axis=0)))
+    return _measure_risk(arch, theta, measure, target, _relu_unit)
 
 
 def risk_smooth(
@@ -256,21 +270,13 @@ def risk_smooth(
     cfg: ClampConfig = DEFAULT_CLAMP,
 ) -> float:
     """Exact-measure risk of the smoothed network."""
-    theta = check_params(arch, theta)
-    pres, _ = _forward(layer_views(arch, theta), measure.points.T, _smooth_unit(float(sharpness), cfg))
-    resid = pres[-1] - target.values(measure.points).T
-    return float(np.sum(measure.weights * np.sum(resid * resid, axis=0)))
+    return _measure_risk(arch, theta, measure, target, _smooth_unit(float(sharpness), cfg))
 
 
 def empirical_risk(arch: Architecture, theta, batch: np.ndarray, xi) -> float:
     """Mean squared error against a constant target over one batch."""
-    theta = check_params(arch, theta)
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if batch.shape[0] == 0:
-        raise ValueError("batch must be nonempty")
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    pres, _ = _forward(layer_views(arch, theta), batch.T, _relu_unit)
-    resid = pres[-1] - xi[:, None]
+    batch = _batch(batch)
+    *_, resid = _residual(arch, theta, batch, _constant_row(xi))
     return float(np.mean(np.sum(resid * resid, axis=0)))
 
 
@@ -287,10 +293,10 @@ def population_risk_mc(
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    theta = check_params(arch, theta)
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    pres, _ = _forward(layer_views(arch, theta), sampler.sample(n_samples).T, _relu_unit)
-    resid = pres[-1] - xi[:, None]
+    row = _constant_row(xi)
+    # checked before the draw too, so that a rejected call leaves the sampler's stream where it was
+    _check_inputs(arch, theta, np.empty((0, sampler.dim)), row)
+    *_, resid = _residual(arch, theta, sampler.sample(n_samples), row)
     sq = np.sum(resid * resid, axis=0)
     estimate = float(np.mean(sq))
     std_error = float(np.std(sq, ddof=1) / np.sqrt(n_samples))

@@ -22,22 +22,15 @@ from relu_lyapunov import (
     gd_threshold,
     generalized_gradient,
     gf_euler_run,
-    last_layer_midpoint_check,
     lyapunov_value,
-    midpoint_gap,
-    nonconvexity_witness,
     population_risk_mc,
-    risk_smooth,
     sgd_ensemble,
     sgd_run,
     sgd_threshold,
     smooth_gradient,
 )
-from relu_lyapunov.activation import DEFAULT_CLAMP
-from relu_lyapunov.arch import layer_views
 from relu_lyapunov.claims import CLAIMS
 from relu_lyapunov.cli import main
-from relu_lyapunov.network import _forward, _smooth_unit, layer_sharpness
 
 
 def test_parameter_counts():
@@ -57,52 +50,11 @@ def test_claim(name):
     assert ok, detail
 
 
-def _clean_smooth_instance(rng, arch, lo_exp, hi_exp, h):
-    # reject draws whose hidden preactivations sit close to the clamp window
-    # endpoints, where a finite-difference bracket can straddle the kink
-    while True:
-        theta = rng.normal(0.0, 0.6, arch.param_count)
-        m = int(rng.integers(1, 6))
-        pts = rng.uniform(0.0, 1.0, (m, arch.widths[0]))
-        measure = DiscreteMeasure(pts, rng.uniform(0.0, 1.0, m), 0.0, 1.0)
-        target = TargetSpec.constant(rng.normal(0.0, 1.0, arch.widths[-1]))
-        sharp = float(2.0 ** rng.uniform(lo_exp, hi_exp))
-        pres, _ = _forward(layer_views(arch, theta), measure.points.T, _smooth_unit(sharp, DEFAULT_CLAMP))
-        ok = True
-        for k, pre in enumerate(pres[:-1], start=1):
-            rk = layer_sharpness(sharp, k)
-            t = (rk * pre - DEFAULT_CLAMP.lo) / (DEFAULT_CLAMP.hi - DEFAULT_CLAMP.lo)
-            dist = np.minimum(np.abs(t), np.abs(t - 1.0))
-            if dist.min() < max(0.005, 200.0 * h * rk):
-                ok = False
-                break
-        if ok:
-            return theta, measure, target, sharp
-
-
-def test_smooth_gradient_fd_and_monotone_limit():
-    """Two claims about the smoothed gradient: it matches central finite
-    differences of the smoothed risk (1e-6 relative, 1e-9 floor, h = 1e-6)
-    on 100 random instances, and its distance to the exact generalized
-    gradient decays monotonically in the sharpness along 2^4..2^20 at 20
-    parameter points whose hidden preactivations stay off the kinks."""
-    h = 1e-6
-    rng = np.random.default_rng(2)
-    archs = [Architecture((1, 2, 1)), Architecture((1, 3, 1)), Architecture((2, 2, 2))]
-    for trial in range(100):
-        arch = archs[trial % 3]
-        theta, measure, target, sharp = _clean_smooth_instance(rng, arch, 2.0, 7.0, h)
-        g = smooth_gradient(arch, theta, measure, target, sharp)
-        for i in range(arch.param_count):
-            tp, tm = theta.copy(), theta.copy()
-            tp[i] += h
-            tm[i] -= h
-            fd = (
-                risk_smooth(arch, tp, measure, target, sharp)
-                - risk_smooth(arch, tm, measure, target, sharp)
-            ) / (tp[i] - tm[i])
-            assert abs(fd - g[i]) <= max(1e-6 * abs(g[i]), 1e-9), (trial, i, sharp)
-
+def test_smooth_gradient_monotone_limit():
+    """The smoothed gradient's distance to the exact generalized gradient
+    decays monotonically in the sharpness along 2^4..2^20 at 20 parameter
+    points whose hidden preactivations stay off the kinks (its agreement with
+    finite differences of the smoothed risk is `gradient.smooth_gradient_fd`)."""
     rng = np.random.default_rng(3)
     for trial in range(20):
         arch = Architecture((1, 3, 1)) if trial % 2 else Architecture((1, 2, 1))
@@ -127,42 +79,6 @@ def test_smooth_gradient_fd_and_monotone_limit():
         for a, b in zip(devs, devs[1:]):
             assert b <= a + 1e-15 or a <= 1e-14, (trial, devs)
         assert devs[-1] <= 1e-12
-
-
-def test_nonconvexity_midpoint_gap():
-    """The witness pair built for a unit-mass measure has midpoint gap
-    exactly 1/16, checked to 1e-12 absolute."""
-    arch = Architecture((1, 7, 1))
-    measure = DiscreteMeasure.uniform_grid(0.0, 1.0, 101)
-    xi = np.array([1.0])
-    theta, vartheta = nonconvexity_witness(arch, xi, measure)
-    gap = midpoint_gap(arch, theta, vartheta, measure, TargetSpec.constant(xi))
-    assert abs(gap - 0.0625) <= 1e-12
-
-
-def test_last_layer_midpoint_convexity():
-    """Freezing all hidden layers leaves a convex problem in the output
-    layer: the midpoint inequality holds on 10^3 random pairs, with no
-    violation beyond 1e-12."""
-    rng = np.random.default_rng(5)
-    shapes = [(1, 7, 1), (1, 3, 7, 1), (2, 4, 3), (1, 2, 2, 1)]
-    for trial in range(1000):
-        arch = Architecture(shapes[trial % len(shapes)])
-        head = arch.offsets[arch.depth - 1]
-        block = arch.param_count - head
-        m = int(rng.integers(1, 7))
-        measure = DiscreteMeasure(
-            rng.uniform(0.0, 1.0, (m, arch.widths[0])),
-            rng.uniform(0.0, 1.0, m),
-            0.0,
-            1.0,
-        )
-        target = TargetSpec.constant(rng.normal(size=arch.widths[-1]))
-        hidden = rng.normal(0.0, 0.8, head)
-        v = rng.normal(0.0, 0.8, block)
-        w = rng.normal(0.0, 0.8, block)
-        lhs, rhs = last_layer_midpoint_check(arch, hidden, v, w, measure, target)
-        assert lhs - rhs <= 1e-12, trial
 
 
 def test_minibatch_risk_unbiasedness():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relu_lyapunov.claims import CLAIMS
-from relu_lyapunov.cli import PRESETS, UsageError, _parse_xi, build_parser, main
+from relu_lyapunov.cli import PRESETS, UsageError, _parse_xi, _resolve, build_parser, main
 
 
 def run(capsys, *argv):
@@ -12,10 +12,11 @@ def run(capsys, *argv):
 
 
 def test_presets():
-    assert set(PRESETS) == {"shallow", "deep"}
-    assert PRESETS["shallow"].widths == (1, 7, 1)
-    assert PRESETS["deep"].widths == (1, 3, 7, 1)
-    assert abs(PRESETS["deep"].init_scale - 3.0**-0.5) < 1e-15
+    """A preset names widths only; the rest of its run is the sgd defaults."""
+    assert PRESETS == {"shallow": (1, 7, 1), "deep": (1, 3, 7, 1)}
+    deep = _resolve(build_parser().parse_args(["sgd", "--preset", "deep"]))
+    assert deep.arch.widths == (1, 3, 7, 1) and deep.tag == "deep"
+    assert abs(deep.init_scale - 3.0**-0.5) < 1e-15
 
 
 def test_parse_xi():

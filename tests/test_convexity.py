@@ -67,21 +67,6 @@ def test_midpoint_shifts_output_by_quarter():
         np.testing.assert_allclose(out, xi + np.array([0.25]), rtol=0, atol=1e-16)
 
 
-def test_gap_is_mass_over_sixteen():
-    rng = np.random.default_rng(1)
-    for widths in [(1, 7, 1), (1, 3, 7, 1), (2, 5, 2)]:
-        arch = Architecture(widths)
-        xi = rng.normal(size=arch.widths[-1])
-        for mass in (1.0, 0.25, 3.0):
-            m = int(rng.integers(1, 7))
-            w = rng.uniform(0.1, 1.0, m)
-            w *= mass / w.sum()
-            measure = DiscreteMeasure(rng.uniform(0.0, 1.0, (m, arch.widths[0])), w, 0.0, 1.0)
-            theta, vartheta = nonconvexity_witness(arch, xi, measure)
-            gap = midpoint_gap(arch, theta, vartheta, measure, TargetSpec.constant(xi))
-            assert abs(gap - mass / 16.0) < 1e-14 * max(1.0, mass)
-
-
 def test_unit_mass_gap_value():
     arch = Architecture((1, 7, 1))
     # dyadic weights make the value exact; generic grids land within 1e-12

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relu_lyapunov import (
@@ -19,7 +19,7 @@ from relu_lyapunov import (
 from relu_lyapunov.activation import DEFAULT_CLAMP
 from relu_lyapunov.arch import layer_views
 from relu_lyapunov.gradient import _backward, _left_gate, _smooth_gate
-from relu_lyapunov.network import _forward, _relu_unit, _smooth_unit
+from relu_lyapunov.network import _augmented_blocks, _augmented_order, _forward, _relu_unit, _smooth_unit, _Workspace
 
 
 def random_instance(rng, widths, max_points=5):
@@ -152,19 +152,23 @@ def test_growth_bound_input_scale_default():
     assert abs(b2 - 9.0 * b1) < 1e-9 * b2
 
 
-@st.composite
-def stacked_instances(draw):
-    """Random trial-stacked problem: depth 1-4, widths 1-3, 1-4 trials, 1-5 points."""
-    depth = draw(st.integers(1, 4))
-    widths = tuple(draw(st.lists(st.integers(1, 3), min_size=depth + 1, max_size=depth + 1)))
-    trials, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _stacked_instance(widths, trials, m, seed):
+    rng = np.random.default_rng(seed)
     arch = Architecture(widths)
     thetas = rng.normal(0.0, 0.8, (trials, arch.param_count))
     points = rng.uniform(-1.0, 1.0, (trials, m, widths[0]))
     weights = rng.uniform(0.0, 1.0, m)
     xi = rng.normal(size=widths[-1])
     return arch, thetas, points, weights, xi
+
+
+@st.composite
+def stacked_instances(draw):
+    """Random trial-stacked problem: depth 1-4, widths 1-3, 1-4 trials, 1-5 points."""
+    depth = draw(st.integers(1, 4))
+    widths = tuple(draw(st.lists(st.integers(1, 3), min_size=depth + 1, max_size=depth + 1)))
+    trials, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    return _stacked_instance(widths, trials, m, draw(st.integers(0, 2**32 - 1)))
 
 
 def _stack_layers(arch, thetas):
@@ -195,7 +199,8 @@ def test_stacked_kernel_matches_single_networks(instance, sharpness):
     """_forward/_backward on a trial-stacked block equal one call per trial,
     for the exact unit (sharpness None) and the smooth one.  Without a
     workspace both take the plain loop; the workspace sweep is pinned against
-    this loop by the ensemble tests in test_optimize."""
+    the path-sum oracle below and against this loop by the ensemble tests in
+    test_optimize."""
     arch, thetas, points, weights, xi = instance
     if sharpness is None:
         unit, gate = _relu_unit, _left_gate
@@ -222,3 +227,27 @@ def test_stacked_kernel_matches_pathsum_oracle(instance):
         measure = DiscreteMeasure(points[t], weights, -1.0, 1.0)
         slow = gradient_pathsum_oracle(arch, theta, measure, TargetSpec.constant(xi))
         assert np.abs(fast - slow).max() <= 1e-12 * max(1.0, float(np.linalg.norm(slow)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_instances())
+@example(_stacked_instance((1, 3, 1), 3, 4, 0))  # 1 -> h -> 1
+@example(_stacked_instance((2, 3, 2, 1), 3, 4, 1))  # factored, with back
+@example(_stacked_instance((2, 3, 2), 3, 4, 2))  # general
+def test_workspace_sweep_matches_pathsum_oracle(instance):
+    """`_forward`/`_backward` on a `_Workspace`, the training kernel, give each
+    trial's path-sum gradient in ``ws.grad``, on every route of the sweep."""
+    arch, thetas, points, weights, xi = instance
+    order = _augmented_order(arch.widths)
+    ws = _Workspace(_augmented_blocks(arch.widths, np.take(thetas, order, axis=1)), points.shape[1])
+    ws.points[...] = points.swapaxes(-1, -2)
+    pres, acts = _forward(ws.layers, ws.points, _relu_unit, ws)
+    delta = np.subtract(pres[-1], xi[:, None], out=pres[-1])
+    delta *= 2.0 * weights
+    _backward(ws.layers, ws.points, pres, acts, delta, _left_gate, ws)
+    fast = np.empty_like(thetas)
+    fast[:, order] = ws.grad
+    for t, theta in enumerate(thetas):
+        measure = DiscreteMeasure(points[t], weights, -1.0, 1.0)
+        slow = gradient_pathsum_oracle(arch, theta, measure, TargetSpec.constant(xi))
+        assert np.abs(fast[t] - slow).max() <= 1e-12 * max(1.0, float(np.linalg.norm(slow)))

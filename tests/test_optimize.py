@@ -88,12 +88,6 @@ def test_gd_threshold_reference_value():
         gd_threshold(arch, np.zeros(2), np.zeros(1), -1.0)
 
 
-def test_sgd_threshold_reference_value():
-    arch = Architecture((1, 7, 1))
-    got = sgd_threshold(arch, 0.0, np.array([1.0]), 0.0, 1.0)
-    assert abs(got - 176.0**-4) < 1e-25
-
-
 def test_thresholds_below_smallest_float_are_zero():
     # deep nets: the power in the denominator overflows a float, or the one in
     # the numerator underflows; either way the bound is below the smallest float
@@ -430,16 +424,6 @@ def test_ensemble_divergence_check_covers_hidden_layers():
     assert err.value.step == 0
     assert "trials [1, 3] " in str(err.value)
     np.testing.assert_array_equal(err.value.theta, theta0s)
-
-
-def test_sgd_descent_at_threshold():
-    arch = Architecture((1, 7, 1))
-    theta0 = gaussian_init(arch, seed=8, scale=7.0**-0.5, trials=1)[0]
-    gamma = sgd_threshold(arch, float(np.linalg.norm(theta0)), np.array([1.0]), 0.0, 1.0)
-    sampler = UniformSampler(0.0, 1.0, 1, seed=31)
-    cfg = SgdConfig(batch_size=100, steps=400, seed=31, eval_samples=0, eval_steps=())
-    traj = sgd_run(arch, theta0, gamma, sampler, 1.0, cfg)
-    assert np.all(np.diff(traj.v) <= 1e-13 * (1.0 + np.abs(traj.v[:-1])))
 
 
 def test_eval_grid_one_rule_for_both_loops():

@@ -3,7 +3,9 @@ input is accepted, and every non-finite, non-positive or empty-box input
 raises ValueError, never another exception or a silent result; so does a
 count or step index that is not an integer.  A seed that
 is not a nonnegative integer or a tuple of them raises TypeError, or
-ValueError for a negative word, as numpy's `SeedSequence` does."""
+ValueError for a negative word, as numpy's `SeedSequence` does.  Points
+or target values of the wrong width raise a ValueError naming the width
+in every public function that evaluates the network on them."""
 
 import math
 
@@ -12,7 +14,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relu_lyapunov import Architecture, DiscreteMeasure, SgdConfig, UniformSampler, gaussian_init
+from relu_lyapunov import (
+    Architecture,
+    DiscreteMeasure,
+    LyapunovContext,
+    SgdConfig,
+    TargetSpec,
+    UniformSampler,
+    empirical_risk,
+    forward_exact,
+    forward_smooth,
+    gaussian_init,
+    generalized_gradient,
+    gradient_pathsum_oracle,
+    last_layer_midpoint_check,
+    midpoint_gap,
+    minibatch_gradient,
+    pairing,
+    population_risk_mc,
+    risk_exact,
+    risk_smooth,
+    smooth_gradient,
+)
 from relu_lyapunov.optimize import _eval_grid, _rate_fn
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -253,3 +276,60 @@ def test_gaussian_init_rejects_non_finite_scale(scale, trials):
 def test_gaussian_init_rejects_negative_or_non_integral_trials(trials):
     with pytest.raises(ValueError, match="trials"):
         gaussian_init(ARCH, 0, 1.0, trials)
+
+
+ARCH = Architecture((1, 3, 1))
+THETA = np.linspace(-1.0, 1.0, ARCH.param_count)
+HEAD = ARCH.offsets[1]
+# every public function that evaluates the network, on a measure m and a
+# target t: those that take a target, those that take xi (given t.f0), and the
+# traces (given m's first point)
+TARGET_CALLS = {
+    "risk_exact": lambda m, t: risk_exact(ARCH, THETA, m, t),
+    "risk_smooth": lambda m, t: risk_smooth(ARCH, THETA, m, t, 4.0),
+    "generalized_gradient": lambda m, t: generalized_gradient(ARCH, THETA, m, t),
+    "smooth_gradient": lambda m, t: smooth_gradient(ARCH, THETA, m, t, 4.0),
+    "gradient_pathsum_oracle": lambda m, t: gradient_pathsum_oracle(ARCH, THETA, m, t),
+    "pairing": lambda m, t: pairing(LyapunovContext(ARCH, [1.0]), THETA, m, t),
+    "midpoint_gap": lambda m, t: midpoint_gap(ARCH, THETA, -THETA, m, t),
+    "last_layer_midpoint_check": lambda m, t: last_layer_midpoint_check(
+        ARCH, THETA[:HEAD], THETA[HEAD:], -THETA[HEAD:], m, t
+    ),
+}
+XI_CALLS = {
+    "empirical_risk": lambda m, t: empirical_risk(ARCH, THETA, m.points, t.f0),
+    "minibatch_gradient": lambda m, t: minibatch_gradient(ARCH, THETA, m.points, t.f0),
+    "population_risk_mc": lambda m, t: population_risk_mc(ARCH, THETA, UniformSampler(0.0, 1.0, m.dim), t.f0, 10),
+}
+TRACES = {
+    "forward_exact": lambda m, t: forward_exact(ARCH, THETA, m.points[0]),
+    "forward_smooth": lambda m, t: forward_smooth(ARCH, THETA, m.points[0], 4.0),
+}
+CALLS = {**TARGET_CALLS, **XI_CALLS, **TRACES}
+TWO_OUTPUTS = {
+    "constant target": TargetSpec.constant([1.0, 1.0]),
+    "functional target": TargetSpec.from_function(lambda p: np.array([p[0], p[0]]), f0=[1.0]),
+}
+CASES = [(name, "points") for name in CALLS]
+CASES += [(name, "constant target") for name in {**TARGET_CALLS, **XI_CALLS}]
+CASES += [(name, "functional target") for name in TARGET_CALLS]
+
+
+@pytest.mark.parametrize("name, case", CASES, ids=[f"{name}-{case}" for name, case in CASES])
+def test_wrong_widths_are_rejected(name, case):
+    """On a 1,3,1 network: points of width 2, or a target of width 2 (the xi-taking functions get xi = [1, 1])."""
+    dim = 2 if case == "points" else 1
+    measure = DiscreteMeasure(np.linspace(0.0, 1.0, 3 * dim).reshape(3, dim), np.full(3, 1.0 / 3.0), 0.0, 1.0)
+    # a target function that takes points of width 1 only: the check comes before it
+    target = TargetSpec.from_function(lambda p: np.array([p.item()]), f0=[1.0]) if case == "points" else TWO_OUTPUTS[case]
+    with pytest.raises(ValueError, match="input width 1" if case == "points" else "output width 1"):
+        CALLS[name](measure, target)
+
+
+@pytest.mark.parametrize("params, dim, xi", [(THETA[:3], 1, 1.0), (THETA, 2, 1.0), (THETA, 1, [1.0, 1.0])])
+def test_rejected_monte_carlo_call_draws_nothing(params, dim, xi):
+    """population_risk_mc checks θ, the sampler's dim and xi before it draws."""
+    sampler = UniformSampler(0.0, 1.0, dim, 7)
+    with pytest.raises(ValueError):
+        population_risk_mc(ARCH, params, sampler, xi, 10)
+    np.testing.assert_array_equal(sampler.sample(1), UniformSampler(0.0, 1.0, dim, 7).sample(1))
