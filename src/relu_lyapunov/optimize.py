@@ -5,11 +5,11 @@ a (trials, d) block of independent trials, through one step loop, `_train`:
 `sgd_ensemble` with many trials; `sgd_run` (fresh keyed minibatches towards a
 constant target), `gd_run` (the whole measure at every step) and its explicit
 Euler gradient flow `gf_euler_run` with one, logged into a `Trajectory` by an
-observer that takes V and the norms a block of rows at a time.  The state is
-one array in augmented order (each layer's [W_k b_k] row-major), and one
-`_Workspace` per call holds every intermediate of the kernel and the gradient
-block, so a step allocates no array of samples; the Monte Carlo checkpoints of
-the SGD runs take the same kernel on workspaces of their own.
+observer that takes the risks, V and the norms a block of steps at a time.
+The state is one array in augmented order (each layer's [W_k b_k] row-major),
+and one `_Workspace` per call holds every intermediate of the kernel and the
+gradient block, so a step allocates no array of samples; the Monte Carlo
+checkpoints of the SGD runs take the same kernel on workspaces of their own.
 
 A step-size ``schedule`` is a finite float >= 0 or a function of the step.
 Step-size thresholds (`gd_threshold`, `sgd_threshold`) reproduce the regime in
@@ -29,7 +29,7 @@ import numpy as np
 from .arch import Architecture, check_params
 from .gradient import _backward, _left_gate
 from .lyapunov import LyapunovContext, lyapunov_value
-from .network import _augmented_blocks, _augmented_order, _forward, _relu_unit, _Workspace
+from .network import _augmented_blocks, _augmented_order, _check_inputs, _forward, _relu_unit, _Workspace
 from .risk import DiscreteMeasure, TargetSpec, UniformSampler, _check_box, _entropy, _KeyedStreams, _whole
 
 
@@ -193,20 +193,22 @@ def _eval_grid(cfg: SgdConfig) -> tuple[int, ...]:
 def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None, eval_grid=()):
     """theta_{n+1} = theta_n - gamma_n G(theta_n, X_n) on a (trials, d) block: the one step loop.
 
-    ``batch(n, blocks, ws)`` gives the `_Workspace` over ``blocks`` holding
-    step n's points in its first [x; 1] and their weights (float or (m,)),
-    which fold into delta with the targets ``fvals``: the gradient block is
-    unscaled and the update multiplies it by gamma_n.  ``observe(n, theta,
-    grad, risk, gamma)`` sees every step n = 0..steps and owns the divergence
-    check; without it a step that leaves a trial non-finite raises.  Returns
-    the ``evaluate(blocks)`` risks at ``eval_grid`` and the flat parameters.
+    ``batch(n, blocks, ws)`` gives the `_Workspace` over ``blocks`` holding step
+    n's points in its first [x; 1] and their weights (float or (m,), a new
+    object per batch size).  The residual N - f against ``fvals`` times 2
+    weights is delta, so the gradient comes unscaled.  ``observe(n, theta, grad,
+    resid, weights, gamma)`` sees every step n = 0..steps, the residual kept in
+    a buffer of its own, and owns the divergence check, so theta is updated in
+    place; without it the residual is taken in place and a step leaving a trial
+    non-finite raises.  Returns the ``evaluate(blocks)`` risks at ``eval_grid``
+    and the flat parameters.
     """
     order = _augmented_order(arch.widths)
     theta = np.take(theta0s, order, axis=1)
     blocks = _augmented_blocks(arch.widths, theta)
     risk = np.empty((theta.shape[0], len(eval_grid)))
     eval_pos = {n: c for c, n in enumerate(eval_grid)}
-    ws, new = None, np.empty_like(theta)
+    ws, weights, new = None, None, np.empty_like(theta) if observe is None else theta
     # a diverging trial overflows before the check below sees it: report it once, as DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(steps + 1):
@@ -214,16 +216,17 @@ def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None
                 risk[:, eval_pos[n]] = evaluate(blocks)
             if n == steps and observe is None:
                 break
-            ws, weights = batch(n, blocks, ws)
+            ws, held = batch(n, blocks, ws)
+            if held is not weights:  # a new batch size, so a new workspace
+                weights, scale = held, 2.0 * held
+                resid = ws.pres[-1] if observe is None else np.empty(ws.pres[-1].shape)
             pres, acts = _forward(ws.layers, ws.points, _relu_unit, ws)
-            delta = np.subtract(pres[-1], fvals, out=pres[-1])
-            if observe is not None:
-                loss = np.add.reduce(weights * np.add.reduce(delta * delta, axis=-2), axis=-1)
-            delta *= 2.0 * weights
+            np.subtract(pres[-1], fvals, out=resid)
+            delta = np.multiply(resid, scale, out=pres[-1])
             _backward(ws.layers, ws.points, pres, acts, delta, _left_gate, ws)
             gamma = rate(n)
             if observe is not None:
-                observe(n, theta, ws.grad, loss, gamma)
+                observe(n, theta, ws.grad, resid, weights, gamma)
                 if n == steps:
                     break
             np.subtract(theta, np.multiply(ws.grad, gamma, out=ws.grad), out=new)
@@ -233,79 +236,99 @@ def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None
                     n, _flat(theta, order), f"ensemble trials {bad.tolist()} diverged in the update at step {n}; "
                     f"theta holds the step-{n} parameters of every trial"
                 )
-            theta[...] = new
+            if new is not theta:
+                theta[...] = new
     return risk, _flat(theta, order)
 
 
 class _Recorder:
     """`_train`'s observer for one trial: the rows and flat snapshots of its `Trajectory`.
 
-    Rows come at every ``log_stride``-th step and the last; their parameter and
-    gradient rows are copied into a block of up to 256, whose V (summed in the
-    augmented order) and norms are taken when it fills and at the last step.
-    With ``dt`` rows carry the running integral 4L sum risk dt.  A non-finite
-    risk at step n raises `DivergenceError` with step n - 1 and its
-    parameters, or at step 0 a ValueError.
+    Each step's parameter, gradient and residual rows are copied into a block
+    of up to 256 steps and ~2 MB, flushed when it fills, at the last step and
+    before a step with new weights.  A flush takes the block's risks, then at
+    its rows (every ``log_stride``-th step and the last) V, summed in the
+    augmented order, the norms and, with ``dt``, the integral 4L sum risk dt,
+    and its snapshots.  A non-finite risk at step n raises `DivergenceError`
+    with step n - 1 and its parameters (kept at the last flush when n starts a
+    block), or at step 0 a ValueError.
     """
 
     def __init__(self, arch, f0, steps, log_stride, snapshot_steps, dt=None):
+        steps, stride = _whole("steps", steps), _whole("log_stride", log_stride)
         if steps < 0:
             raise ValueError(f"steps must be nonnegative, got {steps}")
-        if log_stride < 1:
-            raise ValueError(f"log_stride must be positive, got {log_stride}")
+        if stride < 1:
+            raise ValueError(f"log_stride must be positive, got {stride}")
+        snaps = geometric_checkpoints(steps) if snapshot_steps is None else snapshot_steps
+        snaps = {_whole("snapshot_steps entry", n) for n in snaps}
         ctx = LyapunovContext(arch, f0)
         self.order = _augmented_order(arch.widths)
         self.coeff, self.f0, self.depth, d = ctx._coeff[self.order], ctx.f0[:, None], arch.depth, len(self.order)
-        self.top_bias = np.argsort(self.order)[arch.bias_slice(arch.depth)]
-        self.steps, self.stride, self.dt = steps, log_stride, dt
-        self.snaps = set(geometric_checkpoints(steps) if snapshot_steps is None else snapshot_steps)
-        rows = -(-steps // log_stride) + 1  # steps 0, stride, 2 stride, ... and the last
-        # V, parameter and gradient norm of every row; (parameters, gradient) rows not yet in them
-        self.cols, self.block = np.empty((3, rows)), np.empty((min(rows, 256), 2, d))
-        self.rows, self.fill, self.snapshots, self.last, self.integral = [], 0, {}, np.empty(d), 0.0
+        fan_in = arch.widths[-2]  # the top bias ends each row of [W_L b_L], the last block
+        self.top_bias = np.arange(d - arch.widths[-1] * (fan_in + 1) + fan_in, d, fan_in + 1)
+        self.steps, self.stride, self.dt = steps, stride, dt
+        self.snaps = sorted((n for n in snaps if 0 <= n <= steps), reverse=True)  # popped from the end
+        # each row's V, risk, gradient and parameter norm, gamma and integral; the block's (gradient, theta), gammas
+        self.cols = np.empty((6, -(-steps // stride) + 1))
+        self.block, self.gammas = np.empty((min(steps + 1, 256), 2, d)), np.empty(min(steps + 1, 256))
+        self.start, self.fill, self.weights, self.integral, self.snapshots = 0, 0, None, 0.0, {}
 
-    def __call__(self, n, theta, grad, risk, gamma) -> None:
-        risk, theta = float(risk[0]), theta[0]
-        if not math.isfinite(risk):
-            if n == 0:
-                raise ValueError("risk is not finite at the initial parameters")
-            raise DivergenceError(n - 1, _flat(self.last, self.order), f"risk became non-finite at step {n}")
-        if n % self.stride == 0 or n == self.steps:
-            row = self.block[self.fill]
-            row[0], row[1] = theta, grad[0]
-            self.rows.append((n, risk, gamma, self.integral))
-            self.fill += 1
-            if self.fill == len(self.block) or n == self.steps:
+    def __call__(self, n, theta, grad, resid, weights, gamma) -> None:
+        if weights is not self.weights:
+            if self.fill:
                 self.flush()
-        if n in self.snaps:
-            self.snapshots[n] = _flat(theta, self.order)
-        np.copyto(self.last, theta)
-        if self.dt is not None:
-            self.integral += 4.0 * self.depth * risk * self.dt
+            rows = (1 << 21) // (8 * (resid.size + self.block[0].size))  # a new block of steps, in ~2 MB
+            self.resids, self.weights = np.empty((max(1, min(rows, len(self.block))),) + resid.shape[1:]), weights
+        i = self.fill
+        self.block[i, 0], self.block[i, 1], self.resids[i], self.gammas[i] = grad, theta, resid, gamma
+        self.fill = i + 1
+        if self.fill == len(self.resids) or n == self.steps:
+            self.flush()
 
     def flush(self) -> None:
-        """V and the norms of the block's rows, as stacked vector products, which numpy sums as `np.dot`."""
-        end = len(self.rows)
-        block, cols = self.block[: self.fill, :, None], self.cols[:, end - self.fill : end]
-        theta = block[:, 0]
-        np.sqrt((block @ block.swapaxes(-1, -2))[..., 0, 0].T, out=cols[1:])
+        """The block's risks, summed as numpy sums one step's; V and the norms of its logged rows, as `np.dot`."""
+        start, fill, resid = self.start, self.fill, self.resids[: self.fill]
+        sq = np.add.reduce(np.multiply(resid, resid, out=resid), axis=-2)  # in place: no block-sized temporaries
+        risk = np.add.reduce(np.multiply(self.weights, sq, out=sq), axis=-1)
+        if not math.isfinite(risk.max()):  # max propagates NaN
+            j = int(np.argmin(np.isfinite(risk)))
+            if start + j == 0:
+                raise ValueError("risk is not finite at the initial parameters")
+            theta = _flat(self.block[j - 1, 1] if j else self.prev, self.order)
+            raise DivergenceError(start + j - 1, theta, f"risk became non-finite at step {start + j}")
+        end, stride = start + fill, self.stride
+        stop = self.cols.shape[1] if end > self.steps else -(-end // stride)
+        rows = slice(-start % stride, fill, stride)  # the block's steps on the stride grid, and the last step
+        if end > self.steps and self.steps % stride:
+            rows = np.append(np.arange(fill)[rows], fill - 1)
+        block, cols = self.block[rows, :, None], self.cols[:, -(-start // stride) : stop]
+        theta = block[:, 1]
+        np.sqrt((block @ block.swapaxes(-1, -2))[..., 0, 0].T, out=cols[2:4])
         v = ((theta * self.coeff) @ theta.swapaxes(-1, -2))[:, 0, 0]
         np.subtract(v, 2.0 * self.depth * (theta[..., self.top_bias] @ self.f0)[:, 0, 0], out=cols[0])
-        self.fill = 0
+        cols[1], cols[4] = risk[rows], self.gammas[rows]
+        if self.dt is not None:
+            # the integral before each step, summed in step order
+            before = np.add.accumulate(np.concatenate(([self.integral], 4.0 * self.depth * risk * self.dt)))
+            cols[5], self.integral = before[rows], before[-1]
+        while self.snaps and self.snaps[-1] < end:
+            n = self.snaps.pop()
+            self.snapshots[n] = _flat(self.block[n - start, 1], self.order)
+        if end <= self.steps:
+            self.prev = self.block[fill - 1, 1].copy()
+        self.start, self.fill = end, 0
 
     def trajectory(self, input_scale, mass, mc_steps=None, mc_risk=None) -> Trajectory:
-        steps, risk, gamma, integral = np.array(self.rows).T
-        steps = steps.astype(np.int64)
-        gf = self.dt is not None
-        return Trajectory(steps, self.cols[0], risk, self.cols[2], self.cols[1], gamma, self.snapshots, input_scale,
-                          mass, steps * self.dt if gf else None, integral if gf else None, mc_steps, mc_risk)
+        steps = np.minimum(np.arange(0, self.steps + self.stride, self.stride, dtype=np.int64), self.steps)
+        gf = (None, None) if self.dt is None else (steps * self.dt, self.cols[5])  # time, descent_integral
+        return Trajectory(steps, *self.cols[:5], self.snapshots, input_scale, mass, *gf, mc_steps, mc_risk)
 
 
 def _measure_run(arch, theta0, measure, target, schedule, steps, log_stride, snapshot_steps, dt=None) -> Trajectory:
     """gd, and with ``dt`` gf: a one-trial `_train` over the whole measure, its [x; 1] written once."""
-    theta0 = _require_finite(check_params(arch, theta0))
-    if measure.dim != arch.widths[0]:
-        raise ValueError(f"measure dim {measure.dim} != input width {arch.widths[0]}")
+    theta0, points, fvals = _check_inputs(arch, theta0, measure.points, target.values)
+    theta0 = _require_finite(theta0)
     if dt is not None:
         threshold = gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale)
         if dt > threshold:
@@ -316,11 +339,11 @@ def _measure_run(arch, theta0, measure, target, schedule, steps, log_stride, sna
 
     def batch(n, blocks, ws):
         if ws is None:
-            ws = _Workspace(blocks, len(measure.points))
-            ws.points[0] = measure.points.T
+            ws = _Workspace(blocks, len(points))
+            ws.points[0] = points.T
         return ws, measure.weights
 
-    _train(arch, theta0[None], rate, steps, batch, np.ascontiguousarray(target.values(measure.points).T), record)
+    _train(arch, theta0[None], rate, record.steps, batch, np.ascontiguousarray(fvals.T), record)
     return record.trajectory(measure.input_scale, measure.mass)
 
 
@@ -401,16 +424,17 @@ def _sgd_train(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe=None):
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     if xi.shape != (arch.widths[-1],):
         raise ValueError(f"xi has shape {xi.shape}, expected ({arch.widths[-1]},) for output width {arch.widths[-1]}")
-    streams = _KeyedStreams(entropy + (1,), cfg.steps + 1)
+    streams, weight = _KeyedStreams(entropy + (1,), cfg.steps + 1), None
 
     def batch(n, blocks, ws):
+        nonlocal weight
         m = cfg.batch_at(n)
         if ws is None or ws.draw.shape[1] != m:
-            ws = _Workspace(blocks, m)
+            ws, weight = _Workspace(blocks, m), 1.0 / m
         # a + span * u, in that order, into the x rows of the first layer's [x; 1]
         np.multiply(streams(n).random(out=ws.draw), span, out=ws.draw)
         np.add(a, ws.draw, out=ws.draw_target)
-        return ws, 1.0 / m
+        return ws, weight
 
     if eval_grid:
         # the raw draw is never named, so numpy scales the temporary in place

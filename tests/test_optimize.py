@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -216,6 +217,84 @@ def test_divergence_mid_logging_block():
             np.testing.assert_array_equal(theta, run(step, stride).snapshots[step])
 
 
+def test_divergence_at_the_first_step_of_a_block():
+    """A rate of 1e300 at step 255 (511) leaves step 256 (512), the first step
+    of the second (third) 256-step logging block, with the first non-finite
+    risk: the error carries the step before it, kept from the previous block,
+    equal to the final snapshot of a rerun that stops there."""
+    arch, measure, target, theta0 = shallow_problem()
+    sampler = UniformSampler(0.0, 1.0, 1)
+    for last in (255, 511):
+
+        def rate(n):
+            return 1e-3 if n < last else 1e300
+
+        def gd(steps, stride):
+            return gd_run(arch, theta0, measure, target, rate, steps, log_stride=stride, snapshot_steps=(steps,))
+
+        def sgd(steps, stride):
+            cfg = SgdConfig(batch_size=20, steps=steps, seed=8, eval_steps=(), log_stride=stride,
+                            snapshot_steps=(steps,))
+            return sgd_run(arch, theta0, rate, sampler, 1.0, cfg)
+
+        for run in (gd, sgd):
+            for stride in (1, 3):
+                with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+                    run(1000, stride)
+                assert err.value.step == last and f"risk became non-finite at step {last + 1}" in str(err.value)
+                np.testing.assert_array_equal(err.value.theta, run(last, stride).snapshots[last])
+
+
+def test_runs_equal_shorter_runs_across_blocks():
+    """Where a block of steps ends does not move a row: 600-step gd, gf and sgd
+    runs, whose blocks end at steps 255 and 511, equal 300-step runs bit for
+    bit on their shared rows, at log_stride 1, 3 and 300 (most blocks then log
+    no row); so does a gd run on 10^4 points, whose blocks hold 26 steps under
+    the observer's byte budget."""
+    arch, measure, target, theta0 = shallow_problem()
+    gamma = 0.9 * gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale)
+    fine = DiscreteMeasure.uniform_grid(0.0, 1.0, 10_000)
+
+    def sgd(steps, stride):
+        cfg = SgdConfig(batch_size=20, steps=steps, seed=3, log_stride=stride, eval_steps=())
+        return sgd_run(arch, theta0, 1e-2, UniformSampler(0.0, 1.0, 1), 1.0, cfg)
+
+    def gf(steps, stride):
+        return gf_euler_run(arch, theta0, measure, target, 0.5 * gamma, steps, stride)
+
+    runs = [
+        (600, (1, 3, 300), lambda steps, stride: gd_run(arch, theta0, measure, target, gamma, steps, stride)),
+        (600, (1, 3, 300), gf),
+        (600, (1, 3, 300), sgd),
+        (60, (1, 3), lambda steps, stride: gd_run(arch, theta0, fine, target, 1e-3, steps, stride)),
+    ]
+    for steps, strides, run in runs:
+        for stride in strides:
+            long, short = run(steps, stride), run(steps // 2, stride)
+            rows = [np.isin(t.steps, np.intersect1d(long.steps, short.steps)) for t in (long, short)]
+            assert rows[1][:-1].all() and rows[0].sum() == rows[1].sum() >= 2
+            for field in ("steps", "v", "risk", "grad_norm", "param_norm", "gamma", "descent_integral"):
+                if getattr(short, field) is None:
+                    assert getattr(long, field) is None
+                else:
+                    np.testing.assert_array_equal(getattr(long, field)[rows[0]], getattr(short, field)[rows[1]])
+
+
+def test_observer_block_fits_its_byte_budget():
+    """The observer's residual rows stay within ~2 MB: a gd run on 10^4 points
+    keeps 26 steps of them, not 256 (20 MB)."""
+    arch, _, target, theta0 = shallow_problem()
+    fine = DiscreteMeasure.uniform_grid(0.0, 1.0, 10_000)
+    gd_run(arch, theta0, fine, target, 1e-3, 3)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        gd_run(arch, theta0, fine, target, 1e-3, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_divergence_reports_once_through_the_error():
     """A diverging run lets no numpy overflow warning out before its
     DivergenceError: with warnings as errors, sgd_run, gd_run and a 3-trial
@@ -238,6 +317,21 @@ def test_divergence_reports_once_through_the_error():
             with pytest.raises(DivergenceError) as loud:
                 run()
         assert loud.value.step == quiet.value.step
+
+
+def test_measure_runs_check_the_target_width():
+    """A target of width 2 on a scalar-output net: gd_run and gf_euler_run raise
+    the width error risk_exact raises, not numpy's broadcast error from inside
+    the step loop."""
+    arch, _, _, theta0 = shallow_problem()
+    measure = DiscreteMeasure.uniform_grid(0.0, 1.0, 11)
+    target = TargetSpec.from_function(lambda x: np.array([x[0], 1.0]), [0.0])
+    with pytest.raises(ValueError, match="output width 1") as want:
+        risk_exact(arch, theta0, measure, target)
+    for run in (gd_run, gf_euler_run):
+        with pytest.raises(ValueError) as got:
+            run(arch, theta0, measure, target, 1e-3, 5)
+        assert str(got.value) == str(want.value)
 
 
 def test_gf_euler_warns_above_threshold():
@@ -671,9 +765,10 @@ def _assert_matches_reference(traj, reference, dt=None):
 
 
 # the presets 1,7,1 and 1,3,7,1, two inputs and two outputs; gd and gf also
-# fit a non-constant target.  Rows are taken in blocks of 256: 255, 256 and 257
-# steps log 256, 257 and 258 rows, so the last block is full, one row and two
-# rows; log_stride 3 logs 87 rows, the last one off the stride.
+# fit a non-constant target.  Steps are logged in blocks of 256: runs of 255,
+# 256 and 257 steps take 256, 257 and 258 steps (0..steps), so the last block
+# is full, one step and two steps; log_stride 3 logs 87 rows, the last one off
+# the stride.  A batch size that changes at step 100 starts a new block there.
 @pytest.mark.parametrize("widths", [(1, 7, 1), (1, 3, 7, 1), (2, 5, 1), (1, 4, 2)], ids=lambda w: "-".join(map(str, w)))
 def test_single_runs_match_reference_loop(widths):
     for steps, stride in ((255, 1), (256, 1), (257, 1), (257, 3)):
@@ -709,7 +804,7 @@ def _check_single_runs(widths, steps, stride):
     eval_points = UniformSampler(0.0, 1.0, widths[0], (4, 1, 0)).sample(cfg.eval_samples)
 
     def minibatch(n, theta):
-        batch = UniformSampler(0.0, 1.0, widths[0], (4, 1, 1, n)).sample(cfg.batch_size)
+        batch = UniformSampler(0.0, 1.0, widths[0], (4, 1, 1, n)).sample(cfg.batch_at(n))
         return minibatch_gradient(arch, theta, batch, xi), empirical_risk(arch, theta, batch, xi)
 
     traj = sgd_run(arch, theta0, 2e-3, sampler, xi, cfg)
@@ -719,3 +814,7 @@ def _check_single_runs(widths, steps, stride):
     )
     _assert_matches_reference(traj, reference)
     np.testing.assert_array_equal(traj.mc_steps, cfg.eval_steps)
+    cfg = replace(cfg, batch_size=lambda n: 15 if n < 100 else 40, eval_steps=())
+    traj = sgd_run(arch, theta0, 2e-3, sampler, xi, cfg)
+    reference = _reference_trajectory(arch, theta0, xi, 2e-3, steps, minibatch, snaps, stride=stride)
+    _assert_matches_reference(traj, reference)

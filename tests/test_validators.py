@@ -25,7 +25,9 @@ from relu_lyapunov import (
     forward_exact,
     forward_smooth,
     gaussian_init,
+    gd_run,
     generalized_gradient,
+    gf_euler_run,
     gradient_pathsum_oracle,
     last_layer_midpoint_check,
     midpoint_gap,
@@ -295,6 +297,8 @@ TARGET_CALLS = {
     "last_layer_midpoint_check": lambda m, t: last_layer_midpoint_check(
         ARCH, THETA[:HEAD], THETA[HEAD:], -THETA[HEAD:], m, t
     ),
+    "gd_run": lambda m, t: gd_run(ARCH, THETA, m, t, 1e-3, 3),
+    "gf_euler_run": lambda m, t: gf_euler_run(ARCH, THETA, m, t, 1e-3, 3),
 }
 XI_CALLS = {
     "empirical_risk": lambda m, t: empirical_risk(ARCH, THETA, m.points, t.f0),
@@ -333,3 +337,41 @@ def test_rejected_monte_carlo_call_draws_nothing(params, dim, xi):
     with pytest.raises(ValueError):
         population_risk_mc(ARCH, params, sampler, xi, 10)
     np.testing.assert_array_equal(sampler.sample(1), UniformSampler(0.0, 1.0, dim, 7).sample(1))
+
+
+# gd_run and gf_euler_run on a 1,3,1 network, at a step below both runs' descent threshold (1.6e-3)
+GRID = DiscreteMeasure.uniform_grid(0.0, 1.0, 5)
+MEASURE_RUNS = {
+    "gd_run": lambda **counts: gd_run(ARCH, THETA, GRID, TargetSpec.constant(1.0), 1e-3, **counts),
+    "gf_euler_run": lambda **counts: gf_euler_run(ARCH, THETA, GRID, TargetSpec.constant(1.0), 1e-3, **counts),
+}
+RUN_COUNTS = ("steps", "log_stride", "snapshot_steps")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(MEASURE_RUNS)), st.sampled_from(RUN_COUNTS), non_integers)
+def test_measure_runs_reject_non_integral_counts(run, name, value):
+    # steps=True and log_stride=True used to run as 1, and steps=10.0 to die
+    # inside numpy with a bare TypeError
+    counts = {"steps": 3, name: (0, value) if name == "snapshot_steps" else value}
+    with pytest.raises(ValueError, match=name):
+        MEASURE_RUNS[run](**counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(MEASURE_RUNS)),
+    st.integers(0, 12),
+    st.integers(1, 5),
+    st.lists(st.integers(-2, 15), max_size=4),
+    st.sampled_from([float, np.float64, np.int64]),
+)
+def test_measure_runs_take_integral_values_as_ints(run, steps, stride, snaps, kind):
+    as_ints = MEASURE_RUNS[run](steps=steps, log_stride=stride, snapshot_steps=tuple(snaps))
+    got = MEASURE_RUNS[run](steps=kind(steps), log_stride=kind(stride), snapshot_steps=tuple(map(kind, snaps)))
+    for field in ("steps", "v", "risk", "grad_norm", "param_norm", "gamma"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(as_ints, field))
+    assert got.steps.dtype == np.int64 and list(got.snapshots) == sorted({n for n in snaps if 0 <= n <= steps})
+    assert all(type(n) is int for n in got.snapshots)
+    for n, snap in as_ints.snapshots.items():
+        np.testing.assert_array_equal(got.snapshots[n], snap)
