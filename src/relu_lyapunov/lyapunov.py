@@ -8,6 +8,7 @@ controls the risk; the helpers here expose the identities tests lean on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,16 +27,32 @@ class LyapunovContext:
     _coeff: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.f0 = np.atleast_1d(np.asarray(self.f0, dtype=np.float64))
-        if self.f0.shape != (self.arch.widths[-1],):
-            raise ValueError(
-                f"f0 has shape {self.f0.shape}, expected ({self.arch.widths[-1]},)"
-            )
+        self.f0 = _check_f0(self.arch, self.f0)
         # quadratic form: 1 on every weight entry, k on layer-k bias entries
         coeff = np.ones(self.arch.param_count)
         for k in range(1, self.arch.depth + 1):
             coeff[self.arch.bias_slice(k)] = float(k)
         self._coeff = coeff
+
+
+def _check_f0(arch: Architecture, f0) -> np.ndarray:
+    """The target's value at the origin as an (l_L,) float array; another width is a ValueError."""
+    f0 = np.atleast_1d(np.asarray(f0, dtype=np.float64))
+    if f0.shape != (arch.widths[-1],):
+        raise ValueError(f"f0 has shape {f0.shape}, expected ({arch.widths[-1]},)")
+    return f0
+
+
+@functools.lru_cache(maxsize=64)
+def _augmented_coeff(widths: tuple[int, ...]) -> np.ndarray:
+    """V's quadratic-form coefficients in `network._augmented_order`: 1 on W_k, k on b_k, each [W_k b_k] row-major.
+
+    Built once per ``widths`` and shared, so the array is read-only.
+    """
+    rows = [np.append(np.ones(fan_in), float(k)) for k, fan_in in enumerate(widths[:-1], start=1)]
+    coeff = np.concatenate([np.tile(row, fan_out) for row, fan_out in zip(rows, widths[1:])])
+    coeff.flags.writeable = False
+    return coeff
 
 
 def lyapunov_value(ctx: LyapunovContext, theta) -> float:

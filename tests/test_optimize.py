@@ -28,9 +28,11 @@ from relu_lyapunov import (
     sgd_run,
     sgd_threshold,
 )
+from relu_lyapunov import optimize
 from relu_lyapunov.gradient import _backward, _left_gate
+from relu_lyapunov.lyapunov import _augmented_coeff
 from relu_lyapunov.network import _augmented_order, _forward, _relu_unit
-from relu_lyapunov.optimize import _eval_chunk, decade_steps, geometric_checkpoints
+from relu_lyapunov.optimize import _eval_block, _measure_run, decade_steps, geometric_checkpoints
 
 
 def shallow_problem():
@@ -245,6 +247,42 @@ def test_divergence_at_the_first_step_of_a_block():
                 np.testing.assert_array_equal(err.value.theta, run(last, stride).snapshots[last])
 
 
+def test_divergence_wins_over_a_later_callable_error():
+    """A rate of 1e300 at step 5 leaves the risk non-finite at step 6; a
+    schedule (or batch size) callable that raises at step 20, in the same
+    256-step logging block, does not hide it: gd, gf's Euler loop (a callable
+    step through its `_measure_run`, as `gf_euler_run` takes a float) and
+    sgd_run raise DivergenceError(5, theta_5), the final snapshot of a rerun
+    that stops at step 5."""
+    arch, measure, target, theta0 = shallow_problem()
+    sampler = UniformSampler(0.0, 1.0, 1)
+
+    def blowup(n):
+        return 1e300 if n == 5 else 1e-3
+
+    def rate(n):
+        return -1.0 if n >= 20 else blowup(n)
+
+    def sgd(schedule, steps, batch=20):
+        cfg = SgdConfig(batch_size=batch, steps=steps, seed=8, eval_steps=(), snapshot_steps=(steps,))
+        return sgd_run(arch, theta0, schedule, sampler, 1.0, cfg)
+
+    def gf(schedule, steps):
+        return _measure_run(arch, theta0, measure, target, schedule, steps, 1, (steps,), dt=1e-4)
+
+    runs = [
+        lambda steps: gd_run(arch, theta0, measure, target, rate, steps, snapshot_steps=(steps,)),
+        lambda steps: gf(rate, steps),
+        lambda steps: sgd(rate, steps),
+        lambda steps: sgd(blowup, steps, lambda n: 0 if n >= 20 else 20),
+    ]
+    for run in runs:
+        with pytest.raises(DivergenceError, match="risk became non-finite at step 6") as err:
+            run(100)
+        assert err.value.step == 5
+        np.testing.assert_array_equal(err.value.theta, run(5).snapshots[5])
+
+
 def test_runs_equal_shorter_runs_across_blocks():
     """Where a block of steps ends does not move a row: 600-step gd, gf and sgd
     runs, whose blocks end at steps 255 and 511, equal 300-step runs bit for
@@ -432,8 +470,8 @@ def test_gaussian_init_streams():
 def test_ensemble_single_trial_matches_sgd_run(widths):
     """sgd_run is a one-trial block of the ensemble's loop, and trial 0 of a
     3-trial block runs the same per-trial products: bit for bit equal.  The
-    400 eval samples are one chunk at 1 and at 3 trials, so the risks sum in
-    the same order too."""
+    400 eval samples are one part of each trial row at 1 and at 3 trials, so
+    the risks sum in the same order too."""
     arch = Architecture(widths)
     theta0 = gaussian_init(arch, seed=3, scale=widths[1] ** -0.5, trials=3)
     cfg = SgdConfig(batch_size=25, steps=200, seed=77, eval_samples=400)
@@ -466,6 +504,8 @@ def test_ensemble_rejects_xi_of_the_wrong_width():
         cfg = SgdConfig(steps=steps, eval_steps=eval_steps)
         with pytest.raises(ValueError, match=r"xi has shape \(2,\), expected \(1,\) for output width 1"):
             sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, [1.0, 2.0], cfg)
+        with pytest.raises(ValueError, match=r"has shape \(2,\), expected \(1,\)"):
+            sgd_run(arch, theta0s[0], 1e-3, UniformSampler(0.0, 1.0, 1), [1.0, 2.0], cfg)
 
 
 def test_ensemble_validates_inputs():
@@ -594,9 +634,10 @@ def test_ensemble_workspace_matches_reference_loop(widths):
 
 def _reference_mc_risk(arch, thetas, xi, cfg):
     """The Monte Carlo risks of (trials, d) flat parameters on the (seed, 0)
-    sample through the allocating `_forward`, chunk by chunk and summed in the
-    same order as the workspace path, so that only the kernel differs; and the
-    mean squared outputs, the scale of that kernel's rounding."""
+    sample through the allocating `_forward`, one trial row at a time and
+    summed over the parts of `_eval_block` in the same order as the workspace
+    path, so that only the kernel differs; and the mean squared outputs, the
+    scale of that kernel's rounding."""
     trials, depth = len(thetas), arch.depth
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 0))))
     points = rng.random((trials, cfg.eval_samples, arch.widths[0])).swapaxes(-1, -2)
@@ -604,25 +645,33 @@ def _reference_mc_risk(arch, thetas, xi, cfg):
         (thetas[:, arch.weight_slice(k)].reshape(trials, arch.widths[k], arch.widths[k - 1]), thetas[:, arch.bias_slice(k)])
         for k in range(1, depth + 1)
     ]
-    chunk, total, scale = _eval_chunk(trials), np.zeros(trials), np.zeros(trials)
-    for s0 in range(0, cfg.eval_samples, chunk):
-        out = _forward(layers, points[..., s0 : s0 + chunk], _relu_unit)[0][-1]
-        total += np.sum(np.sum((out - xi[:, None]) ** 2, axis=1), axis=1)
-        scale += np.sum(np.sum(out**2, axis=1), axis=1)
+    width, total, scale = _eval_block(trials, cfg.eval_samples)[1], np.zeros(trials), np.zeros(trials)
+    for t in range(trials):
+        for s0 in range(0, cfg.eval_samples, width):
+            out = _forward([(w[t], b[t]) for w, b in layers], points[t, :, s0 : s0 + width], _relu_unit)[0][-1]
+            total[t] += np.sum(np.sum((out - xi[:, None]) ** 2, axis=0))
+            scale[t] += np.sum(np.sum(out**2, axis=0))
     return total / cfg.eval_samples, scale / cfg.eval_samples
 
 
+# (trials, samples) -> (trial rows per block, samples per part): a ragged last
+# part of one sample at 100 trials and at one, of five at 7 trials (a budget of
+# 7 x 357 = 2,499 elements, under one 10,001-sample row), and blocks of 6, 6,
+# 6 and 2 trial rows at 20 trials and 400 samples
+EVAL_LAYOUTS = {(100, 10_001): (1, 10_000), (7, 10_001): (1, 2_499), (20, 400): (6, 400), (1, 2_501): (1, 2_500)}
+
+
 @pytest.mark.parametrize("widths", [(1, 7, 1), (1, 3, 7, 1)], ids=lambda w: "-".join(map(str, w)))
-@pytest.mark.parametrize("trials, samples", [(100, 10_001), (1, 2_501)])
+@pytest.mark.parametrize("trials, samples", list(EVAL_LAYOUTS))
 def test_ensemble_ragged_eval_chunk_matches_allocating_forward(widths, trials, samples):
-    """A sample count that is no multiple of the chunk ends in a one-sample
-    chunk on a workspace of its own; both workspaces are reused at every
-    checkpoint over the parameters the steps update in place.  The workspace
-    adds each bias as a product with a ones row, which moves an output N by
-    ~1e-16 |N|: within 1e-15 of the larger of the risks' max and the mean
-    squared output, since where N is near the target a risk's own relative
-    error grows as |N| / |N - xi|."""
-    assert samples % _eval_chunk(trials) == 1
+    """A checkpoint takes whole trial rows of its sample per block, or one
+    trial at a time in parts when a row exceeds the element budget; a ragged
+    last block or part runs on a workspace of its own, and both workspaces are
+    reused at every checkpoint.  The workspace adds each bias as a product
+    with a ones row, which moves an output N by ~1e-16 |N|: within 1e-15 of
+    the larger of the risks' max and the mean squared output, since where N is
+    near the target a risk's own relative error grows as |N| / |N - xi|."""
+    assert _eval_block(trials, samples) == EVAL_LAYOUTS[trials, samples]
     arch = Architecture(widths)
     theta0s = gaussian_init(arch, seed=7, scale=widths[1] ** -0.5, trials=trials)
     cfg = SgdConfig(batch_size=20, steps=4, seed=21, eval_samples=samples, eval_steps=(0, 2, 4))
@@ -636,20 +685,63 @@ def test_ensemble_ragged_eval_chunk_matches_allocating_forward(widths, trials, s
         np.testing.assert_array_equal(traj.mc_risk, res.risk[0])
 
 
+def test_checkpoint_draws_its_sample_a_block_at_a_time():
+    """A 200-trial checkpoint on 10^4 samples holds two trial rows of the
+    sample at a time, never the whole (trials, samples) draw: its traced peak
+    stays below 0.4 of that draw's 16 MB."""
+    arch = Architecture((1, 7, 1))
+    theta0s = gaussian_init(arch, seed=1, scale=7.0**-0.5, trials=200)
+    cfg = SgdConfig(steps=0, eval_steps=(0,), eval_samples=10_000)
+    sgd_ensemble(arch, theta0s[:2], 1e-3, 0.0, 1.0, 1.0, cfg)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, 1.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4 * 200 * 10_000 * 8
+
+
+def test_one_workspace_per_batch_size(monkeypatch):
+    """Steps run on one workspace per batch size, kept while the size
+    alternates, and checkpoints on at most two: the full block of trial rows
+    and a ragged last one (20 trials at 400 samples: blocks of 6 and 2)."""
+    built = []
+
+    class Counted(optimize._Workspace):
+        def __init__(self, blocks, m):
+            built.append((blocks[0].shape[0], m))
+            super().__init__(blocks, m)
+
+    monkeypatch.setattr(optimize, "_Workspace", Counted)
+    arch = Architecture((1, 7, 1))
+    theta0s = gaussian_init(arch, seed=1, scale=7.0**-0.5, trials=20)
+    cfg = SgdConfig(batch_size=lambda n: 100 + n % 2, steps=20, seed=3, eval_samples=400)
+    sgd_run(arch, theta0s[0], 1e-3, UniformSampler(0.0, 1.0, 1), 1.0, replace(cfg, eval_steps=()))
+    assert sorted(built) == [(1, 100), (1, 101)]
+    built.clear()
+    sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, 1.0, cfg)
+    assert sorted(built) == [(2, 400), (6, 400), (20, 100), (20, 101)]
+
+
 def test_augmented_order_built_once_per_widths():
-    """The augmented order is cached per widths as a read-only array: the
-    observer and the step loop of a run share one, and later runs reuse it."""
+    """The augmented order and V's coefficients in it are cached per widths as
+    read-only arrays: the observer and the step loop of a run share one order,
+    and later runs reuse both."""
     arch, measure, target, theta0 = shallow_problem()
     _augmented_order.cache_clear()
+    _augmented_coeff.cache_clear()
     gd_run(arch, theta0, measure, target, 1e-3, 3)
     assert _augmented_order.cache_info().misses == 1
     gf_euler_run(arch, theta0, measure, target, 1e-3, 3)
     sgd_run(arch, theta0, 1e-3, UniformSampler(0.0, 1.0, 1), 1.0, SgdConfig(batch_size=5, steps=3, eval_samples=10))
     sgd_ensemble(arch, theta0[None], 1e-3, 0.0, 1.0, 1.0, SgdConfig(batch_size=5, steps=3, eval_samples=10))
     assert _augmented_order.cache_info().misses == 1
-    order = _augmented_order(arch.widths)
-    assert not order.flags.writeable
+    assert _augmented_coeff.cache_info().misses == 1 and _augmented_coeff.cache_info().hits == 2
+    order, coeff = _augmented_order(arch.widths), _augmented_coeff(arch.widths)
+    assert not order.flags.writeable and not coeff.flags.writeable
     np.testing.assert_array_equal(np.sort(order), np.arange(arch.param_count))
+    np.testing.assert_array_equal(coeff, LyapunovContext(arch, target.f0)._coeff[order])
 
 
 def test_ensemble_calls_share_no_state():
