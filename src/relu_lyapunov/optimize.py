@@ -411,7 +411,7 @@ class EnsembleResult:
 
 
 def _eval_block(trials: int, samples: int) -> tuple[int, int]:
-    """Trial rows per Monte Carlo block and samples per part, within max(2,500, 100 trials) elements.
+    """Trial rows per Monte Carlo block and samples per part: the one eval-block rule.
 
     The budget is trials x max(2,500 // trials, 100) trial x sample elements.
     A block takes as many whole rows of the sample as fit in it; when one row
