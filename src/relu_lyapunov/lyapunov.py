@@ -15,6 +15,7 @@ import numpy as np
 
 from .arch import Architecture, check_params
 from .gradient import _grad_core
+from .network import _augmented_order
 from .risk import DiscreteMeasure, TargetSpec
 
 
@@ -28,11 +29,7 @@ class LyapunovContext:
 
     def __post_init__(self) -> None:
         self.f0 = _check_f0(self.arch, self.f0)
-        # quadratic form: 1 on every weight entry, k on layer-k bias entries
-        coeff = np.ones(self.arch.param_count)
-        for k in range(1, self.arch.depth + 1):
-            coeff[self.arch.bias_slice(k)] = float(k)
-        self._coeff = coeff
+        self._coeff = _flat_coeff(self.arch.widths)
 
 
 def _check_f0(arch: Architecture, f0) -> np.ndarray:
@@ -44,13 +41,23 @@ def _check_f0(arch: Architecture, f0) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _augmented_coeff(widths: tuple[int, ...]) -> np.ndarray:
-    """V's quadratic-form coefficients in `network._augmented_order`: 1 on W_k, k on b_k, each [W_k b_k] row-major.
+def _flat_coeff(widths: tuple[int, ...]) -> np.ndarray:
+    """V's quadratic-form coefficients in the flat order: 1 on every weight entry, k on layer-k bias entries.
 
     Built once per ``widths`` and shared, so the array is read-only.
     """
-    rows = [np.append(np.ones(fan_in), float(k)) for k, fan_in in enumerate(widths[:-1], start=1)]
-    coeff = np.concatenate([np.tile(row, fan_out) for row, fan_out in zip(rows, widths[1:])])
+    arch = Architecture(widths)
+    coeff = np.ones(arch.param_count)
+    for k in range(1, arch.depth + 1):
+        coeff[arch.bias_slice(k)] = float(k)
+    coeff.flags.writeable = False
+    return coeff
+
+
+@functools.lru_cache(maxsize=64)
+def _augmented_coeff(widths: tuple[int, ...]) -> np.ndarray:
+    """`_flat_coeff` in `network._augmented_order`, cached and read-only likewise."""
+    coeff = _flat_coeff(widths)[_augmented_order(widths)]
     coeff.flags.writeable = False
     return coeff
 

@@ -194,7 +194,7 @@ def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None
     """theta_{n+1} = theta_n - gamma_n G(theta_n, X_n) on a (trials, d) block: the one step loop.
 
     ``batch(n, blocks, ws)`` gives the `_Workspace` over ``blocks`` holding step
-    n's points in its first [x; 1] and their weights (float or (m,), one
+    n's points in its first [x; 1] and their weights (float or (m,), a new
     object per batch size).  The residual N - f against ``fvals`` times 2
     weights is delta, so the gradient comes unscaled.  ``observe(n, theta, grad,
     resid, weights, gamma)`` sees every step n = 0..steps, the residual in a
@@ -218,7 +218,7 @@ def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None
             if n == steps and observe is None:
                 break
             ws, held = batch(n, blocks, ws)
-            if held is not weights:  # another batch size, so another workspace
+            if held is not weights:  # a new batch size, so a new workspace
                 weights, scale = held, 2.0 * held
                 resid = ws.pres[-1] if observe is None else np.empty(ws.pres[-1].shape)
             pres, acts = _forward(ws.layers, ws.points, _relu_unit, ws)
@@ -299,6 +299,7 @@ class _Recorder:
     def flush(self) -> None:
         """The block's risks, summed as numpy sums one step's; V and the norms of its logged rows, as `np.dot`."""
         start, fill, resid = self.start, self.fill, self.resids[: self.fill]
+        self.fill = 0  # taken even if this flush raises, so a context exit does not flush it again
         sq = np.add.reduce(np.multiply(resid, resid, out=resid), axis=-2)  # in place: no block-sized temporaries
         risk = np.add.reduce(np.multiply(self.weights, sq, out=sq), axis=-1)
         if not math.isfinite(risk.max()):  # max propagates NaN
@@ -327,7 +328,7 @@ class _Recorder:
             self.snapshots[n] = _flat(self.block[n - start, 1], self.order)
         if end <= self.steps:
             self.prev = self.block[fill - 1, 1].copy()
-        self.start, self.fill = end, 0
+        self.start = end
 
     def trajectory(self, input_scale, mass, mc_steps=None, mc_risk=None) -> Trajectory:
         steps = np.minimum(np.arange(0, self.steps + self.stride, self.stride, dtype=np.int64), self.steps)
@@ -428,12 +429,12 @@ def _sgd_train(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe=None):
 
     Trial t reads row t of the step-n block from numpy's `SeedSequence` stream
     (seed, 1, n), each point weighing 1/m, and of the eval block from (seed, 0).
-    Steps run on one `_Workspace` per batch size.  A checkpoint rewinds the
-    (seed, 0) generator and draws the sample again, block by block of
-    `_eval_block` in trial order, each straight into the first [x; 1] of a
-    workspace built over a (rows, d) copy of the block's parameters: one for
-    the full block and one for a ragged last block or part, built once per
-    call.  Stream order makes the points those of one (trials, samples, l_0)
+    The step `_Workspace` is rebuilt whenever the batch size changes.  A
+    checkpoint rewinds the (seed, 0) generator and draws the sample again,
+    block by block of `_eval_block` in trial order, each straight into the
+    first [x; 1] of a workspace built over a (rows, d) copy of the block's
+    parameters: one for the full block and one for a ragged last block or
+    part, built once per call.  Stream order makes the points those of one (trials, samples, l_0)
     draw, bit for bit, without holding it.  At 100 trials a block is one
     10^4-sample row, so a layer is one product rather than 100 per-trial
     products per chunk; what that saves, a run with many checkpoints spends on
@@ -446,7 +447,7 @@ def _sgd_train(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe=None):
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     if xi.shape != (arch.widths[-1],):
         raise ValueError(f"xi has shape {xi.shape}, expected ({arch.widths[-1]},) for output width {arch.widths[-1]}")
-    streams, step_ws = _KeyedStreams(entropy + (1,), cfg.steps + 1), {}
+    streams, weight = _KeyedStreams(entropy + (1,), cfg.steps + 1), None
 
     def draw(rng, ws):
         """a + span * u, in that order, into the x rows of ws's first [x; 1]."""
@@ -454,10 +455,10 @@ def _sgd_train(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe=None):
         np.add(a, ws.draw, out=ws.draw_target)
 
     def batch(n, blocks, ws):
+        nonlocal weight
         m = cfg.batch_at(n)
-        if m not in step_ws:
-            step_ws[m] = _Workspace(blocks, m), 1.0 / m
-        ws, weight = step_ws[m]
+        if ws is None or ws.draw.shape[1] != m:
+            ws, weight = _Workspace(blocks, m), 1.0 / m
         draw(streams(n), ws)
         return ws, weight
 

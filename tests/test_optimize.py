@@ -156,7 +156,8 @@ def _check_divergence(arch, run):
     """``run(theta0, steps)`` diverges from a blown-up start: the error carries
     the last step with a finite risk and its flat parameters, exactly the final
     snapshot of a rerun that stops there; a non-finite risk at step 0 is a
-    ValueError instead."""
+    ValueError instead, raised once: a context exit does not flush its
+    block again."""
     _, _, _, theta0 = shallow_problem()
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # gf: dt above the descent threshold
@@ -166,8 +167,9 @@ def _check_divergence(arch, run):
         assert 0 <= step < 1000 and f"non-finite at step {step + 1}" in str(err.value)
         assert theta.shape == (arch.param_count,) and np.isfinite(theta).all()
         np.testing.assert_array_equal(theta, run(theta0 * 50.0, step).snapshots[step])
-        with pytest.raises(ValueError, match="risk is not finite at the initial parameters"):
+        with pytest.raises(ValueError, match="risk is not finite at the initial parameters") as err:
             run(theta0 * 1e200, 5)
+        assert err.value.__context__ is None
 
 
 def test_gd_divergence_raises():
@@ -702,10 +704,10 @@ def test_checkpoint_draws_its_sample_a_block_at_a_time():
     assert peak < 0.4 * 200 * 10_000 * 8
 
 
-def test_one_workspace_per_batch_size(monkeypatch):
-    """Steps run on one workspace per batch size, kept while the size
-    alternates, and checkpoints on at most two: the full block of trial rows
-    and a ragged last one (20 trials at 400 samples: blocks of 6 and 2)."""
+def test_checkpoints_build_at_most_two_workspaces(monkeypatch):
+    """Checkpoints run on at most two workspaces, built once per call and
+    reused at every checkpoint: the full block of trial rows and a ragged last
+    one (20 trials at 400 samples: blocks of 6 and 2)."""
     built = []
 
     class Counted(optimize._Workspace):
@@ -716,12 +718,8 @@ def test_one_workspace_per_batch_size(monkeypatch):
     monkeypatch.setattr(optimize, "_Workspace", Counted)
     arch = Architecture((1, 7, 1))
     theta0s = gaussian_init(arch, seed=1, scale=7.0**-0.5, trials=20)
-    cfg = SgdConfig(batch_size=lambda n: 100 + n % 2, steps=20, seed=3, eval_samples=400)
-    sgd_run(arch, theta0s[0], 1e-3, UniformSampler(0.0, 1.0, 1), 1.0, replace(cfg, eval_steps=()))
-    assert sorted(built) == [(1, 100), (1, 101)]
-    built.clear()
-    sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, 1.0, cfg)
-    assert sorted(built) == [(2, 400), (6, 400), (20, 100), (20, 101)]
+    sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, 1.0, SgdConfig(batch_size=100, steps=20, seed=3, eval_samples=400))
+    assert sorted(built) == [(2, 400), (6, 400), (20, 100)]
 
 
 def test_augmented_order_built_once_per_widths():
