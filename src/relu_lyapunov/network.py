@@ -68,11 +68,28 @@ def _smooth_unit(sharpness: float, cfg: ClampConfig):
     return lambda k, z: smooth_relu(cfg, layer_sharpness(sharpness, k), z)
 
 
-class _Workspace:
-    """The buffers of the passes over one trial-stacked block at batch size m, and every view of them, bound once.
+def _aligned(shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialized array whose data starts on a 64-byte cache line.
 
-    The block's parameters are the augmented (trials, l_k, l_{k-1} + 1)
-    matrices ``blocks[k-1] = [W_k b_k]``, views of one (trials, d) array in
+    numpy aligns its buffers to 16 bytes only.  Leased across calls, a
+    workspace buffer of 128 KiB or more is an mmap of its own that starts 16
+    bytes into a page, so its vector loads straddle cache lines: the preset
+    steps and checkpoints ran slower on such buffers than on buffers built
+    per call, and faster on line-aligned ones (`BENCH_15.json`).
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
+
+
+class _Workspace:
+    """The buffers of the passes over one trial-stacked block at batch size m, and every view of them.
+
+    The buffers depend only on the block's shapes and m, so a workspace serves
+    any parameters of those shapes: `bind` points it at them.  The block's
+    parameters are the augmented (trials, l_k, l_{k-1} + 1) matrices
+    ``blocks[k-1] = [W_k b_k]``, views of one (trials, d) array in
     `_augmented_order` that the caller updates in place; ``layers`` are their
     ``(W_k, b_k)`` splits and ``weights_t[k-1]`` is ``W_k^T``.  ``inputs[k-1]``
     is layer k's input [h; 1] as (trials, l_{k-1} + 1, m), its ones row written
@@ -90,39 +107,58 @@ class _Workspace:
     out of the last hidden layer: ``w_col``/``w_row`` are ``w = W_L[..., 0, :]``
     as a column and a row, and ``back`` (L >= 3) holds ``W_{L-1}^T * w_row``.
     For a 1 -> h -> 1 network (``narrow``) ``scaled`` holds the
-    (trials, 2, m) product delta * [x; 1] instead.
+    (trials, 2, m) product delta * [x; 1] instead.  Without ``backward`` the
+    workspace serves `_forward` alone and has none of the buffers only
+    `_backward` writes: ``gates``, ``grad``, ``scaled`` and ``back``.  Every
+    buffer starts on a cache line (`_aligned`); ``buffers`` lists them.
     """
 
-    def __init__(self, blocks: list[np.ndarray], m: int):
+    def __init__(self, blocks: list[np.ndarray], m: int, backward: bool = True):
         trials = blocks[0].shape[0]
         widths = [blocks[0].shape[-1] - 1] + [a.shape[-2] for a in blocks]
         depth = len(blocks)
-        self.blocks = blocks
-        self.layers = [(a[..., :-1], a[..., -1]) for a in blocks]
-        self.weights_t = [w.swapaxes(-1, -2) for w, _ in self.layers]
-        self.draw = np.empty((trials, m, widths[0]))
+        self.draw = _aligned((trials, m, widths[0]))
         # stored row-major as (width, trials, m) and viewed as (trials, width, m):
         # the hidden rows of [h; 1] are then one contiguous block, which the
         # unit writes ~1.6x faster than trials-many strided blocks
-        self.inputs = [np.ones((w + 1, trials, m)).transpose(1, 0, 2) for w in widths[:-1]]
-        self.inputs_t = [a.swapaxes(-1, -2) for a in self.inputs]
+        self.inputs = [_aligned((w + 1, trials, m)).transpose(1, 0, 2) for w in widths[:-1]]
+        for a in self.inputs:
+            a.fill(1.0)
         self.points = self.inputs[0][..., :-1, :]
         self.draw_target = self.points.swapaxes(-1, -2)
         self.hidden = [a[..., :-1, :] for a in self.inputs[1:]]
-        self.pres = [np.empty((w, trials, m)).transpose(1, 0, 2) for w in widths[1:]]
-        self.gates = [np.empty((w, trials, m), dtype=bool).transpose(1, 0, 2) for w in widths[1:-1]]
-        self.grad = np.empty((trials, sum(a[0].size for a in blocks)))
-        self.grads = _augmented_blocks(widths, self.grad)
+        self.pres = [_aligned((w, trials, m)).transpose(1, 0, 2) for w in widths[1:]]
         self.factored = depth > 1 and widths[-1] == 1
         self.narrow = self.factored and depth == 2 and widths[0] == 1
+        self.buffers = [self.draw, *self.inputs, *self.pres]
+        if backward:
+            self.inputs_t = [a.swapaxes(-1, -2) for a in self.inputs]
+            self.gates = [_aligned((w, trials, m), bool).transpose(1, 0, 2) for w in widths[1:-1]]
+            self.grad = _aligned((trials, sum(a[0].size for a in blocks)))
+            self.grads = _augmented_blocks(widths, self.grad)
+            self.buffers += [*self.gates, self.grad]
+            if self.narrow:
+                self.scaled = _aligned((2, trials, m)).transpose(1, 0, 2)
+                self.scaled_t = self.scaled.swapaxes(-1, -2)
+                self.buffers.append(self.scaled)
+            elif self.factored and depth > 2:
+                self.back = _aligned((trials, widths[-3], widths[-2]))
+                self.buffers.append(self.back)
+        self.bind(blocks)
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of its ``buffers``."""
+        return sum(a.nbytes for a in self.buffers)
+
+    def bind(self, blocks: list[np.ndarray]) -> None:
+        """Point the passes at ``blocks``, of the shapes the workspace was built for."""
+        self.blocks = blocks
+        self.layers = [(a[..., :-1], a[..., -1]) for a in blocks]
+        self.weights_t = [w.swapaxes(-1, -2) for w, _ in self.layers]
         if self.factored:
             w = self.layers[-1][0][..., 0, :]
             self.w_col, self.w_row = w[..., :, None], w[..., None, :]
-        if self.narrow:
-            self.scaled = np.empty((2, trials, m)).transpose(1, 0, 2)
-            self.scaled_t = self.scaled.swapaxes(-1, -2)
-        elif self.factored and depth > 2:
-            self.back = np.empty((trials, widths[-3], widths[-2]))
 
 
 @functools.lru_cache(maxsize=64)

@@ -7,9 +7,12 @@ constant target), `gd_run` (the whole measure at every step) and its explicit
 Euler gradient flow `gf_euler_run` with one, logged into a `Trajectory` by an
 observer that takes the risks, V and the norms a block of steps at a time.
 The state is one array in augmented order (each layer's [W_k b_k] row-major),
-and one `_Workspace` per call holds every intermediate of the kernel and the
-gradient block, so a step allocates no array of samples; the Monte Carlo
-checkpoints of the SGD runs take the same kernel on workspaces of their own.
+and one `_Workspace` per batch size holds every intermediate of the kernel and
+the gradient block, so a step allocates no array of samples; the Monte Carlo
+checkpoints of the SGD runs take the same kernel on forward-only workspaces of
+their own.  Workspaces and the observer's blocks are leased from a small spare
+list per process (`_Lease`), so a call builds and page-faults none that an
+earlier call of the same shapes gave back.
 
 A step-size ``schedule`` is a finite float >= 0 or a function of the step.
 Step-size thresholds (`gd_threshold`, `sgd_threshold`) reproduce the regime in
@@ -20,6 +23,7 @@ checks a finished trajectory against that guarantee.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -190,6 +194,80 @@ def _eval_grid(cfg: SgdConfig) -> tuple[int, ...]:
     return grid
 
 
+# Buffer sets kept between calls, by count and by bytes: a benchmark process ends holding 7 sets and
+# 4.1 MB (1,7,1 at 100 trials) or 5.3 MB (1,3,7,1), or 6 sets and 1.0 MB (one trial).  A set over the
+# byte bound (a gd run over 10^5 points, ~22 MB on 1,3,7,1) is freed when its call ends.
+_SPARE_CAP, _SPARE_BYTES = 8, 8 << 20
+_spare: list[tuple[tuple, object, int]] = []  # (key, buffers, bytes) given back, the least recently returned first
+_spare_lock = threading.Lock()
+
+
+def _nbytes(buffers) -> int:
+    """The bytes of a `_Workspace`, an array or a tuple of them."""
+    return sum(map(_nbytes, buffers)) if isinstance(buffers, tuple) else buffers.nbytes
+
+
+class _Lease:
+    """The buffers one public call takes from the process's spare list, all given back when the call ends.
+
+    Workspaces and observer blocks outlive the call that built them, so the
+    next call of the same shapes builds, allocates and page-faults none of
+    them.  That gains only where one process repeats calls of the same shapes
+    (benchmark segments and checkpoint calls, a sweep of one-trial runs); a
+    single call builds what it would without the list.  The list is the
+    process's rather than a caller's because those calls are independent
+    ones.  A lease is exclusive: `take` pops a spare of its key (or builds
+    one) and `close` appends it back, so calls running at once, or two
+    buffers of one call, never share memory.  The list keeps the most
+    recently returned within `_SPARE_CAP` sets and `_SPARE_BYTES` bytes.  A
+    call writes every element of a leased buffer before reading it, save a
+    workspace's ones rows, so outputs do not depend on the lease.
+    """
+
+    def __init__(self):
+        self.held: list[tuple[tuple, object, int]] = []
+
+    def __enter__(self) -> _Lease:
+        return self
+
+    def __exit__(self, kind, error, trace) -> None:
+        self.close()
+
+    def take(self, key: tuple, build: Callable[[], object]):
+        """The spare of ``key`` returned last, or else ``build()``."""
+        with _spare_lock:
+            found = next((i for i in range(len(_spare) - 1, -1, -1) if _spare[i][0] == key), None)
+            held = None if found is None else _spare.pop(found)
+        if held is None:
+            buffers = build()
+            held = key, buffers, _nbytes(buffers)
+        self.held.append(held)
+        return held[1]
+
+    def workspace(self, blocks, m: int) -> _Workspace:
+        """A step `_Workspace` at batch size ``m`` bound to ``blocks``."""
+        ws = self.take((tuple(a.shape for a in blocks), m), lambda: _Workspace(blocks, m))
+        ws.bind(blocks)
+        return ws
+
+    def give(self, buffers) -> None:
+        """Give back ``buffers`` before the call ends."""
+        i = next(i for i, held in enumerate(self.held) if held[1] is buffers)
+        self._give([self.held.pop(i)])
+
+    def close(self) -> None:
+        held, self.held = self.held, []
+        self._give(held)
+
+    @staticmethod
+    def _give(held) -> None:
+        with _spare_lock:
+            _spare.extend(h for h in held if h[2] <= _SPARE_BYTES)
+            total = sum(h[2] for h in _spare)
+            while len(_spare) > _SPARE_CAP or total > _SPARE_BYTES:
+                total -= _spare.pop(0)[2]
+
+
 def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None, eval_grid=()):
     """theta_{n+1} = theta_n - gamma_n G(theta_n, X_n) on a (trials, d) block: the one step loop.
 
@@ -247,7 +325,8 @@ class _Recorder:
 
     Each step's parameter, gradient and residual rows are copied into a block
     of up to 256 steps and ~2 MB, flushed when it fills, at the last step and
-    before a step with new weights.  A flush takes the block's risks, then at
+    before a step with new weights, which takes a new block, leased (see
+    `_Lease`) like the one it gives back.  A flush takes the block's risks, then at
     its rows (every ``log_stride``-th step and the last) V, summed in the
     augmented order, the norms and, with ``dt``, the integral 4L sum risk dt,
     and its snapshots.  A non-finite risk at step n raises `DivergenceError`
@@ -255,9 +334,10 @@ class _Recorder:
     block), or at step 0 a ValueError.  Used as a context around the run, it
     flushes the steps held when another exception (a rate or batch callable's)
     ends the run early, so that a divergence among them is what is raised.
+    Its blocks are taken from and given back to the call's ``lease``.
     """
 
-    def __init__(self, arch, f0, steps, log_stride, snapshot_steps, dt=None):
+    def __init__(self, lease, arch, f0, steps, log_stride, snapshot_steps, dt=None):
         steps, stride = _whole("steps", steps), _whole("log_stride", log_stride)
         if steps < 0:
             raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -271,10 +351,10 @@ class _Recorder:
         self.top_bias = np.arange(d - arch.widths[-1] * (fan_in + 1) + fan_in, d, fan_in + 1)
         self.steps, self.stride, self.dt = steps, stride, dt
         self.snaps = sorted((n for n in snaps if 0 <= n <= steps), reverse=True)  # popped from the end
-        # each row's V, risk, gradient and parameter norm, gamma and integral; the block's (gradient, theta), gammas
-        self.cols = np.empty((6, -(-steps // stride) + 1))
-        self.block, self.gammas = np.empty((min(steps + 1, 256), 2, d)), np.empty(min(steps + 1, 256))
+        # each row's V, risk, gradient and parameter norm, gamma and integral; the steps a block holds
+        self.cols, self.rows = np.empty((6, -(-steps // stride) + 1)), min(steps + 1, 256)
         self.start, self.fill, self.weights, self.integral, self.snapshots, self.prev = 0, 0, None, 0.0, {}, None
+        self.lease = lease
 
     def __enter__(self) -> _Recorder:
         return self
@@ -288,8 +368,16 @@ class _Recorder:
         if weights is not self.weights:
             if self.fill:
                 self.flush()
-            rows = (1 << 21) // (8 * (resid.size + self.block[0].size))  # a new block of steps, in ~2 MB
-            self.resids, self.weights = np.empty((max(1, min(rows, len(self.block))),) + resid.shape[1:]), weights
+            if self.weights is not None:
+                self.lease.give(self.buffers)
+            rows, d = self.rows, len(self.order)
+            fit = max(1, min(rows, (1 << 21) // (8 * (resid.size + 2 * d))))  # a new block of steps, in ~2 MB
+            shape = (fit,) + resid.shape[1:]
+            self.buffers = self.lease.take(
+                ("record", rows, d, shape), lambda: (np.empty((rows, 2, d)), np.empty(rows), np.empty(shape))
+            )
+            self.block, self.gammas, self.resids = self.buffers
+            self.weights = weights
         i = self.fill
         self.block[i, 0], self.block[i, 1], self.resids[i], self.gammas[i] = grad, theta, resid, gamma
         self.fill = i + 1
@@ -300,7 +388,10 @@ class _Recorder:
         """The block's risks, summed as numpy sums one step's; V and the norms of its logged rows, as `np.dot`."""
         start, fill, resid = self.start, self.fill, self.resids[: self.fill]
         self.fill = 0  # taken even if this flush raises, so a context exit does not flush it again
-        sq = np.add.reduce(np.multiply(resid, resid, out=resid), axis=-2)  # in place: no block-sized temporaries
+        # in place, and a one-row sum over the width is skipped: it is a (steps, m) copy (205 KB at m = 100)
+        # that, above glibc's mmap threshold, was mapped and page-faulted afresh at every flush
+        sq = np.multiply(resid, resid, out=resid)
+        sq = sq[:, 0] if sq.shape[1] == 1 else np.add.reduce(sq, axis=-2)
         risk = np.add.reduce(np.multiply(self.weights, sq, out=sq), axis=-1)
         if not math.isfinite(risk.max()):  # max propagates NaN
             j = int(np.argmin(np.isfinite(risk)))
@@ -337,7 +428,7 @@ class _Recorder:
 
 
 def _measure_run(arch, theta0, measure, target, schedule, steps, log_stride, snapshot_steps, dt=None) -> Trajectory:
-    """gd, and with ``dt`` gf: a one-trial `_train` over the whole measure, its [x; 1] written once."""
+    """gd, and with ``dt`` gf: a one-trial `_train` over the whole measure, its [x; 1] written once per lease."""
     theta0, points, fvals = _check_inputs(arch, theta0, measure.points, target.values)
     theta0 = _require_finite(theta0)
     if dt is not None:
@@ -346,15 +437,14 @@ def _measure_run(arch, theta0, measure, target, schedule, steps, log_stride, sna
             warnings.warn(f"Euler step dt={dt:g} exceeds the descent threshold {threshold:g}; "
                           "the flow approximation may lose monotonicity", stacklevel=3)
     rate = _rate_fn(schedule)
-    record = _Recorder(arch, target.f0, steps, log_stride, snapshot_steps, dt)
 
     def batch(n, blocks, ws):
         if ws is None:
-            ws = _Workspace(blocks, len(points))
+            ws = lease.workspace(blocks, len(points))
             ws.points[0] = points.T
         return ws, measure.weights
 
-    with record:
+    with _Lease() as lease, _Recorder(lease, arch, target.f0, steps, log_stride, snapshot_steps, dt) as record:
         _train(arch, theta0[None], rate, record.steps, batch, np.ascontiguousarray(fvals.T), record)
     return record.trajectory(measure.input_scale, measure.mass)
 
@@ -418,23 +508,25 @@ def _eval_block(trials: int, samples: int) -> tuple[int, int]:
     A block takes as many whole rows of the sample as fit in it; when one row
     does not fit, one trial at a time, in parts of the budget's size.  At one
     trial 2,500-sample parts ran 1.9x faster than one 10^4-sample row, whose
-    buffers, above glibc's mmap threshold, page-faulted afresh at every call.
+    buffers, above glibc's mmap threshold, page-faulted afresh at every call
+    when workspaces were built per call (they are leased now, see `_Lease`).
     """
     budget = trials * max(2_500 // trials, 100)
     return max(1, budget // samples), min(samples, budget)
 
 
-def _sgd_train(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe=None):
+def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe=None):
     """`_train` on keyed batches, with the Monte Carlo risks at the evaluation steps.
 
     Trial t reads row t of the step-n block from numpy's `SeedSequence` stream
     (seed, 1, n), each point weighing 1/m, and of the eval block from (seed, 0).
-    The step `_Workspace` is rebuilt whenever the batch size changes.  A
+    Workspaces are taken from the call's ``lease``: at a change of batch size
+    the step `_Workspace` goes back and one of the new size is taken.  A
     checkpoint rewinds the (seed, 0) generator and draws the sample again,
     block by block of `_eval_block` in trial order, each straight into the
-    first [x; 1] of a workspace built over a (rows, d) copy of the block's
-    parameters: one for the full block and one for a ragged last block or
-    part, built once per call.  Stream order makes the points those of one (trials, samples, l_0)
+    first [x; 1] of a forward-only workspace bound to a (rows, d) copy of the
+    block's parameters, leased together: one for the full block and one for a
+    ragged last block or part, once per call.  Stream order makes the points those of one (trials, samples, l_0)
     draw, bit for bit, without holding it.  At 100 trials a block is one
     10^4-sample row, so a layer is one product rather than 100 per-trial
     products per chunk, and a checkpoint call runs ~0.75-0.8x as long.  A full
@@ -459,21 +551,11 @@ def _sgd_train(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe=None):
         nonlocal weight
         m = cfg.batch_at(n)
         if ws is None or ws.draw.shape[1] != m:
-            ws, weight = _Workspace(blocks, m), 1.0 / m
+            if ws is not None:
+                lease.give(ws)
+            ws, weight = lease.workspace(blocks, m), 1.0 / m
         draw(streams(n), ws)
         return ws, weight
-
-    target, plan = xi[:, None], []
-    if eval_grid:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy + (0,))))
-        first, (rows, width), eval_ws = rng.bit_generator.state, _eval_block(trials, cfg.eval_samples), {}
-        for t0 in range(0, trials, rows):
-            for s0 in range(0, cfg.eval_samples, width):
-                shape = (min(rows, trials - t0), min(width, cfg.eval_samples - s0))
-                if shape not in eval_ws:  # the full block, and a ragged last block or part
-                    params = np.empty((shape[0], theta0s.shape[1]))
-                    eval_ws[shape] = params, _Workspace(_augmented_blocks(arch.widths, params), shape[1])
-                plan.append((slice(t0, t0 + shape[0]),) + eval_ws[shape])
 
     def evaluate(theta):
         """Each block's risks, summed per trial over the residual's width and then its samples."""
@@ -489,6 +571,21 @@ def _sgd_train(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe=None):
             total[part] += np.add.reduce(sq[:, 0] if sq.shape[1] == 1 else np.add.reduce(sq, axis=1), axis=-1)
         return total / cfg.eval_samples
 
+    def eval_workspace(count, m):
+        """A (count, d) array for a block's parameters and a forward-only workspace bound to it once."""
+        params = np.empty((count, theta0s.shape[1]))
+        return params, _Workspace(_augmented_blocks(arch.widths, params), m, backward=False)
+
+    target, plan = xi[:, None], []
+    if eval_grid:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy + (0,))))
+        first, (rows, width), eval_ws = rng.bit_generator.state, _eval_block(trials, cfg.eval_samples), {}
+        for t0 in range(0, trials, rows):
+            for s0 in range(0, cfg.eval_samples, width):
+                shape = (min(rows, trials - t0), min(width, cfg.eval_samples - s0))
+                if shape not in eval_ws:  # the full block, and a ragged last block or part
+                    eval_ws[shape] = lease.take(("eval", arch.widths) + shape, lambda: eval_workspace(*shape))
+                plan.append((slice(t0, t0 + shape[0]),) + eval_ws[shape])
     risk, theta = _train(arch, theta0s, rate, cfg.steps, batch, target, observe, evaluate, eval_grid)
     return EnsembleResult(eval_steps=np.asarray(eval_grid, dtype=np.int64), risk=risk, theta_final=theta)
 
@@ -509,9 +606,8 @@ def sgd_run(
     if sampler.dim != arch.widths[0]:
         raise ValueError(f"sampler dim {sampler.dim} != input width {arch.widths[0]}")
     theta0 = _require_finite(check_params(arch, theta0))
-    record = _Recorder(arch, xi, cfg.steps, cfg.log_stride, cfg.snapshot_steps)
-    with record:
-        res = _sgd_train(arch, theta0[None], schedule, sampler.a, sampler.b, xi, cfg, record)
+    with _Lease() as lease, _Recorder(lease, arch, xi, cfg.steps, cfg.log_stride, cfg.snapshot_steps) as record:
+        res = _sgd_train(lease, arch, theta0[None], schedule, sampler.a, sampler.b, xi, cfg, record)
     return record.trajectory(max(abs(sampler.a), abs(sampler.b), 1.0), 1.0, res.eval_steps, res.risk[0])
 
 
@@ -564,7 +660,8 @@ def sgd_ensemble(
     theta0s = np.asarray(theta0s, dtype=np.float64)
     if theta0s.ndim != 2 or theta0s.shape[0] < 1 or theta0s.shape[1] != arch.param_count:
         raise ValueError(f"theta0s must have shape (trials >= 1, {arch.param_count})")
-    return _sgd_train(arch, _require_finite(theta0s), schedule, a, b, xi, cfg)
+    with _Lease() as lease:
+        return _sgd_train(lease, arch, _require_finite(theta0s), schedule, a, b, xi, cfg)
 
 
 def gd_threshold(arch: Architecture, theta0, f0, mass: float, input_scale: float = 1.0) -> float:

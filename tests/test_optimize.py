@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -31,7 +33,7 @@ from relu_lyapunov import (
 from relu_lyapunov import optimize
 from relu_lyapunov.gradient import _backward, _left_gate
 from relu_lyapunov.lyapunov import _augmented_coeff
-from relu_lyapunov.network import _augmented_order, _forward, _relu_unit
+from relu_lyapunov.network import _augmented_blocks, _augmented_order, _forward, _relu_unit
 from relu_lyapunov.optimize import _eval_block, _measure_run, decade_steps, geometric_checkpoints
 
 
@@ -687,10 +689,12 @@ def test_ensemble_ragged_eval_chunk_matches_allocating_forward(widths, trials, s
         np.testing.assert_array_equal(traj.mc_risk, res.risk[0])
 
 
-def test_checkpoint_draws_its_sample_a_block_at_a_time():
+def test_checkpoint_draws_its_sample_a_block_at_a_time(monkeypatch):
     """A 200-trial checkpoint on 10^4 samples holds two trial rows of the
-    sample at a time, never the whole (trials, samples) draw: its traced peak
-    stays below 0.4 of that draw's 16 MB."""
+    sample at a time, never the whole (trials, samples) draw: its traced peak,
+    which counts the workspaces it builds on an empty spare list, stays below
+    0.4 of that draw's 16 MB."""
+    monkeypatch.setattr(optimize, "_spare", [])
     arch = Architecture((1, 7, 1))
     theta0s = gaussian_init(arch, seed=1, scale=7.0**-0.5, trials=200)
     cfg = SgdConfig(steps=0, eval_steps=(0,), eval_samples=10_000)
@@ -704,22 +708,191 @@ def test_checkpoint_draws_its_sample_a_block_at_a_time():
     assert peak < 0.4 * 200 * 10_000 * 8
 
 
-def test_checkpoints_build_at_most_two_workspaces(monkeypatch):
-    """Checkpoints run on at most two workspaces, built once per call and
-    reused at every checkpoint: the full block of trial rows and a ragged last
-    one (20 trials at 400 samples: blocks of 6 and 2)."""
+def _count_workspaces(monkeypatch) -> list[tuple[int, int, bool]]:
+    """Empty the spare list for this test and log each `_Workspace` built: (trials, m, backward)."""
     built = []
 
     class Counted(optimize._Workspace):
-        def __init__(self, blocks, m):
-            built.append((blocks[0].shape[0], m))
-            super().__init__(blocks, m)
+        def __init__(self, blocks, m, backward=True):
+            built.append((blocks[0].shape[0], m, backward))
+            super().__init__(blocks, m, backward)
 
+    monkeypatch.setattr(optimize, "_spare", [])
     monkeypatch.setattr(optimize, "_Workspace", Counted)
+    return built
+
+
+def test_checkpoints_build_at_most_two_workspaces(monkeypatch):
+    """Checkpoints run on at most two workspaces, leased once per call and
+    reused at every checkpoint: the full block of trial rows and a ragged last
+    one (20 trials at 400 samples: blocks of 6 and 2), both forward-only."""
+    built = _count_workspaces(monkeypatch)
     arch = Architecture((1, 7, 1))
     theta0s = gaussian_init(arch, seed=1, scale=7.0**-0.5, trials=20)
     sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, 1.0, SgdConfig(batch_size=100, steps=20, seed=3, eval_samples=400))
-    assert sorted(built) == [(2, 400), (6, 400), (20, 100)]
+    assert sorted(built) == [(2, 400, False), (6, 400, False), (20, 100, True)]
+    ws = optimize._Workspace(_augmented_blocks(arch.widths, np.empty((2, arch.param_count))), 400, backward=False)
+    assert not any(hasattr(ws, name) for name in ("gates", "grad", "scaled", "back"))
+
+
+def test_workspace_buffers_start_on_cache_lines():
+    """Every buffer of a step or eval workspace starts on a 64-byte line,
+    whatever the allocator returned (numpy aligns to 16 bytes)."""
+    for widths in ((1, 7, 1), (1, 3, 7, 1), (2, 3, 2)):
+        arch = Architecture(widths)
+        for trials, m, backward in ((100, 100, True), (1, 10_000, False), (3, 7, True)):
+            blocks = _augmented_blocks(arch.widths, np.empty((trials, arch.param_count)))
+            ws = optimize._Workspace(blocks, m, backward)
+            buffers = [ws.draw] + ws.inputs + ws.pres
+            if backward:
+                buffers += ws.gates + [ws.grad] + [getattr(ws, name) for name in ("scaled", "back") if hasattr(ws, name)]
+            assert all(a.ctypes.data % 64 == 0 for a in buffers)
+            assert ws.buffers == buffers and ws.nbytes == sum(a.nbytes for a in buffers)
+            assert all((a[..., -1, :] == 1.0).all() for a in ws.inputs)
+
+
+def _run_outputs(result) -> bytes:
+    """Every array of an `EnsembleResult` or a `Trajectory`, as bytes."""
+    if isinstance(result, optimize.EnsembleResult):
+        return result.eval_steps.tobytes() + result.risk.tobytes() + result.theta_final.tobytes()
+    fields = ("steps", "v", "risk", "grad_norm", "param_norm", "gamma", "mc_steps", "mc_risk")
+    arrays = [getattr(result, f) for f in fields] + [result.snapshots[n] for n in sorted(result.snapshots)]
+    return b"".join(a.tobytes() for a in arrays if a is not None)
+
+
+def test_repeated_calls_build_no_workspace(monkeypatch):
+    """Calls repeated in turn lease the workspaces and observer blocks of the
+    first round, eight buffer sets in all: the second round builds none, and
+    each output equals the first round's bit for bit.  A gd run on other
+    points of the same count equals a cold one."""
+    built = _count_workspaces(monkeypatch)
+    arch, measure, target, theta0 = shallow_problem()
+    theta0s = gaussian_init(arch, seed=1, scale=7.0**-0.5, trials=20)
+    cfg = SgdConfig(batch_size=30, steps=300, seed=3, eval_samples=400, eval_steps=(0, 7, 300))
+    runs = [
+        lambda: sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, 1.0, cfg),  # step and two eval workspaces
+        lambda: sgd_run(arch, theta0, 1e-3, UniformSampler(0.0, 1.0, 1), 1.0, cfg),  # two, and a recorder set
+        lambda: gd_run(arch, theta0, measure, target, 1e-3, 300, log_stride=7),  # one, and a recorder set
+    ]
+    first = [_run_outputs(run()) for run in runs]
+    count = len(built)
+    assert [_run_outputs(run()) for run in runs] == first
+    assert len(built) == count and len(optimize._spare) == optimize._SPARE_CAP
+    # a leased workspace takes the points of the measure at hand
+    other = DiscreteMeasure.uniform_grid(-1.0, 2.0, 101)
+    warm = _run_outputs(gd_run(arch, theta0, other, target, 1e-3, 300))
+    optimize._spare.clear()
+    assert _run_outputs(gd_run(arch, theta0, other, target, 1e-3, 300)) == warm
+
+
+def test_concurrent_calls_share_no_buffers():
+    """Four threads running same-shape ensembles at once, with a short switch
+    interval, each lease their own workspaces: every result equals the same
+    call run alone, bit for bit."""
+    arch = Architecture((1, 3, 7, 1))
+    theta0s = gaussian_init(arch, seed=2, scale=3.0**-0.5, trials=10)
+    cfgs = [SgdConfig(batch_size=50, steps=40, seed=s, eval_samples=500, eval_steps=(0, 40)) for s in range(8)]
+
+    def run(cfg):
+        return _run_outputs(sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, 1.0, cfg))
+
+    alone = [run(cfg) for cfg in cfgs]
+    together: dict[int, bytes] = {}
+    barrier = threading.Barrier(4)
+
+    def worker(w):
+        barrier.wait(timeout=30)
+        for i in range(w, len(cfgs), 4):
+            together[i] = run(cfgs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [together.get(i) for i in range(len(cfgs))] == alone
+
+
+def test_a_run_that_raises_gives_its_leases_back(monkeypatch):
+    """A divergence, a raising step-size callable and a batch size of 0 end
+    their runs early; each run gives back every workspace it leased, so the
+    next call of the same shapes builds none and equals a cold call bit for
+    bit."""
+    built = _count_workspaces(monkeypatch)
+    arch, measure, target, theta0 = shallow_problem()
+    theta0s = gaussian_init(arch, seed=1, scale=7.0**-0.5, trials=20)
+    sampler = UniformSampler(0.0, 1.0, 1)
+    cfg = SgdConfig(batch_size=20, steps=400, seed=8, eval_samples=400, eval_steps=(0, 100, 400))
+
+    def ensemble(scale, rate, batch=20):
+        return sgd_ensemble(arch, theta0s * scale, rate, 0.0, 1.0, 1.0, replace(cfg, batch_size=batch))
+
+    def sgd(scale, rate, batch=20):
+        return sgd_run(arch, theta0 * scale, rate, sampler, 1.0, replace(cfg, batch_size=batch))
+
+    cases = [  # (the call, the same call made to raise, the error)
+        (lambda: ensemble(1.0, 1e-3), lambda: ensemble(30.0, 50.0), DivergenceError),
+        (lambda: sgd(1.0, 1e-3), lambda: sgd(30.0, 50.0), DivergenceError),
+        (lambda: gd_run(arch, theta0, measure, target, 1e-3, 400),
+         lambda: gd_run(arch, theta0, measure, target, lambda n: -1.0 if n == 300 else 1e-3, 400), ValueError),
+        (lambda: ensemble(1.0, 1e-3), lambda: ensemble(1.0, 1e-3, lambda n: 0 if n == 150 else 20), ValueError),
+        (lambda: sgd(1.0, 1e-3), lambda: sgd(1.0, 1e-3, lambda n: 0 if n == 150 else 20), ValueError),
+    ]
+    for run, fail, error in cases:
+        optimize._spare.clear()
+        cold = _run_outputs(run())
+        optimize._spare.clear()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+            fail()
+        count = len(built)
+        assert _run_outputs(run()) == cold
+        assert len(built) == count
+
+
+def test_a_changing_batch_size_reuses_workspaces(monkeypatch):
+    """At a change of batch size the step workspace goes back to the spare
+    list: a batch alternating 100/101 builds two step workspaces in all, and a
+    growing one (100 + n) leaves at most `_SPARE_CAP` spares after the call."""
+    built = _count_workspaces(monkeypatch)
+    arch, _, _, theta0 = shallow_problem()
+    sampler = UniformSampler(0.0, 1.0, 1)
+    cfg = SgdConfig(batch_size=lambda n: 100 + n % 2, steps=60, seed=4, eval_steps=())
+    sgd_run(arch, theta0, 1e-3, sampler, 1.0, cfg)
+    assert sorted(built) == [(1, 100, True), (1, 101, True)]
+    sgd_run(arch, theta0, 1e-3, sampler, 1.0, replace(cfg, batch_size=lambda n: 100 + n))
+    assert [m for _, m, _ in built] == list(range(100, 161))  # one per size, 100 and 101 leased again
+    assert len(optimize._spare) <= optimize._SPARE_CAP
+
+
+def test_spare_list_stays_within_its_byte_bound(monkeypatch):
+    """The spare list keeps at most `_SPARE_BYTES`: a gd run over 10^5 points
+    on 1,3,7,1 (~22 MB of step workspace) frees that workspace when it ends
+    and keeps the small sets of the run before it, and runs whose sets add up
+    past the bound leave only the most recent that fit."""
+    built = _count_workspaces(monkeypatch)
+    arch = Architecture((1, 3, 7, 1))
+    theta0 = gaussian_init(arch, seed=0, scale=3.0**-0.5, trials=1)[0]
+    target = TargetSpec.constant(1.0)
+
+    def run(points):
+        gd_run(arch, theta0, DiscreteMeasure.uniform_grid(0.0, 1.0, points), target, 1e-3, 3)
+        return {m: nbytes for (key, ws, nbytes) in optimize._spare if isinstance(ws, optimize._Workspace)
+                for m in [key[-1]]}
+
+    assert list(run(101)) == [101]
+    kept = run(100_000)
+    assert list(kept) == [101] and built[-1] == (1, 100_000, True)
+    assert run(100_000) == kept and built[-1] == (1, 100_000, True) and len(built) == 3
+    sizes = [run(points) for points in (15_000, 15_001, 15_002)]
+    assert sizes[0][15_000] > optimize._SPARE_BYTES / 3  # three of these do not fit
+    assert 15_002 in sizes[-1] and 15_000 not in sizes[-1]
+    assert sum(nbytes for _, _, nbytes in optimize._spare) <= optimize._SPARE_BYTES
 
 
 def test_augmented_order_built_once_per_widths():
