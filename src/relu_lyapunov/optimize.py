@@ -10,14 +10,14 @@ The state is one array in augmented order (each layer's [W_k b_k] row-major),
 and one `_Workspace` per batch size holds every intermediate of the kernel and
 the gradient block, so a step allocates no array of samples; the Monte Carlo
 checkpoints of the SGD runs take the same kernel on forward-only workspaces of
-their own.  Workspaces and the observer's blocks are leased from a small spare
-list per process (`_Lease`), so a call builds and page-faults none that an
-earlier call of the same shapes gave back.
+their own.  Workspaces and the observer's blocks are leased from the
+process's spares, one per key within a byte bound (`_Lease`), so a call builds
+and page-faults none that an earlier call of the same shapes gave back.
 
 A step-size ``schedule`` is a finite float >= 0 or a function of the step.
 Step-size thresholds (`gd_threshold`, `sgd_threshold`) reproduce the regime in
-which the Lyapunov function is guaranteed to decrease; `descent_certificate`
-checks a finished trajectory against that guarantee.
+which the Lyapunov function is guaranteed to decrease towards a constant
+target; `descent_certificate` checks a finished trajectory against that guarantee.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .arch import Architecture, check_params
 from .gradient import _backward, _left_gate
 from .lyapunov import LyapunovContext, _augmented_coeff, _check_f0, lyapunov_value
-from .network import _augmented_blocks, _augmented_order, _check_inputs, _forward, _relu_unit, _Workspace
+from .network import _aligned, _augmented_blocks, _augmented_order, _check_inputs, _forward, _relu_unit, _Workspace
 from .risk import DiscreteMeasure, TargetSpec, UniformSampler, _check_box, _entropy, _KeyedStreams, _whole
 
 
@@ -194,11 +194,11 @@ def _eval_grid(cfg: SgdConfig) -> tuple[int, ...]:
     return grid
 
 
-# Buffer sets kept between calls, by count and by bytes: a benchmark process ends holding 7 sets and
-# 4.1 MB (1,7,1 at 100 trials) or 5.3 MB (1,3,7,1), or 6 sets and 1.0 MB (one trial).  A set over the
-# byte bound (a gd run over 10^5 points, ~22 MB on 1,3,7,1) is freed when its call ends.
-_SPARE_CAP, _SPARE_BYTES = 8, 8 << 20
-_spare: list[tuple[tuple, object, int]] = []  # (key, buffers, bytes) given back, the least recently returned first
+# Buffer sets kept between calls, one per key, within a byte bound: a benchmark process ends holding 7
+# sets and 4.1 MB (1,7,1 at 100 trials) or 5.3 MB (1,3,7,1), or 6 sets and 1.0 MB (one trial).  A set
+# over the bound (a gd run over 10^5 points, ~22 MB on 1,3,7,1) is freed when its call ends.
+_SPARE_BYTES = 8 << 20
+_spare: dict[tuple, tuple[object, int]] = {}  # key: (buffers, bytes) given back, the least recently returned first
 _spare_lock = threading.Lock()
 
 
@@ -208,19 +208,19 @@ def _nbytes(buffers) -> int:
 
 
 class _Lease:
-    """The buffers one public call takes from the process's spare list, all given back when the call ends.
+    """The buffers one public call takes from the process's spares, all given back when the call ends.
 
-    Workspaces and observer blocks outlive the call that built them, so the
-    next call of the same shapes builds, allocates and page-faults none of
-    them.  That gains only where one process repeats calls of the same shapes
+    Workspaces and observer blocks outlive the call that built them, so the next
+    call of the same shapes builds, allocates and page-faults none of them.
+    That gains only where one process repeats calls of the same shapes
     (benchmark segments and checkpoint calls, a sweep of one-trial runs); a
-    single call builds what it would without the list.  The list is the
-    process's rather than a caller's because those calls are independent
-    ones.  A lease is exclusive: `take` pops a spare of its key (or builds
-    one) and `close` appends it back, so calls running at once, or two
-    buffers of one call, never share memory.  The list keeps the most
-    recently returned within `_SPARE_CAP` sets and `_SPARE_BYTES` bytes.  A
-    call writes every element of a leased buffer before reading it, save a
+    single call builds what it would without spares.  They are the process's
+    rather than a caller's because those calls are independent ones.  A lease is
+    exclusive: `take` pops the spare of its key (or builds one) and the lease's
+    exit stores it back, so calls running at once, or two buffers of one call,
+    never share memory.  A call holds at most one set per key, as the spares do;
+    they drop the least recently returned while over `_SPARE_BYTES`.  A call
+    writes every element of a leased buffer before reading it, save a
     workspace's ones rows, so outputs do not depend on the lease.
     """
 
@@ -231,18 +231,18 @@ class _Lease:
         return self
 
     def __exit__(self, kind, error, trace) -> None:
-        self.close()
+        held, self.held = self.held, []
+        self._give(held)
 
     def take(self, key: tuple, build: Callable[[], object]):
-        """The spare of ``key`` returned last, or else ``build()``."""
+        """The spare of ``key``, or else ``build()``."""
         with _spare_lock:
-            found = next((i for i in range(len(_spare) - 1, -1, -1) if _spare[i][0] == key), None)
-            held = None if found is None else _spare.pop(found)
-        if held is None:
+            buffers, nbytes = _spare.pop(key, (None, 0))
+        if buffers is None:
             buffers = build()
-            held = key, buffers, _nbytes(buffers)
-        self.held.append(held)
-        return held[1]
+            nbytes = _nbytes(buffers)
+        self.held.append((key, buffers, nbytes))
+        return buffers
 
     def workspace(self, blocks, m: int) -> _Workspace:
         """A step `_Workspace` at batch size ``m`` bound to ``blocks``."""
@@ -255,17 +255,15 @@ class _Lease:
         i = next(i for i, held in enumerate(self.held) if held[1] is buffers)
         self._give([self.held.pop(i)])
 
-    def close(self) -> None:
-        held, self.held = self.held, []
-        self._give(held)
-
     @staticmethod
     def _give(held) -> None:
         with _spare_lock:
-            _spare.extend(h for h in held if h[2] <= _SPARE_BYTES)
-            total = sum(h[2] for h in _spare)
-            while len(_spare) > _SPARE_CAP or total > _SPARE_BYTES:
-                total -= _spare.pop(0)[2]
+            for key, buffers, nbytes in held:
+                _spare.pop(key, None)  # stored last, so the dict's order is the order of return
+                if nbytes <= _SPARE_BYTES:
+                    _spare[key] = buffers, nbytes
+            while sum(nbytes for _, nbytes in _spare.values()) > _SPARE_BYTES:
+                del _spare[next(iter(_spare))]
 
 
 def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None, eval_grid=()):
@@ -374,7 +372,7 @@ class _Recorder:
             fit = max(1, min(rows, (1 << 21) // (8 * (resid.size + 2 * d))))  # a new block of steps, in ~2 MB
             shape = (fit,) + resid.shape[1:]
             self.buffers = self.lease.take(
-                ("record", rows, d, shape), lambda: (np.empty((rows, 2, d)), np.empty(rows), np.empty(shape))
+                ("record", rows, d, shape), lambda: (_aligned((rows, 2, d)), _aligned((rows,)), _aligned(shape))
             )
             self.block, self.gammas, self.resids = self.buffers
             self.weights = weights
@@ -475,8 +473,9 @@ def gf_euler_run(
 ) -> Trajectory:
     """Explicit Euler gradient flow; logs the running integral 4L sum risk dt.
 
-    Warns when dt exceeds the descent threshold, since the discretization is
-    then no better behaved than plain gradient descent with a large step.
+    Warns when dt exceeds `gd_threshold`, above which the discretization is no
+    better behaved than gradient descent with a large step; below it, V is
+    guaranteed to descend only towards a constant target.
     """
     dt = float(dt)
     if dt <= 0.0:
@@ -573,7 +572,7 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
 
     def eval_workspace(count, m):
         """A (count, d) array for a block's parameters and a forward-only workspace bound to it once."""
-        params = np.empty((count, theta0s.shape[1]))
+        params = _aligned((count, theta0s.shape[1]))
         return params, _Workspace(_augmented_blocks(arch.widths, params), m, backward=False)
 
     target, plan = xi[:, None], []
@@ -665,11 +664,11 @@ def sgd_ensemble(
 
 
 def gd_threshold(arch: Architecture, theta0, f0, mass: float, input_scale: float = 1.0) -> float:
-    """Largest constant step with guaranteed Lyapunov descent for gd_run.
+    """Largest constant step with guaranteed Lyapunov descent for gd_run towards a constant target f0.
 
     1 / (L scale^2 prod_p(l_p+1) (2 V(theta0) + 4 L^2 ||f0||^2 + 1)^(L-1) mass);
     infinite when the measure has no mass, 0.0 when the bound is below the
-    smallest float.
+    smallest float.  Towards other targets it guarantees nothing (V can rise below it).
     """
     mass = float(mass)
     if mass < 0.0:

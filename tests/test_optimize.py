@@ -694,7 +694,7 @@ def test_checkpoint_draws_its_sample_a_block_at_a_time(monkeypatch):
     sample at a time, never the whole (trials, samples) draw: its traced peak,
     which counts the workspaces it builds on an empty spare list, stays below
     0.4 of that draw's 16 MB."""
-    monkeypatch.setattr(optimize, "_spare", [])
+    monkeypatch.setattr(optimize, "_spare", {})
     arch = Architecture((1, 7, 1))
     theta0s = gaussian_init(arch, seed=1, scale=7.0**-0.5, trials=200)
     cfg = SgdConfig(steps=0, eval_steps=(0,), eval_samples=10_000)
@@ -717,7 +717,7 @@ def _count_workspaces(monkeypatch) -> list[tuple[int, int, bool]]:
             built.append((blocks[0].shape[0], m, backward))
             super().__init__(blocks, m, backward)
 
-    monkeypatch.setattr(optimize, "_spare", [])
+    monkeypatch.setattr(optimize, "_spare", {})
     monkeypatch.setattr(optimize, "_Workspace", Counted)
     return built
 
@@ -735,9 +735,11 @@ def test_checkpoints_build_at_most_two_workspaces(monkeypatch):
     assert not any(hasattr(ws, name) for name in ("gates", "grad", "scaled", "back"))
 
 
-def test_workspace_buffers_start_on_cache_lines():
+def test_workspace_buffers_start_on_cache_lines(monkeypatch):
     """Every buffer of a step or eval workspace starts on a 64-byte line,
-    whatever the allocator returned (numpy aligns to 16 bytes)."""
+    whatever the allocator returned (numpy aligns to 16 bytes), and so does
+    every other array the spares hold: the observer's blocks and the
+    parameters of an eval block."""
     for widths in ((1, 7, 1), (1, 3, 7, 1), (2, 3, 2)):
         arch = Architecture(widths)
         for trials, m, backward in ((100, 100, True), (1, 10_000, False), (3, 7, True)):
@@ -749,6 +751,17 @@ def test_workspace_buffers_start_on_cache_lines():
             assert all(a.ctypes.data % 64 == 0 for a in buffers)
             assert ws.buffers == buffers and ws.nbytes == sum(a.nbytes for a in buffers)
             assert all((a[..., -1, :] == 1.0).all() for a in ws.inputs)
+    monkeypatch.setattr(optimize, "_spare", {})
+    arch, measure, target, theta0 = shallow_problem()
+    cfg = SgdConfig(batch_size=30, steps=300, seed=3, eval_samples=400)
+    sgd_run(arch, theta0, 1e-3, UniformSampler(0.0, 1.0, 1), 1.0, cfg)
+    sgd_ensemble(arch, gaussian_init(arch, seed=1, scale=7.0**-0.5, trials=20), 1e-3, 0.0, 1.0, 1.0, cfg)
+    gd_run(arch, theta0, measure, target, 1e-3, 300)
+    leased = []
+    for buffers, _ in optimize._spare.values():
+        for part in buffers if isinstance(buffers, tuple) else (buffers,):
+            leased += part.buffers if isinstance(part, optimize._Workspace) else [part]
+    assert len(optimize._spare) == 8 and all(a.ctypes.data % 64 == 0 for a in leased)
 
 
 def _run_outputs(result) -> bytes:
@@ -760,11 +773,18 @@ def _run_outputs(result) -> bytes:
     return b"".join(a.tobytes() for a in arrays if a is not None)
 
 
+def _spare_bytes() -> int:
+    return sum(nbytes for _, nbytes in optimize._spare.values())
+
+
 def test_repeated_calls_build_no_workspace(monkeypatch):
     """Calls repeated in turn lease the workspaces and observer blocks of the
     first round, eight buffer sets in all: the second round builds none, and
     each output equals the first round's bit for bit.  A gd run on other
-    points of the same count equals a cold one."""
+    points of the same count equals a cold one.  A mix of one-trial runs that
+    needs nine sets (two step and two eval workspaces, five recorder sets)
+    keeps every one of them over later rounds, where a cap of eight sets
+    dropped and rebuilt some in every round."""
     built = _count_workspaces(monkeypatch)
     arch, measure, target, theta0 = shallow_problem()
     theta0s = gaussian_init(arch, seed=1, scale=7.0**-0.5, trials=20)
@@ -777,12 +797,29 @@ def test_repeated_calls_build_no_workspace(monkeypatch):
     first = [_run_outputs(run()) for run in runs]
     count = len(built)
     assert [_run_outputs(run()) for run in runs] == first
-    assert len(built) == count and len(optimize._spare) == optimize._SPARE_CAP
+    assert len(built) == count and len(optimize._spare) == 8 and _spare_bytes() <= optimize._SPARE_BYTES
     # a leased workspace takes the points of the measure at hand
     other = DiscreteMeasure.uniform_grid(-1.0, 2.0, 101)
     warm = _run_outputs(gd_run(arch, theta0, other, target, 1e-3, 300))
     optimize._spare.clear()
     assert _run_outputs(gd_run(arch, theta0, other, target, 1e-3, 300)) == warm
+
+    sampler, one = UniformSampler(0.0, 1.0, 1), SgdConfig(batch_size=100, seed=5)
+    cfgs = [replace(one, steps=s) for s in (500, 2, 1)]  # recorder sets of 256, 3 and 2 rows
+    # 0-step checkpoints: a recorder set of 1 row, eval workspaces of 2,500 samples and of 1 for the last part
+    cfgs += [replace(one, steps=0, eval_samples=n, eval_steps=(0,)) for n in (10_000, 10_001)]
+    one_trial = [lambda cfg=cfg: sgd_run(arch, theta0, 1e-3, sampler, 1.0, cfg) for cfg in cfgs]
+    one_trial.append(lambda: gd_run(arch, theta0, measure, target, 1e-3, 400))  # 256 rows at m = 101
+    optimize._spare.clear()
+    count = len(built)
+    first = [_run_outputs(run()) for run in one_trial]
+    spares = {key: buffers for key, (buffers, _) in optimize._spare.items()}
+    assert len(built) == count + 4 and len(spares) == 9 and _spare_bytes() <= optimize._SPARE_BYTES
+    for _ in range(2):
+        assert [_run_outputs(run()) for run in one_trial] == first
+        assert optimize._spare.keys() == spares.keys()
+        assert all(optimize._spare[key][0] is buffers for key, buffers in spares.items())
+    assert len(built) == count + 4
 
 
 def test_concurrent_calls_share_no_buffers():
@@ -817,6 +854,41 @@ def test_concurrent_calls_share_no_buffers():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert [together.get(i) for i in range(len(cfgs))] == alone
+
+
+def test_threads_giving_back_at_the_byte_bound_keep_the_spares_whole(monkeypatch):
+    """Four threads lease and give back sets of seven shared keys at a 1 us
+    switch interval, under a byte bound of three sets, so nearly every give
+    evicts: no lease sees another's writes in its set, no give raises (as an
+    unlocked sum over the spares or eviction of the same oldest key does),
+    and the spares end within the bound."""
+    monkeypatch.setattr(optimize, "_spare", {})
+    monkeypatch.setattr(optimize, "_SPARE_BYTES", 3 * 800)
+    errors, barrier = [], threading.Barrier(4)
+
+    def worker(w):
+        try:
+            barrier.wait(timeout=30)
+            for i in range(3000):
+                with optimize._Lease() as lease:
+                    buffers = lease.take(((w + i) % 7,), lambda: np.empty(100))
+                    buffers.fill(w)
+                    assert (buffers == w).all()
+        except Exception as error:
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and _spare_bytes() <= optimize._SPARE_BYTES
 
 
 def test_a_run_that_raises_gives_its_leases_back(monkeypatch):
@@ -858,7 +930,7 @@ def test_a_run_that_raises_gives_its_leases_back(monkeypatch):
 def test_a_changing_batch_size_reuses_workspaces(monkeypatch):
     """At a change of batch size the step workspace goes back to the spare
     list: a batch alternating 100/101 builds two step workspaces in all, and a
-    growing one (100 + n) leaves at most `_SPARE_CAP` spares after the call."""
+    growing one (100 + n) leaves spares within `_SPARE_BYTES` after the call."""
     built = _count_workspaces(monkeypatch)
     arch, _, _, theta0 = shallow_problem()
     sampler = UniformSampler(0.0, 1.0, 1)
@@ -867,7 +939,7 @@ def test_a_changing_batch_size_reuses_workspaces(monkeypatch):
     assert sorted(built) == [(1, 100, True), (1, 101, True)]
     sgd_run(arch, theta0, 1e-3, sampler, 1.0, replace(cfg, batch_size=lambda n: 100 + n))
     assert [m for _, m, _ in built] == list(range(100, 161))  # one per size, 100 and 101 leased again
-    assert len(optimize._spare) <= optimize._SPARE_CAP
+    assert _spare_bytes() <= optimize._SPARE_BYTES
 
 
 def test_spare_list_stays_within_its_byte_bound(monkeypatch):
@@ -882,7 +954,7 @@ def test_spare_list_stays_within_its_byte_bound(monkeypatch):
 
     def run(points):
         gd_run(arch, theta0, DiscreteMeasure.uniform_grid(0.0, 1.0, points), target, 1e-3, 3)
-        return {m: nbytes for (key, ws, nbytes) in optimize._spare if isinstance(ws, optimize._Workspace)
+        return {m: nbytes for key, (ws, nbytes) in optimize._spare.items() if isinstance(ws, optimize._Workspace)
                 for m in [key[-1]]}
 
     assert list(run(101)) == [101]
@@ -892,7 +964,7 @@ def test_spare_list_stays_within_its_byte_bound(monkeypatch):
     sizes = [run(points) for points in (15_000, 15_001, 15_002)]
     assert sizes[0][15_000] > optimize._SPARE_BYTES / 3  # three of these do not fit
     assert 15_002 in sizes[-1] and 15_000 not in sizes[-1]
-    assert sum(nbytes for _, _, nbytes in optimize._spare) <= optimize._SPARE_BYTES
+    assert _spare_bytes() <= optimize._SPARE_BYTES
 
 
 def test_augmented_order_built_once_per_widths():
@@ -904,7 +976,8 @@ def test_augmented_order_built_once_per_widths():
     _augmented_coeff.cache_clear()
     gd_run(arch, theta0, measure, target, 1e-3, 3)
     assert _augmented_order.cache_info().misses == 1
-    gf_euler_run(arch, theta0, measure, target, 1e-3, 3)
+    with pytest.warns(UserWarning, match="exceeds the descent threshold"):
+        gf_euler_run(arch, theta0, measure, target, 1e-3, 3)
     sgd_run(arch, theta0, 1e-3, UniformSampler(0.0, 1.0, 1), 1.0, SgdConfig(batch_size=5, steps=3, eval_samples=10))
     sgd_ensemble(arch, theta0[None], 1e-3, 0.0, 1.0, 1.0, SgdConfig(batch_size=5, steps=3, eval_samples=10))
     assert _augmented_order.cache_info().misses == 1
