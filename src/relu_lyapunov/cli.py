@@ -48,6 +48,8 @@ def _parse_xi(text: str, out_width: int) -> np.ndarray:
         values = np.asarray([float(p) for p in text.split(",")], dtype=np.float64)
     except ValueError as exc:
         raise UsageError(f"malformed --xi value {text!r}") from exc
+    if not np.isfinite(values).all():
+        raise UsageError(f"--xi must be finite, got {text!r}")
     if values.shape == (1,) and out_width > 1:
         values = np.full(out_width, values[0])
     if values.shape != (out_width,):

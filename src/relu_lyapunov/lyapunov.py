@@ -33,10 +33,12 @@ class LyapunovContext:
 
 
 def _check_f0(arch: Architecture, f0) -> np.ndarray:
-    """The target's value at the origin as an (l_L,) float array; another width is a ValueError."""
+    """The target's value at the origin as an (l_L,) float array; another width or a non-finite entry is a ValueError."""
     f0 = np.atleast_1d(np.asarray(f0, dtype=np.float64))
     if f0.shape != (arch.widths[-1],):
         raise ValueError(f"f0 has shape {f0.shape}, expected ({arch.widths[-1]},)")
+    if not np.isfinite(f0).all():
+        raise ValueError(f"the target value f0 must be finite, got {f0}")
     return f0
 
 

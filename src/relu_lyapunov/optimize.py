@@ -12,7 +12,10 @@ the gradient block, so a step allocates no array of samples; the Monte Carlo
 checkpoints of the SGD runs take the same kernel on forward-only workspaces of
 their own.  Workspaces and the observer's blocks are leased from the
 process's spares, one per key within a byte bound (`_Lease`), so a call builds
-and page-faults none that an earlier call of the same shapes gave back.
+and page-faults none that an earlier call of the same shapes gave back.  An
+ensemble call with enough work runs its upper trial rows in a second Python
+process (`_Helper`), at the same time as the lower rows here, with the same
+outputs bit for bit (see `sgd_ensemble`).
 
 A step-size ``schedule`` is a finite float >= 0 or a function of the step.
 Step-size thresholds (`gd_threshold`, `sgd_threshold`) reproduce the regime in
@@ -22,7 +25,13 @@ target; `descent_certificate` checks a finished trajectory against that guarante
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
+import pickle
+import signal
+import subprocess
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -514,11 +523,16 @@ def _eval_block(trials: int, samples: int) -> tuple[int, int]:
     return max(1, budget // samples), min(samples, budget)
 
 
-def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe=None):
+def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe=None, first=0, trials=None):
     """`_train` on keyed batches, with the Monte Carlo risks at the evaluation steps.
 
     Trial t reads row t of the step-n block from numpy's `SeedSequence` stream
     (seed, 1, n), each point weighing 1/m, and of the eval block from (seed, 0).
+    ``theta0s`` may be rows ``first``.. of a call of ``trials`` rows (by default
+    all of it): the streams are then advanced past the draws of the rows before
+    them, and the eval blocks are those of the whole call, so with ``first`` on
+    a block boundary each row sees the draws, blocks and sums it sees in the
+    whole call.
     Workspaces are taken from the call's ``lease``: at a change of batch size
     the step `_Workspace` goes back and one of the new size is taken.  A
     checkpoint rewinds the (seed, 0) generator and draws the sample again,
@@ -535,11 +549,13 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
     a, b = _check_box(a, b)
     rate = _rate_fn(schedule)
     eval_grid = _eval_grid(cfg)
-    trials, span, entropy = theta0s.shape[0], b - a, _entropy(cfg.seed)
+    rows_here, span, entropy = theta0s.shape[0], b - a, _entropy(cfg.seed)
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     if xi.shape != (arch.widths[-1],):
         raise ValueError(f"xi has shape {xi.shape}, expected ({arch.widths[-1]},) for output width {arch.widths[-1]}")
-    streams, weight = _KeyedStreams(entropy + (1,), cfg.steps + 1), None
+    if not np.isfinite(xi).all():
+        raise ValueError(f"the target xi must be finite, got {xi}")
+    streams, weight, skip = _KeyedStreams(entropy + (1,), cfg.steps + 1), None, 0
 
     def draw(rng, ws):
         """a + span * u, in that order, into the x rows of ws's first [x; 1]."""
@@ -547,19 +563,22 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
         np.add(a, ws.draw, out=ws.draw_target)
 
     def batch(n, blocks, ws):
-        nonlocal weight
+        nonlocal weight, skip
         m = cfg.batch_at(n)
         if ws is None or ws.draw.shape[1] != m:
             if ws is not None:
                 lease.give(ws)
-            ws, weight = lease.workspace(blocks, m), 1.0 / m
-        draw(streams(n), ws)
+            ws, weight, skip = lease.workspace(blocks, m), 1.0 / m, first * m * arch.widths[0]
+        rng = streams(n)
+        if skip:
+            rng.bit_generator.advance(skip)
+        draw(rng, ws)
         return ws, weight
 
     def evaluate(theta):
         """Each block's risks, summed per trial over the residual's width and then its samples."""
-        rng.bit_generator.state = first
-        total = np.zeros(trials)
+        rng.bit_generator.state = start
+        total = np.zeros(rows_here)
         for part, params, ws in plan:
             draw(rng, ws)
             np.copyto(params, theta[part])
@@ -578,10 +597,12 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
     target, plan = xi[:, None], []
     if eval_grid:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy + (0,))))
-        first, (rows, width), eval_ws = rng.bit_generator.state, _eval_block(trials, cfg.eval_samples), {}
-        for t0 in range(0, trials, rows):
+        rng.bit_generator.advance(first * cfg.eval_samples * arch.widths[0])
+        start, eval_ws = rng.bit_generator.state, {}
+        rows, width = _eval_block(trials or rows_here, cfg.eval_samples)
+        for t0 in range(0, rows_here, rows):
             for s0 in range(0, cfg.eval_samples, width):
-                shape = (min(rows, trials - t0), min(width, cfg.eval_samples - s0))
+                shape = (min(rows, rows_here - t0), min(width, cfg.eval_samples - s0))
                 if shape not in eval_ws:  # the full block, and a ragged last block or part
                     eval_ws[shape] = lease.take(("eval", arch.widths) + shape, lambda: eval_workspace(*shape))
                 plan.append((slice(t0, t0 + shape[0]),) + eval_ws[shape])
@@ -628,6 +649,237 @@ def gaussian_init(arch: Architecture, seed, scale: float, trials: int) -> np.nda
     return out
 
 
+# An ensemble call splits only when its work, trials x (steps x batch + checkpoints x eval samples),
+# is at least _SPLIT_WORK: below it the ~0.1-0.15 ms of pickling and pipe traffic outweighs half the call.
+# A call of _COLD_WORK or more also sends its rows to a helper that is still starting, whose ~0.1 s of
+# imports it then waits out; a smaller call runs in-process and leaves the helper to later calls.
+_SPLIT_WORK = 50_000
+_COLD_WORK = 20_000_000
+_helper: _Helper | None = None
+_helper_lock = threading.Lock()  # held by the one call using the helper, and while starting or dropping it
+_helper_broken = False  # a helper exited before it was ready: this process does not split
+
+
+def _read(fd: int, size: int) -> bytes:
+    """Exactly ``size`` bytes from the pipe ``fd``; EOFError if it closes first."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, min(size, 1 << 20))
+        if not chunk:
+            raise EOFError("the helper closed its stdout")
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+class _Helper:
+    """A second Python process that runs `_serve`: a `_sgd_train` per request, one at a time.
+
+    It imports the package from this package's own directory and talks
+    length-prefixed pickles over its stdin and stdout, which this side holds
+    as raw descriptors, so a forked child can close its copies without a
+    buffer to flush.  It writes one byte once its imports are done
+    (``ready``); it exits at EOF of its stdin, and ignores SIGINT, so the
+    caller ends it.  ``served`` counts its replies.
+    """
+
+    def __init__(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = f"import sys; sys.path.insert(0, {root!r}); from {__name__} import _serve; _serve()"
+        child_in, self.send_fd = os.pipe()
+        self.recv_fd, child_out = os.pipe()
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-c", code], stdin=child_in, stdout=child_out, stderr=subprocess.DEVNULL
+            )
+        except BaseException:
+            os.close(self.send_fd)
+            os.close(self.recv_fd)
+            raise
+        finally:
+            os.close(child_in)
+            os.close(child_out)
+        self.is_ready, self.served, self.open = False, 0, True
+
+    def ready(self, wait: bool = False) -> bool:
+        """Whether the helper has signalled that its imports are done, waiting for it with ``wait``."""
+        if not self.is_ready:
+            os.set_blocking(self.recv_fd, wait)
+            try:
+                byte = os.read(self.recv_fd, 1)
+            except BlockingIOError:
+                return False
+            if byte != b"r":
+                raise EOFError("the helper exited before it was ready")
+            os.set_blocking(self.recv_fd, True)
+            self.is_ready = True
+        return True
+
+    def send(self, message) -> None:
+        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        view = memoryview(len(data).to_bytes(8, "little") + data)
+        while view:
+            view = view[os.write(self.send_fd, view) :]
+
+    def receive(self):
+        self.ready(wait=True)
+        reply = pickle.loads(_read(self.recv_fd, int.from_bytes(_read(self.recv_fd, 8), "little")))
+        self.served += 1
+        return reply
+
+    def close(self, kill: bool) -> None:
+        """End the helper, killing it or closing its stdin so that it returns, and reap it."""
+        if self.open:
+            self.open = False
+            if kill:
+                self.proc.kill()
+            os.close(self.send_fd)
+            os.close(self.recv_fd)
+            self.proc.wait()
+
+
+def _serve() -> None:
+    """The helper's loop: `_sgd_train` on each request's rows, under the caller's `np.geterr`, until EOF.
+
+    The reply is (risk, theta) or, if the rows raised (a warning counts), None:
+    the caller then runs the whole call in-process, where it raises as it would alone.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    warnings.simplefilter("error")
+    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
+    stdout.write(b"r")
+    stdout.flush()
+    while len(head := stdin.read(8)) == 8:
+        errstate, args = pickle.loads(stdin.read(int.from_bytes(head, "little")))
+        try:
+            with np.errstate(**errstate), _Lease() as lease:
+                result = _sgd_train(lease, *args)
+            reply = result.risk, result.theta_final
+        except Exception:
+            reply = None
+        data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        stdout.write(len(data).to_bytes(8, "little") + data)
+        stdout.flush()
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _split_row(trials: int, schedule, cfg: SgdConfig) -> tuple[int, bool, float]:
+    """The first trial row of the helper's half (0 runs the call in-process), whether its work reaches
+    `_COLD_WORK`, and its rate.
+
+    The row is the block boundary of `_eval_block` nearest the middle (any row
+    without checkpoints).  Callables stay in-process: they would run in two
+    processes.
+    """
+    if trials < 2 or callable(schedule) or callable(cfg.batch_size) or _helper_broken or os.name != "posix":
+        return 0, False, 0.0
+    try:
+        grid, m, rate = _eval_grid(cfg), cfg.batch_at(0), float(schedule)
+    except (TypeError, ValueError):
+        return 0, False, 0.0  # raised in-process
+    work = trials * (cfg.steps * m + len(grid) * cfg.eval_samples)
+    if work < _SPLIT_WORK or _cpus() < 2:
+        return 0, False, 0.0
+    rows = _eval_block(trials, cfg.eval_samples)[0] if grid else 1
+    first = round(trials / 2 / rows) * rows
+    return (first, work >= _COLD_WORK, rate) if 0 < first < trials else (0, False, 0.0)
+
+
+def _take_helper(cold: bool) -> _Helper | None:
+    """The helper, with `_helper_lock` held, if it is ready or ``cold``; None (lock free) to run in-process.
+
+    Starts a helper when there is none, without waiting for it.
+    """
+    global _helper, _helper_broken
+    if not _helper_lock.acquire(blocking=False):
+        return None
+    try:
+        if _helper is None:
+            _helper = _Helper()
+        if cold or _helper.ready():
+            return _helper
+    except (OSError, EOFError):
+        _helper_broken = _helper is None or not _helper.is_ready
+        _drop_helper()
+    _helper_lock.release()
+    return None
+
+
+def _drop_helper() -> None:
+    """Kill the helper and forget it; the next call that splits starts another."""
+    global _helper
+    helper, _helper = _helper, None
+    if helper is not None:
+        helper.close(kill=True)
+
+
+def _split(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig) -> EnsembleResult | None:
+    """The call with its upper rows on the helper and the rest here, at the same time; None to run it in-process.
+
+    Either half raising, or a helper that dies or sends a bad reply, returns
+    None, so the in-process run gives the call's result or error.  An interrupt
+    kills the helper.
+    """
+    global _helper_broken
+    trials = theta0s.shape[0]
+    first, cold, rate = _split_row(trials, schedule, cfg)
+    if not first:
+        return None
+    helper = _take_helper(cold)
+    if helper is None:
+        return None
+    try:
+        helper.send((np.geterr(), (arch, theta0s[first:], rate, a, b, xi, cfg, None, first, trials)))
+        try:
+            with _Lease() as lease:
+                low = _sgd_train(lease, arch, theta0s[:first], rate, a, b, xi, cfg, None, 0, trials)
+        except Exception:  # run again in-process, which raises it as the call would alone
+            low = None
+        high = helper.receive()
+        if low is None or high is None:
+            return None
+        risk, theta = high
+        return EnsembleResult(low.eval_steps, np.concatenate((low.risk, risk)), np.concatenate((low.theta_final, theta)))
+    except BaseException as error:
+        _helper_broken = not helper.is_ready
+        _drop_helper()
+        if not isinstance(error, Exception):
+            raise
+        return None
+    finally:
+        _helper_lock.release()
+
+
+@atexit.register
+def _stop_helper() -> None:
+    """At exit: close the helper's stdin and wait for it to return; kill it if still starting or in use."""
+    global _helper
+    helper, _helper = _helper, None
+    if helper is not None:
+        try:
+            idle = helper.ready() and _helper_lock.acquire(blocking=False)
+        except (OSError, EOFError):
+            idle = False
+        helper.close(kill=not idle)
+
+
+def _forget_helper() -> None:
+    """In a forked child: close its copies of the helper's pipes, so the parent's exit still ends the helper."""
+    global _helper, _helper_lock
+    helper, _helper, _helper_lock = _helper, None, threading.Lock()
+    if helper is not None and helper.open:
+        os.close(helper.send_fd)
+        os.close(helper.recv_fd)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
 def sgd_ensemble(
     arch: Architecture,
     theta0s: np.ndarray,
@@ -655,12 +907,30 @@ def sgd_ensemble(
     on 80 configurations).  Every checkpoint redraws the fixed sample from its
     stream, a block of trial rows at a time, and holds no (trials, samples)
     array.
+
+    Where two CPUs are allowed, a call with a number for its rate, an int batch
+    size and work trials x (steps x batch + checkpoints x eval samples) of at
+    least `_SPLIT_WORK` hands its upper trial rows to a helper process, which
+    runs the same `_sgd_train` on them while this process runs the lower
+    rows, and the results are joined: every output is bit-identical to the
+    in-process call's.  The helper is started by the first such call, which
+    runs in-process unless its work reaches `_COLD_WORK`, and serves later
+    calls; it peaks at ~41 MB of resident memory, which this process's own
+    figures do not count.  If either half raises, or the helper dies or
+    replies badly, the whole call runs again in-process, so errors are those
+    of the in-process call.  One call at a time uses the helper; a call that
+    cannot take it, a forked child and a call with a callable rate or batch
+    size run in-process.  The helper ends when this process exits.
     """
     theta0s = np.asarray(theta0s, dtype=np.float64)
     if theta0s.ndim != 2 or theta0s.shape[0] < 1 or theta0s.shape[1] != arch.param_count:
         raise ValueError(f"theta0s must have shape (trials >= 1, {arch.param_count})")
-    with _Lease() as lease:
-        return _sgd_train(lease, arch, _require_finite(theta0s), schedule, a, b, xi, cfg)
+    theta0s = _require_finite(theta0s)
+    result = _split(arch, theta0s, schedule, a, b, xi, cfg)
+    if result is None:
+        with _Lease() as lease:
+            result = _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg)
+    return result
 
 
 def gd_threshold(arch: Architecture, theta0, f0, mass: float, input_scale: float = 1.0) -> float:

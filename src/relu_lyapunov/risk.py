@@ -192,6 +192,8 @@ class TargetSpec:
     @classmethod
     def constant(cls, xi) -> "TargetSpec":
         xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+        if not np.isfinite(xi).all():
+            raise ValueError(f"the constant target xi must be finite, got {xi}")
         return cls(f0=xi, xi=xi)
 
     @classmethod

@@ -118,6 +118,19 @@ def test_sgd_rejects_empty_runs(tmp_path, capsys, bad):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command", ["sgd", "gd", "gf", "nonconvexity"])
+@pytest.mark.parametrize("xi", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_target_is_usage_error(tmp_path, capsys, command, xi):
+    """A non-finite --xi is a usage error (exit 2) naming the flag, before any
+    run: sgd exited 3 ("diverged ... at step 0") and gd blamed the step size."""
+    out_path = tmp_path / "x.csv"
+    small = ["--trials", "2", "--steps", "3", "--eval-samples", "10"] if command == "sgd" else []
+    code, out, err = run(capsys, command, "--arch", "1,7,1", f"--xi={xi}", *small, "--out", str(out_path))
+    assert code == 2
+    assert "--xi must be finite" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("command", ["gd", "gf"])
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_deterministic_runs_reject_empty_runs(tmp_path, capsys, command, steps):

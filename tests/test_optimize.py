@@ -689,11 +689,17 @@ def test_ensemble_ragged_eval_chunk_matches_allocating_forward(widths, trials, s
         np.testing.assert_array_equal(traj.mc_risk, res.risk[0])
 
 
+def _in_process(monkeypatch) -> None:
+    """Run every ensemble call of this test in this process, as tests that count its buffers need."""
+    monkeypatch.setattr(optimize, "_SPLIT_WORK", math.inf)
+
+
 def test_checkpoint_draws_its_sample_a_block_at_a_time(monkeypatch):
     """A 200-trial checkpoint on 10^4 samples holds two trial rows of the
     sample at a time, never the whole (trials, samples) draw: its traced peak,
     which counts the workspaces it builds on an empty spare list, stays below
     0.4 of that draw's 16 MB."""
+    _in_process(monkeypatch)
     monkeypatch.setattr(optimize, "_spare", {})
     arch = Architecture((1, 7, 1))
     theta0s = gaussian_init(arch, seed=1, scale=7.0**-0.5, trials=200)
@@ -709,7 +715,7 @@ def test_checkpoint_draws_its_sample_a_block_at_a_time(monkeypatch):
 
 
 def _count_workspaces(monkeypatch) -> list[tuple[int, int, bool]]:
-    """Empty the spare list for this test and log each `_Workspace` built: (trials, m, backward)."""
+    """Empty the spare list for this test, run it in-process and log each `_Workspace` built: (trials, m, backward)."""
     built = []
 
     class Counted(optimize._Workspace):
@@ -717,6 +723,7 @@ def _count_workspaces(monkeypatch) -> list[tuple[int, int, bool]]:
             built.append((blocks[0].shape[0], m, backward))
             super().__init__(blocks, m, backward)
 
+    _in_process(monkeypatch)
     monkeypatch.setattr(optimize, "_spare", {})
     monkeypatch.setattr(optimize, "_Workspace", Counted)
     return built
@@ -751,6 +758,7 @@ def test_workspace_buffers_start_on_cache_lines(monkeypatch):
             assert all(a.ctypes.data % 64 == 0 for a in buffers)
             assert ws.buffers == buffers and ws.nbytes == sum(a.nbytes for a in buffers)
             assert all((a[..., -1, :] == 1.0).all() for a in ws.inputs)
+    _in_process(monkeypatch)
     monkeypatch.setattr(optimize, "_spare", {})
     arch, measure, target, theta0 = shallow_problem()
     cfg = SgdConfig(batch_size=30, steps=300, seed=3, eval_samples=400)

@@ -36,6 +36,8 @@ from relu_lyapunov import (
     population_risk_mc,
     risk_exact,
     risk_smooth,
+    sgd_ensemble,
+    sgd_run,
     smooth_gradient,
 )
 from relu_lyapunov.optimize import _eval_grid, _rate_fn
@@ -375,3 +377,22 @@ def test_measure_runs_take_integral_values_as_ints(run, steps, stride, snaps, ki
     assert all(type(n) is int for n in got.snapshots)
     for n, snap in as_ints.snapshots.items():
         np.testing.assert_array_equal(got.snapshots[n], snap)
+
+
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
+def test_non_finite_targets_are_rejected_at_every_entry_point(xi):
+    """A non-finite constant target is a ValueError naming the target in the
+    ensemble, `sgd_run`, `TargetSpec.constant` and `LyapunovContext`, where the
+    ensemble raised DivergenceError and `sgd_run` blamed the initial parameters."""
+    arch = Architecture((1, 7, len(np.atleast_1d(xi))))
+    theta0s = gaussian_init(arch, seed=0, scale=1.0, trials=3)
+    cfg = SgdConfig(batch_size=5, steps=3, eval_samples=10)
+    calls = [
+        lambda: sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, xi, cfg),
+        lambda: sgd_run(arch, theta0s[0], 1e-3, UniformSampler(0.0, 1.0, 1), xi, cfg),
+        lambda: TargetSpec.constant(xi),
+        lambda: LyapunovContext(arch, xi),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="target"):
+            call()
