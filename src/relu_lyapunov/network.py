@@ -100,8 +100,10 @@ class _Workspace:
     ``points`` are the x rows of the first [x; 1], which a caller fills, and
     ``hidden[k-1]`` the h_k rows of layer k + 1's input, which the unit writes.  ``pres[k-1]`` holds layer k's
     preactivation and, once its gate is taken into ``gates[k-1]``, layer k's
-    delta.  ``draw`` is the (trials, m, l_0) buffer a batch is drawn into and
-    ``draw_target`` the points as (trials, m, l_0).
+    delta.  ``draw_target`` is the points as (trials, m, l_0).  With l_0 = 1
+    it is C-contiguous, so a batch is drawn straight into it; with l_0 > 1
+    ``draw`` is the (trials, m, l_0) buffer a batch is drawn into first, and
+    an l_0 = 1 workspace has no ``draw``.
 
     With scalar output (l_L = 1, L >= 2) `_backward` factors the output weights
     out of the last hidden layer: ``w_col``/``w_row`` are ``w = W_L[..., 0, :]``
@@ -117,7 +119,10 @@ class _Workspace:
         trials = blocks[0].shape[0]
         widths = [blocks[0].shape[-1] - 1] + [a.shape[-2] for a in blocks]
         depth = len(blocks)
-        self.draw = _aligned((trials, m, widths[0]))
+        self.buffers = []
+        if widths[0] > 1:  # one input's points are C-contiguous as (trials, m, 1) and drawn into directly
+            self.draw = _aligned((trials, m, widths[0]))
+            self.buffers.append(self.draw)
         # stored row-major as (width, trials, m) and viewed as (trials, width, m):
         # the hidden rows of [h; 1] are then one contiguous block, which the
         # unit writes ~1.6x faster than trials-many strided blocks
@@ -130,7 +135,7 @@ class _Workspace:
         self.pres = [_aligned((w, trials, m)).transpose(1, 0, 2) for w in widths[1:]]
         self.factored = depth > 1 and widths[-1] == 1
         self.narrow = self.factored and depth == 2 and widths[0] == 1
-        self.buffers = [self.draw, *self.inputs, *self.pres]
+        self.buffers += [*self.inputs, *self.pres]
         if backward:
             self.inputs_t = [a.swapaxes(-1, -2) for a in self.inputs]
             self.gates = [_aligned((w, trials, m), bool).transpose(1, 0, 2) for w in widths[1:-1]]

@@ -532,9 +532,12 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
     all of it): the streams are then advanced past the draws of the rows before
     them, and the eval blocks are those of the whole call, so with ``first`` on
     a block boundary each row sees the draws, blocks and sums it sees in the
-    whole call.
-    Workspaces are taken from the call's ``lease``: at a change of batch size
-    the step `_Workspace` goes back and one of the new size is taken.  A
+    whole call.  A draw is a + (b - a) u, written at l_0 = 1 straight into
+    the workspace's points and at l_0 > 1 through its staging buffer; a factor
+    1.0 or a term +-0.0 is skipped, so on the presets' box [0, 1] a draw is one
+    pass.  Workspaces are taken from the call's ``lease``: an int batch size
+    is resolved once, and at a change of a callable's batch size the step
+    `_Workspace` goes back and one of the new size is taken.  A
     checkpoint rewinds the (seed, 0) generator and draws the sample again,
     block by block of `_eval_block` in trial order, each straight into the
     first [x; 1] of a forward-only workspace bound to a (rows, d) copy of the
@@ -556,19 +559,28 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
     if not np.isfinite(xi).all():
         raise ValueError(f"the target xi must be finite, got {xi}")
     streams, weight, skip = _KeyedStreams(entropy + (1,), cfg.steps + 1), None, 0
+    staged, varying = arch.widths[0] > 1, callable(cfg.batch_size)
 
     def draw(rng, ws):
-        """a + span * u, in that order, into the x rows of ws's first [x; 1]."""
-        np.multiply(rng.random(out=ws.draw), span, out=ws.draw)
-        np.add(a, ws.draw, out=ws.draw_target)
+        """a + span * u, in that order, into the x rows of ws's first [x; 1].
+
+        Skipping a factor span = 1.0 and a term a = +-0.0 is exact: u * 1.0 == u,
+        and +-0.0 + x == x for every x >= +0.
+        """
+        u = rng.random(out=ws.draw if staged else ws.draw_target)
+        if span != 1.0:
+            np.multiply(u, span, out=u)
+        if staged or a != 0.0:
+            np.add(a, u, out=ws.draw_target)
 
     def batch(n, blocks, ws):
         nonlocal weight, skip
-        m = cfg.batch_at(n)
-        if ws is None or ws.draw.shape[1] != m:
-            if ws is not None:
-                lease.give(ws)
-            ws, weight, skip = lease.workspace(blocks, m), 1.0 / m, first * m * arch.widths[0]
+        if ws is None or varying:  # an int batch size is resolved once per call
+            m = cfg.batch_at(n)
+            if ws is None or ws.points.shape[-1] != m:
+                if ws is not None:
+                    lease.give(ws)
+                ws, weight, skip = lease.workspace(blocks, m), 1.0 / m, first * m * arch.widths[0]
         rng = streams(n)
         if skip:
             rng.bit_generator.advance(skip)
@@ -651,9 +663,12 @@ def gaussian_init(arch: Architecture, seed, scale: float, trials: int) -> np.nda
 
 # An ensemble call splits only when its work, trials x (steps x batch + checkpoints x eval samples),
 # is at least _SPLIT_WORK: below it the ~0.1-0.15 ms of pickling and pipe traffic outweighs half the call.
+# Its steps count only where trials x batch is at least _SPLIT_WORK / _SPLIT_STEPS (2,000): both processes
+# pay a step's fixed Python cost, and narrower steps split ran no faster (1,7,1 at 50 steps, CHANGES.md).
 # A call of _COLD_WORK or more also sends its rows to a helper that is still starting, whose ~0.1 s of
 # imports it then waits out; a smaller call runs in-process and leaves the helper to later calls.
 _SPLIT_WORK = 50_000
+_SPLIT_STEPS = 25
 _COLD_WORK = 20_000_000
 _helper: _Helper | None = None
 _helper_lock = threading.Lock()  # held by the one call using the helper, and while starting or dropping it
@@ -772,7 +787,9 @@ def _split_row(trials: int, schedule, cfg: SgdConfig) -> tuple[int, bool, float]
     `_COLD_WORK`, and its rate.
 
     The row is the block boundary of `_eval_block` nearest the middle (any row
-    without checkpoints).  Callables stay in-process: they would run in two
+    without checkpoints).  Steps of fewer than `_SPLIT_WORK` / `_SPLIT_STEPS`
+    trial x batch points count no work, so a few-trial call splits on its
+    checkpoints alone.  Callables stay in-process: they would run in two
     processes.
     """
     if trials < 2 or callable(schedule) or callable(cfg.batch_size) or _helper_broken or os.name != "posix":
@@ -781,7 +798,8 @@ def _split_row(trials: int, schedule, cfg: SgdConfig) -> tuple[int, bool, float]
         grid, m, rate = _eval_grid(cfg), cfg.batch_at(0), float(schedule)
     except (TypeError, ValueError):
         return 0, False, 0.0  # raised in-process
-    work = trials * (cfg.steps * m + len(grid) * cfg.eval_samples)
+    steps = cfg.steps if trials * m * _SPLIT_STEPS >= _SPLIT_WORK else 0
+    work = trials * (steps * m + len(grid) * cfg.eval_samples)
     if work < _SPLIT_WORK or _cpus() < 2:
         return 0, False, 0.0
     rows = _eval_block(trials, cfg.eval_samples)[0] if grid else 1
@@ -910,9 +928,10 @@ def sgd_ensemble(
 
     Where two CPUs are allowed, a call with a number for its rate, an int batch
     size and work trials x (steps x batch + checkpoints x eval samples) of at
-    least `_SPLIT_WORK` hands its upper trial rows to a helper process, which
-    runs the same `_sgd_train` on them while this process runs the lower
-    rows, and the results are joined: every output is bit-identical to the
+    least `_SPLIT_WORK`, its steps counted only at trials x batch >= 2,000,
+    hands its upper trial rows to a helper process, which runs the same
+    `_sgd_train` on them while this process runs the lower rows, and the
+    results are joined: every output is bit-identical to the
     in-process call's.  The helper is started by the first such call, which
     runs in-process unless its work reaches `_COLD_WORK`, and serves later
     calls; it peaks at ~41 MB of resident memory, which this process's own

@@ -584,9 +584,10 @@ def test_eval_grid_one_rule_for_both_loops():
             run(replace(cfg, steps=-2))
 
 
-def _reference_ensemble(arch, theta0s, gamma, xi, cfg):
-    """sgd_ensemble's recursion on U[0, 1) with a fresh array for every result,
-    through the kernel without a workspace (its plain layer-by-layer loop)."""
+def _reference_ensemble(arch, theta0s, gamma, xi, cfg, a=0.0, b=1.0):
+    """sgd_ensemble's recursion on U[a, b) with a fresh array for every result,
+    through the kernel without a workspace (its plain layer-by-layer loop);
+    points are a + (b - a) u, as `UniformSampler.sample` draws them."""
     trials, depth, l0 = len(theta0s), arch.depth, arch.widths[0]
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
 
@@ -600,7 +601,10 @@ def _reference_ensemble(arch, theta0s, gamma, xi, cfg):
             for k in range(1, depth + 1)
         ]
 
-    eval_points = stream(0).random((trials, cfg.eval_samples, l0)).swapaxes(-1, -2)
+    def uniform(rng, shape):
+        return a + (b - a) * rng.random(shape)
+
+    eval_points = uniform(stream(0), (trials, cfg.eval_samples, l0)).swapaxes(-1, -2)
     theta, risks = theta0s.copy(), []
     for n in range(cfg.steps + 1):
         if n in cfg.eval_steps:
@@ -609,7 +613,7 @@ def _reference_ensemble(arch, theta0s, gamma, xi, cfg):
         if n == cfg.steps:
             break
         m = cfg.batch_size
-        x = stream(1, n).random((trials, m, l0)).swapaxes(-1, -2)
+        x = uniform(stream(1, n), (trials, m, l0)).swapaxes(-1, -2)
         pres, acts = _forward(layers(theta), x, _relu_unit)
         delta = (pres[-1] - xi[:, None]) * (2.0 * gamma / m)
         grads = _backward(layers(theta), x, pres, acts, delta, _left_gate)
@@ -634,6 +638,31 @@ def test_ensemble_workspace_matches_reference_loop(widths):
     risk, theta = _reference_ensemble(arch, theta0s, 2e-3, xi, cfg)
     assert np.abs(res.theta_final - theta).max() <= 1e-15 * np.abs(theta).max()
     assert np.abs(res.risk - risk).max() <= 1e-15 * np.abs(risk).max()
+
+
+# the unit box, whose affine is the identity, a box of each other kind (a
+# factor only, a shift only, both) and a = -0.0, which adds nothing to x >= +0
+BOXES = [(0.0, 1.0), (0.0, 2.0), (1.0, 2.0), (-0.5, 1.5), (-0.0, 1.0)]
+
+
+@pytest.mark.parametrize("widths", [(1, 7, 1), (2, 5, 1)], ids=lambda w: "-".join(map(str, w)))
+@pytest.mark.parametrize("a, b", BOXES)
+def test_ensemble_draws_on_its_box(widths, a, b):
+    """Steps and checkpoints draw a + (b - a) u on every box, at l_0 = 1 (in
+    place) and l_0 = 2 (through the staging buffer): a skipped or misapplied
+    scale or shift moves the points by O(1), far past the 1e-15 of each
+    array's largest magnitude that the workspace's bias order allows."""
+    arch = Architecture(widths)
+    theta0s = gaussian_init(arch, seed=6, scale=widths[1] ** -0.5, trials=4)
+    cfg = SgdConfig(batch_size=25, steps=40, seed=13, eval_samples=300, eval_steps=(0, 20, 40))
+    res = sgd_ensemble(arch, theta0s, 2e-3, a, b, 0.75, cfg)
+    risk, theta = _reference_ensemble(arch, theta0s, 2e-3, 0.75, cfg, a, b)
+    assert np.abs(res.theta_final - theta).max() <= 1e-15 * np.abs(theta).max()
+    assert np.abs(res.risk - risk).max() <= 1e-15 * np.abs(risk).max()
+    if widths[0] == 1:
+        traj = sgd_run(arch, theta0s[0], 2e-3, UniformSampler(a, b, 1), 0.75, cfg)
+        np.testing.assert_array_equal(traj.mc_risk, res.risk[0])
+        np.testing.assert_array_equal(traj.snapshots[cfg.steps], res.theta_final[0])
 
 
 def _reference_mc_risk(arch, thetas, xi, cfg):
@@ -752,7 +781,9 @@ def test_workspace_buffers_start_on_cache_lines(monkeypatch):
         for trials, m, backward in ((100, 100, True), (1, 10_000, False), (3, 7, True)):
             blocks = _augmented_blocks(arch.widths, np.empty((trials, arch.param_count)))
             ws = optimize._Workspace(blocks, m, backward)
-            buffers = [ws.draw] + ws.inputs + ws.pres
+            # one input's points are drawn into in place, so only l_0 > 1 has a staging buffer
+            assert hasattr(ws, "draw") == (widths[0] > 1)
+            buffers = ([ws.draw] if widths[0] > 1 else []) + ws.inputs + ws.pres
             if backward:
                 buffers += ws.gates + [ws.grad] + [getattr(ws, name) for name in ("scaled", "back") if hasattr(ws, name)]
             assert all(a.ctypes.data % 64 == 0 for a in buffers)

@@ -184,6 +184,29 @@ def test_a_callable_rate_or_batch_size_starts_no_helper(monkeypatch):
             optimize._drop_helper()
 
 
+def test_split_row_counts_steps_only_from_the_floor(monkeypatch):
+    """A call's steps count as work only at trials x batch >= `_SPLIT_WORK` /
+    `_SPLIT_STEPS` (2,000): both processes pay a step's fixed Python cost, so
+    a 10-trial call stays in-process however many steps it takes, unless its
+    checkpoints alone reach `_SPLIT_WORK`.  The benchmark's 100-trial segments
+    and 0-step checkpoints split, and `_SPLIT_WORK` = 0 splits any call."""
+    monkeypatch.setattr(optimize, "_cpus", lambda: 2)
+    monkeypatch.setattr(optimize, "_helper_broken", False)
+
+    def first(trials, steps, batch=100, eval_steps=(), eval_samples=10_000):
+        cfg = SgdConfig(batch_size=batch, steps=steps, eval_steps=eval_steps, eval_samples=eval_samples)
+        return optimize._split_row(trials, 5e-4, cfg)[0]
+
+    assert optimize._SPLIT_WORK // optimize._SPLIT_STEPS == 2_000
+    assert first(10, 50) == first(10, 100_000) == first(19, 10_000) == first(40, 10_000, batch=49) == 0
+    assert first(20, 25) == 10 and first(40, 25, batch=50) == 20  # at the floor, and work 50,000
+    assert first(20, 24) == 0  # at the floor, but under _SPLIT_WORK
+    assert first(10, 50, eval_steps=(0, 50)) == 5  # 2 x 10 x 10^4 checkpoint work
+    assert first(100, 50) == first(100, 0, eval_steps=(0,)) == 50
+    monkeypatch.setattr(optimize, "_SPLIT_WORK", 0)
+    assert (first(2, 12, batch=37), first(10, 50)) == (1, 5)
+
+
 def _run_script(tmp_path, body: str) -> subprocess.CompletedProcess:
     """Run ``body`` as an unguarded script that imports the package from this checkout."""
     script = tmp_path / "script.py"
