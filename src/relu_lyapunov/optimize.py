@@ -15,7 +15,8 @@ process's spares, one per key within a byte bound (`_Lease`), so a call builds
 and page-faults none that an earlier call of the same shapes gave back.  An
 ensemble call with enough work runs its upper trial rows in a second Python
 process (`_Helper`), at the same time as the lower rows here, with the same
-outputs bit for bit (see `sgd_ensemble`).
+outputs bit for bit (see `sgd_ensemble`); the two exchange pickles over one
+socket pair, not the helper's stdio.
 
 A step-size ``schedule`` is a finite float >= 0 or a function of the step.
 Step-size thresholds (`gd_threshold`, `sgd_threshold`) reproduce the regime in
@@ -28,7 +29,6 @@ from __future__ import annotations
 import atexit
 import math
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -327,6 +327,17 @@ def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None
     return risk, _flat(theta, order)
 
 
+def _square_sum(resid: np.ndarray) -> np.ndarray:
+    """The (rows, width, m) residual squared in place and summed over its width, (rows, m).
+
+    A one-row sum over the width is skipped: it is a copy, which read ~5 % slower on
+    a 100-trial checkpoint and, as a (steps, m) block above glibc's mmap threshold
+    (205 KB at m = 100), was mapped and page-faulted afresh at every observer flush.
+    """
+    sq = np.multiply(resid, resid, out=resid)
+    return sq[:, 0] if sq.shape[1] == 1 else np.add.reduce(sq, axis=1)
+
+
 class _Recorder:
     """`_train`'s observer for one trial: the rows and flat snapshots of its `Trajectory`.
 
@@ -393,12 +404,9 @@ class _Recorder:
 
     def flush(self) -> None:
         """The block's risks, summed as numpy sums one step's; V and the norms of its logged rows, as `np.dot`."""
-        start, fill, resid = self.start, self.fill, self.resids[: self.fill]
+        start, fill = self.start, self.fill
         self.fill = 0  # taken even if this flush raises, so a context exit does not flush it again
-        # in place, and a one-row sum over the width is skipped: it is a (steps, m) copy (205 KB at m = 100)
-        # that, above glibc's mmap threshold, was mapped and page-faulted afresh at every flush
-        sq = np.multiply(resid, resid, out=resid)
-        sq = sq[:, 0] if sq.shape[1] == 1 else np.add.reduce(sq, axis=-2)
+        sq = _square_sum(self.resids[:fill])
         risk = np.add.reduce(np.multiply(self.weights, sq, out=sq), axis=-1)
         if not math.isfinite(risk.max()):  # max propagates NaN
             j = int(np.argmin(np.isfinite(risk)))
@@ -595,10 +603,7 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
             draw(rng, ws)
             np.copyto(params, theta[part])
             pres, _ = _forward(ws.layers, ws.points, _relu_unit, ws)
-            resid = np.subtract(pres[-1], target, out=pres[-1])
-            sq = np.multiply(resid, resid, out=resid)
-            # a one-row sum over the width is a copy: skipping it reads ~5 % faster at 100 trials
-            total[part] += np.add.reduce(sq[:, 0] if sq.shape[1] == 1 else np.add.reduce(sq, axis=1), axis=-1)
+            total[part] += np.add.reduce(_square_sum(np.subtract(pres[-1], target, out=pres[-1])), axis=-1)
         return total / cfg.eval_samples
 
     def eval_workspace(count, m):
@@ -662,7 +667,7 @@ def gaussian_init(arch: Architecture, seed, scale: float, trials: int) -> np.nda
 
 
 # An ensemble call splits only when its work, trials x (steps x batch + checkpoints x eval samples),
-# is at least _SPLIT_WORK: below it the ~0.1-0.15 ms of pickling and pipe traffic outweighs half the call.
+# is at least _SPLIT_WORK: below it the ~0.1-0.15 ms of pickling and socket traffic outweighs half the call.
 # Its steps count only where trials x batch is at least _SPLIT_WORK / _SPLIT_STEPS (2,000): both processes
 # pay a step's fixed Python cost, and narrower steps split ran no faster (1,7,1 at 50 steps, CHANGES.md).
 # A call of _COLD_WORK or more also sends its rows to a helper that is still starting, whose ~0.1 s of
@@ -675,106 +680,85 @@ _helper_lock = threading.Lock()  # held by the one call using the helper, and wh
 _helper_broken = False  # a helper exited before it was ready: this process does not split
 
 
-def _read(fd: int, size: int) -> bytes:
-    """Exactly ``size`` bytes from the pipe ``fd``; EOFError if it closes first."""
-    chunks = []
-    while size:
-        chunk = os.read(fd, min(size, 1 << 20))
-        if not chunk:
-            raise EOFError("the helper closed its stdout")
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
 class _Helper:
     """A second Python process that runs `_serve`: a `_sgd_train` per request, one at a time.
 
-    It imports the package from this package's own directory and talks
-    length-prefixed pickles over its stdin and stdout, which this side holds
-    as raw descriptors, so a forked child can close its copies without a
-    buffer to flush.  It writes one byte once its imports are done
-    (``ready``); it exits at EOF of its stdin, and ignores SIGINT, so the
-    caller ends it.  ``served`` counts its replies.
+    It imports the package from this package's own directory and exchanges
+    pickles with this side over one `multiprocessing.connection.Pipe` socket
+    pair, ``conn`` here and a descriptor passed to the child; its stdin,
+    stdout and stderr are the null device and no part of the exchange, so
+    whatever its interpreter prints at start-up is lost, not read as a reply.
+    It sends ``b"r"`` once its imports are done (``ready``); it exits when its
+    end of the pair reaches EOF, and ignores SIGINT, so the caller ends it.
+    ``served`` counts its replies.
     """
 
     def __init__(self):
+        from multiprocessing.connection import Pipe  # 3-5 ms that a process which never splits does not pay
+
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        code = f"import sys; sys.path.insert(0, {root!r}); from {__name__} import _serve; _serve()"
-        child_in, self.send_fd = os.pipe()
-        self.recv_fd, child_out = os.pipe()
+        self.conn, child = Pipe()
+        code = f"import sys; sys.path.insert(0, {root!r}); from {__name__} import _serve; _serve({child.fileno()})"
+        null = subprocess.DEVNULL
         try:
             self.proc = subprocess.Popen(
-                [sys.executable, "-c", code], stdin=child_in, stdout=child_out, stderr=subprocess.DEVNULL
+                [sys.executable, "-c", code], stdin=null, stdout=null, stderr=null, pass_fds=(child.fileno(),)
             )
         except BaseException:
-            os.close(self.send_fd)
-            os.close(self.recv_fd)
+            self.conn.close()
             raise
         finally:
-            os.close(child_in)
-            os.close(child_out)
-        self.is_ready, self.served, self.open = False, 0, True
+            child.close()
+        self.is_ready, self.served = False, 0
 
     def ready(self, wait: bool = False) -> bool:
         """Whether the helper has signalled that its imports are done, waiting for it with ``wait``."""
         if not self.is_ready:
-            os.set_blocking(self.recv_fd, wait)
-            try:
-                byte = os.read(self.recv_fd, 1)
-            except BlockingIOError:
+            if not (wait or self.conn.poll()):
                 return False
-            if byte != b"r":
-                raise EOFError("the helper exited before it was ready")
-            os.set_blocking(self.recv_fd, True)
+            self.conn.recv_bytes()  # b"r"; EOFError if the helper exited first
             self.is_ready = True
         return True
 
-    def send(self, message) -> None:
-        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-        view = memoryview(len(data).to_bytes(8, "little") + data)
-        while view:
-            view = view[os.write(self.send_fd, view) :]
-
     def receive(self):
         self.ready(wait=True)
-        reply = pickle.loads(_read(self.recv_fd, int.from_bytes(_read(self.recv_fd, 8), "little")))
+        reply = self.conn.recv()
         self.served += 1
         return reply
 
     def close(self, kill: bool) -> None:
-        """End the helper, killing it or closing its stdin so that it returns, and reap it."""
-        if self.open:
-            self.open = False
+        """End the helper, killing it or closing this end of the pair so that it returns, and reap it."""
+        if not self.conn.closed:
             if kill:
                 self.proc.kill()
-            os.close(self.send_fd)
-            os.close(self.recv_fd)
+            self.conn.close()
             self.proc.wait()
 
 
-def _serve() -> None:
-    """The helper's loop: `_sgd_train` on each request's rows, under the caller's `np.geterr`, until EOF.
+def _serve(fd: int) -> None:
+    """The helper's loop on socket ``fd``: `_sgd_train` on each request's rows, under the caller's `np.geterr`, until EOF.
 
     The reply is (risk, theta) or, if the rows raised (a warning counts), None:
     the caller then runs the whole call in-process, where it raises as it would alone.
     """
+    from multiprocessing.connection import Connection
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     warnings.simplefilter("error")
-    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
-    stdout.write(b"r")
-    stdout.flush()
-    while len(head := stdin.read(8)) == 8:
-        errstate, args = pickle.loads(stdin.read(int.from_bytes(head, "little")))
+    conn = Connection(fd)
+    conn.send_bytes(b"r")
+    while True:
+        try:
+            errstate, args = conn.recv()
+        except EOFError:
+            return
         try:
             with np.errstate(**errstate), _Lease() as lease:
                 result = _sgd_train(lease, *args)
             reply = result.risk, result.theta_final
         except Exception:
             reply = None
-        data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-        stdout.write(len(data).to_bytes(8, "little") + data)
-        stdout.flush()
+        conn.send(reply)
 
 
 def _cpus() -> int:
@@ -851,7 +835,7 @@ def _split(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig) -> EnsembleResult 
     if helper is None:
         return None
     try:
-        helper.send((np.geterr(), (arch, theta0s[first:], rate, a, b, xi, cfg, None, first, trials)))
+        helper.conn.send((np.geterr(), (arch, theta0s[first:], rate, a, b, xi, cfg, None, first, trials)))
         try:
             with _Lease() as lease:
                 low = _sgd_train(lease, arch, theta0s[:first], rate, a, b, xi, cfg, None, 0, trials)
@@ -874,7 +858,7 @@ def _split(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig) -> EnsembleResult 
 
 @atexit.register
 def _stop_helper() -> None:
-    """At exit: close the helper's stdin and wait for it to return; kill it if still starting or in use."""
+    """At exit: close this end of the helper's pair and wait for it to return; kill it if still starting or in use."""
     global _helper
     helper, _helper = _helper, None
     if helper is not None:
@@ -886,12 +870,11 @@ def _stop_helper() -> None:
 
 
 def _forget_helper() -> None:
-    """In a forked child: close its copies of the helper's pipes, so the parent's exit still ends the helper."""
+    """In a forked child: close its copy of the helper's socket, so the parent's exit still ends the helper."""
     global _helper, _helper_lock
     helper, _helper, _helper_lock = _helper, None, threading.Lock()
-    if helper is not None and helper.open:
-        os.close(helper.send_fd)
-        os.close(helper.recv_fd)
+    if helper is not None:
+        helper.conn.close()
 
 
 if hasattr(os, "register_at_fork"):
@@ -935,7 +918,11 @@ def sgd_ensemble(
     in-process call's.  The helper is started by the first such call, which
     runs in-process unless its work reaches `_COLD_WORK`, and serves later
     calls; it peaks at ~41 MB of resident memory, which this process's own
-    figures do not count.  If either half raises, or the helper dies or
+    figures do not count.  The two processes talk over one socket pair, and
+    the helper's stdin, stdout and stderr are the null device, so whatever its
+    interpreter prints at start-up (a `sitecustomize`, say) is no part of the
+    exchange; only a helper that cannot be started or exits before it is
+    ready turns splitting off for the rest of this process.  If either half raises, or the helper dies or
     replies badly, the whole call runs again in-process, so errors are those
     of the in-process call.  One call at a time uses the helper; a call that
     cannot take it, a forked child and a call with a callable rate or batch

@@ -184,6 +184,24 @@ def test_a_callable_rate_or_batch_size_starts_no_helper(monkeypatch):
             optimize._drop_helper()
 
 
+def test_a_bad_reply_reruns_the_call_in_process(helper, monkeypatch):
+    """A reply that is not a (risk, theta) pair drops the helper, which was
+    ready, so this process still splits later calls, and the call runs again
+    in-process with its outputs bit for bit."""
+    arch = Architecture((1, 7, 1))
+    theta0s = gaussian_init(arch, seed=4, scale=7.0**-0.5, trials=10)
+    cfg = SgdConfig(batch_size=30, steps=20, seed=3, eval_samples=500, eval_steps=(0, 20))
+
+    def call():
+        return _outputs(sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, 1.0, cfg))
+
+    alone = _in_process(call)
+    monkeypatch.setattr(helper.conn, "recv", lambda: ("risk", "theta", "extra"))
+    assert call() == alone
+    assert optimize._helper is None and helper.proc.returncode is not None
+    assert optimize._helper_broken is False
+
+
 def test_split_row_counts_steps_only_from_the_floor(monkeypatch):
     """A call's steps count as work only at trials x batch >= `_SPLIT_WORK` /
     `_SPLIT_STEPS` (2,000): both processes pay a step's fixed Python cost, so
@@ -207,8 +225,8 @@ def test_split_row_counts_steps_only_from_the_floor(monkeypatch):
     assert (first(2, 12, batch=37), first(10, 50)) == (1, 5)
 
 
-def _run_script(tmp_path, body: str) -> subprocess.CompletedProcess:
-    """Run ``body`` as an unguarded script that imports the package from this checkout."""
+def _run_script(tmp_path, body: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run ``body`` as an unguarded script that imports the package from this checkout, in ``env`` if given."""
     script = tmp_path / "script.py"
     script.write_text(
         f"import sys\nsys.path.insert(0, {SRC!r})\n"
@@ -222,7 +240,7 @@ def _run_script(tmp_path, body: str) -> subprocess.CompletedProcess:
         "sgd_ensemble(arch, theta0s, 5e-4, 0.0, 1.0, 1.0, cfg)\n"
         "print('helper', optimize._helper.proc.pid, optimize._helper.served, flush=True)\n" + body
     )
-    return subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60, env=env)
 
 
 def _helper_pid(run) -> int:
@@ -246,6 +264,20 @@ def test_an_unguarded_main_script_runs_once(tmp_path):
     run = _run_script(tmp_path, "")
     assert run.returncode == 0, run.stderr
     assert run.stdout.count("script body ran") == 1
+    _helper_pid(run)
+
+
+def test_start_up_output_of_the_helper_does_not_turn_the_split_off(tmp_path):
+    """The helper's stdio is no part of its exchange with the caller: with a
+    `sitecustomize` on PYTHONPATH that prints a line in every interpreter,
+    the helper still becomes ready and serves the script's second call."""
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text("print('sitecustomize ran', flush=True)\n")
+    path = os.pathsep.join(filter(None, (str(site), os.environ.get("PYTHONPATH"))))
+    run = _run_script(tmp_path, "", env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("sitecustomize ran")  # the script's own interpreter printed it
     _helper_pid(run)
 
 
