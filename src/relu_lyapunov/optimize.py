@@ -116,7 +116,8 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def geometric_checkpoints(steps: int, count: int = 10) -> tuple[int, ...]:
-    """0, the final step, and up to ``count`` geometrically spaced steps."""
+    """0, the final step, and up to ``count`` geometrically spaced steps; both are integers (see `_whole`)."""
+    steps, count = _whole("steps", steps), _whole("count", count)
     marks = {0, steps}
     if steps > 0:
         for i in range(1, count + 1):
@@ -125,7 +126,8 @@ def geometric_checkpoints(steps: int, count: int = 10) -> tuple[int, ...]:
 
 
 def decade_steps(last: int) -> tuple[int, ...]:
-    """The 1-2-5 log grid up to ``last``, always including ``last`` itself."""
+    """The 1-2-5 log grid up to ``last``, an integer (see `_whole`), always including ``last`` itself."""
+    last = _whole("last", last)
     out: list[int] = []
     base = 1
     while base <= last:
@@ -670,14 +672,12 @@ def gaussian_init(arch: Architecture, seed, scale: float, trials: int) -> np.nda
 # is at least _SPLIT_WORK: below it the ~0.1-0.15 ms of pickling and socket traffic outweighs half the call.
 # Its steps count only where trials x batch is at least _SPLIT_WORK / _SPLIT_STEPS (2,000): both processes
 # pay a step's fixed Python cost, and narrower steps split ran no faster (1,7,1 at 50 steps, CHANGES.md).
-# A call of _COLD_WORK or more also sends its rows to a helper that is still starting, whose ~0.1 s of
-# imports it then waits out; a smaller call runs in-process and leaves the helper to later calls.
+# The first such call starts the helper, sends it its rows at once and waits out its ~0.1 s of imports.
 _SPLIT_WORK = 50_000
 _SPLIT_STEPS = 25
-_COLD_WORK = 20_000_000
 _helper: _Helper | None = None
 _helper_lock = threading.Lock()  # held by the one call using the helper, and while starting or dropping it
-_helper_broken = False  # a helper exited before it was ready: this process does not split
+_helper_broken = False  # a helper failed to start or exited before it was ready: this process does not split
 
 
 class _Helper:
@@ -688,8 +688,9 @@ class _Helper:
     pair, ``conn`` here and a descriptor passed to the child; its stdin,
     stdout and stderr are the null device and no part of the exchange, so
     whatever its interpreter prints at start-up is lost, not read as a reply.
-    It sends ``b"r"`` once its imports are done (``ready``); it exits when its
-    end of the pair reaches EOF, and ignores SIGINT, so the caller ends it.
+    It sends ``b"r"`` once its imports are done (``ready``), ~0.1 s after its
+    start, and then serves requests until its end of the pair reaches EOF.  It
+    ignores SIGINT: the caller kills it (``close``), at the latest at exit.
     ``served`` counts its replies.
     """
 
@@ -711,26 +712,16 @@ class _Helper:
             child.close()
         self.is_ready, self.served = False, 0
 
-    def ready(self, wait: bool = False) -> bool:
-        """Whether the helper has signalled that its imports are done, waiting for it with ``wait``."""
+    def ready(self) -> None:
+        """Wait for the helper's signal that its imports are done; EOFError if it exited first."""
         if not self.is_ready:
-            if not (wait or self.conn.poll()):
-                return False
-            self.conn.recv_bytes()  # b"r"; EOFError if the helper exited first
+            self.conn.recv_bytes()  # b"r"
             self.is_ready = True
-        return True
 
-    def receive(self):
-        self.ready(wait=True)
-        reply = self.conn.recv()
-        self.served += 1
-        return reply
-
-    def close(self, kill: bool) -> None:
-        """End the helper, killing it or closing this end of the pair so that it returns, and reap it."""
+    def close(self) -> None:
+        """Kill the helper and reap it."""
         if not self.conn.closed:
-            if kill:
-                self.proc.kill()
+            self.proc.kill()
             self.conn.close()
             self.proc.wait()
 
@@ -766,35 +757,37 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _split_row(trials: int, schedule, cfg: SgdConfig) -> tuple[int, bool, float]:
-    """The first trial row of the helper's half (0 runs the call in-process), whether its work reaches
-    `_COLD_WORK`, and its rate.
+def _split_row(trials: int, schedule, cfg: SgdConfig) -> tuple[int, float]:
+    """The first trial row of the helper's half (0 runs the call in-process) and its rate.
 
     The row is the block boundary of `_eval_block` nearest the middle (any row
     without checkpoints).  Steps of fewer than `_SPLIT_WORK` / `_SPLIT_STEPS`
     trial x batch points count no work, so a few-trial call splits on its
     checkpoints alone.  Callables stay in-process: they would run in two
-    processes.
+    processes.  A call that splits with no helper running starts one and waits
+    ~0.1 s for its imports, so a one-call process of little more work than
+    `_SPLIT_WORK` runs longer than in-process.
     """
     if trials < 2 or callable(schedule) or callable(cfg.batch_size) or _helper_broken or os.name != "posix":
-        return 0, False, 0.0
+        return 0, 0.0
     try:
         grid, m, rate = _eval_grid(cfg), cfg.batch_at(0), float(schedule)
     except (TypeError, ValueError):
-        return 0, False, 0.0  # raised in-process
+        return 0, 0.0  # raised in-process
     steps = cfg.steps if trials * m * _SPLIT_STEPS >= _SPLIT_WORK else 0
     work = trials * (steps * m + len(grid) * cfg.eval_samples)
     if work < _SPLIT_WORK or _cpus() < 2:
-        return 0, False, 0.0
+        return 0, 0.0
     rows = _eval_block(trials, cfg.eval_samples)[0] if grid else 1
     first = round(trials / 2 / rows) * rows
-    return (first, work >= _COLD_WORK, rate) if 0 < first < trials else (0, False, 0.0)
+    return (first, rate) if 0 < first < trials else (0, 0.0)
 
 
-def _take_helper(cold: bool) -> _Helper | None:
-    """The helper, with `_helper_lock` held, if it is ready or ``cold``; None (lock free) to run in-process.
+def _take_helper() -> _Helper | None:
+    """The helper with `_helper_lock` held, or None (lock free) if another call holds it or it cannot be started.
 
-    Starts a helper when there is none, without waiting for it.
+    Starts a helper when there is none, without waiting for its imports: the
+    caller sends its request at once and runs its own rows meanwhile.
     """
     global _helper, _helper_broken
     if not _helper_lock.acquire(blocking=False):
@@ -802,21 +795,22 @@ def _take_helper(cold: bool) -> _Helper | None:
     try:
         if _helper is None:
             _helper = _Helper()
-        if cold or _helper.ready():
-            return _helper
-    except (OSError, EOFError):
-        _helper_broken = _helper is None or not _helper.is_ready
-        _drop_helper()
-    _helper_lock.release()
-    return None
+        return _helper
+    except BaseException as error:
+        _helper_lock.release()
+        if not isinstance(error, OSError):
+            raise
+        _helper_broken = True
+        return None
 
 
+@atexit.register
 def _drop_helper() -> None:
-    """Kill the helper and forget it; the next call that splits starts another."""
+    """Kill the helper and forget it; the next call that splits starts another.  Also run at exit."""
     global _helper
     helper, _helper = _helper, None
     if helper is not None:
-        helper.close(kill=True)
+        helper.close()
 
 
 def _split(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig) -> EnsembleResult | None:
@@ -824,14 +818,15 @@ def _split(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig) -> EnsembleResult 
 
     Either half raising, or a helper that dies or sends a bad reply, returns
     None, so the in-process run gives the call's result or error.  An interrupt
-    kills the helper.
+    kills the helper.  Only a helper that dies before it is ready turns
+    splitting off.
     """
     global _helper_broken
     trials = theta0s.shape[0]
-    first, cold, rate = _split_row(trials, schedule, cfg)
+    first, rate = _split_row(trials, schedule, cfg)
     if not first:
         return None
-    helper = _take_helper(cold)
+    helper = _take_helper()
     if helper is None:
         return None
     try:
@@ -841,13 +836,15 @@ def _split(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig) -> EnsembleResult 
                 low = _sgd_train(lease, arch, theta0s[:first], rate, a, b, xi, cfg, None, 0, trials)
         except Exception:  # run again in-process, which raises it as the call would alone
             low = None
-        high = helper.receive()
+        helper.ready()
+        high = helper.conn.recv()
+        helper.served += 1
         if low is None or high is None:
             return None
         risk, theta = high
         return EnsembleResult(low.eval_steps, np.concatenate((low.risk, risk)), np.concatenate((low.theta_final, theta)))
     except BaseException as error:
-        _helper_broken = not helper.is_ready
+        _helper_broken = isinstance(error, (EOFError, OSError)) and not helper.is_ready
         _drop_helper()
         if not isinstance(error, Exception):
             raise
@@ -856,21 +853,8 @@ def _split(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig) -> EnsembleResult 
         _helper_lock.release()
 
 
-@atexit.register
-def _stop_helper() -> None:
-    """At exit: close this end of the helper's pair and wait for it to return; kill it if still starting or in use."""
-    global _helper
-    helper, _helper = _helper, None
-    if helper is not None:
-        try:
-            idle = helper.ready() and _helper_lock.acquire(blocking=False)
-        except (OSError, EOFError):
-            idle = False
-        helper.close(kill=not idle)
-
-
 def _forget_helper() -> None:
-    """In a forked child: close its copy of the helper's socket, so the parent's exit still ends the helper."""
+    """In a forked child: forget the parent's helper, which the child must neither use nor kill, and close its socket."""
     global _helper, _helper_lock
     helper, _helper, _helper_lock = _helper, None, threading.Lock()
     if helper is not None:
@@ -915,9 +899,9 @@ def sgd_ensemble(
     hands its upper trial rows to a helper process, which runs the same
     `_sgd_train` on them while this process runs the lower rows, and the
     results are joined: every output is bit-identical to the
-    in-process call's.  The helper is started by the first such call, which
-    runs in-process unless its work reaches `_COLD_WORK`, and serves later
-    calls; it peaks at ~41 MB of resident memory, which this process's own
+    in-process call's.  The first such call starts the helper, sends it its
+    rows at once and waits ~0.1 s for the helper's imports; later calls find
+    it ready.  It peaks at ~41 MB of resident memory, which this process's own
     figures do not count.  The two processes talk over one socket pair, and
     the helper's stdin, stdout and stderr are the null device, so whatever its
     interpreter prints at start-up (a `sitecustomize`, say) is no part of the
@@ -926,7 +910,7 @@ def sgd_ensemble(
     replies badly, the whole call runs again in-process, so errors are those
     of the in-process call.  One call at a time uses the helper; a call that
     cannot take it, a forked child and a call with a callable rate or batch
-    size run in-process.  The helper ends when this process exits.
+    size run in-process.  This process kills the helper when it exits.
     """
     theta0s = np.asarray(theta0s, dtype=np.float64)
     if theta0s.ndim != 2 or theta0s.shape[0] < 1 or theta0s.shape[1] != arch.param_count:

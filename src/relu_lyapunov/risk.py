@@ -162,6 +162,7 @@ class DiscreteMeasure:
         """Equispaced grid with uniform weights of total mass 1 (dim 1 only)."""
         if dim != 1:
             raise ValueError("uniform_grid supports dim=1")
+        count = _whole("count", count)
         if count < 1:
             raise ValueError("count must be positive")
         points = np.linspace(a, b, count)[:, None]
@@ -234,6 +235,7 @@ class UniformSampler:
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(self.seed))))
 
     def sample(self, n: int) -> np.ndarray:
+        n = _whole("sample size", n)
         if n < 0:
             raise ValueError("sample size must be nonnegative")
         return self.a + (self.b - self.a) * self._rng.random((n, self.dim))
@@ -293,6 +295,7 @@ def population_risk_mc(
 
     Returns (mean, std / sqrt(n)) with the unbiased sample variance.
     """
+    n_samples = _whole("n_samples", n_samples)
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     row = _constant_row(xi)

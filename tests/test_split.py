@@ -29,9 +29,9 @@ pytestmark = pytest.mark.skipif(
 def helper(monkeypatch):
     """A ready helper that every ensemble call of the test splits onto (a break-even work of 0)."""
     monkeypatch.setattr(optimize, "_SPLIT_WORK", 0)
-    started = optimize._take_helper(cold=True)
+    started = optimize._take_helper()
     optimize._helper_lock.release()
-    started.ready(wait=True)
+    started.ready()
     return started
 
 
@@ -118,12 +118,12 @@ def test_a_killed_helper_gives_a_correct_result_and_is_restarted(helper):
     helper.proc.wait(timeout=10)
     assert call() == alone
     assert optimize._helper is not helper and helper.proc.returncode is not None
-    assert call() == alone  # starts a helper and runs in-process
+    assert call() == alone  # starts a helper and splits onto it
     restarted = optimize._helper
     assert restarted is not None and restarted.proc.pid != helper.proc.pid
-    restarted.ready(wait=True)
-    assert call() == alone
     assert restarted.served == 1
+    assert call() == alone
+    assert restarted.served == 2
 
 
 def test_two_threads_calling_at_once_get_in_process_results(helper):
@@ -225,21 +225,25 @@ def test_split_row_counts_steps_only_from_the_floor(monkeypatch):
     assert (first(2, 12, batch=37), first(10, 50)) == (1, 5)
 
 
-def _run_script(tmp_path, body: str, env: dict | None = None) -> subprocess.CompletedProcess:
-    """Run ``body`` as an unguarded script that imports the package from this checkout, in ``env`` if given."""
+HEAD = (
+    f"import sys\nsys.path.insert(0, {SRC!r})\n"
+    "from relu_lyapunov import Architecture, SgdConfig, gaussian_init, optimize, sgd_ensemble\n"
+    "print('script body ran', flush=True)\n"
+    "arch = Architecture((1, 7, 1))\n"
+    "theta0s = gaussian_init(arch, 0, 7.0**-0.5, 100)\n"
+    "cfg = SgdConfig(batch_size=100, steps=50, seed=1, eval_steps=())\n"
+)
+CALL = (
+    "sgd_ensemble(arch, theta0s, 5e-4, 0.0, 1.0, 1.0, cfg)\n"
+    "print('helper', optimize._helper.proc.pid, optimize._helper.served, flush=True)\n"
+)
+
+
+def _run_script(tmp_path, body: str, env: dict | None = None, first: str = CALL) -> subprocess.CompletedProcess:
+    """Run ``first`` (by default one 50-step call on 100 trials, which splits) and then ``body`` as an
+    unguarded script that imports the package from this checkout, in ``env`` if given."""
     script = tmp_path / "script.py"
-    script.write_text(
-        f"import sys\nsys.path.insert(0, {SRC!r})\n"
-        "from relu_lyapunov import Architecture, SgdConfig, gaussian_init, optimize, sgd_ensemble\n"
-        "print('script body ran', flush=True)\n"
-        "arch = Architecture((1, 7, 1))\n"
-        "theta0s = gaussian_init(arch, 0, 7.0**-0.5, 100)\n"
-        "cfg = SgdConfig(batch_size=100, steps=50, seed=1, eval_steps=())\n"
-        "sgd_ensemble(arch, theta0s, 5e-4, 0.0, 1.0, 1.0, cfg)\n"
-        "optimize._helper.ready(wait=True)\n"
-        "sgd_ensemble(arch, theta0s, 5e-4, 0.0, 1.0, 1.0, cfg)\n"
-        "print('helper', optimize._helper.proc.pid, optimize._helper.served, flush=True)\n" + body
-    )
+    script.write_text(HEAD + first + body)
     return subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60, env=env)
 
 
@@ -260,7 +264,7 @@ def _gone(pid: int) -> bool:
 def test_an_unguarded_main_script_runs_once(tmp_path):
     """The helper imports the package, not the caller's ``__main__``: a script
     with no ``if __name__ == "__main__"`` guard runs its body once and its
-    second call splits."""
+    one call splits."""
     run = _run_script(tmp_path, "")
     assert run.returncode == 0, run.stderr
     assert run.stdout.count("script body ran") == 1
@@ -270,7 +274,7 @@ def test_an_unguarded_main_script_runs_once(tmp_path):
 def test_start_up_output_of_the_helper_does_not_turn_the_split_off(tmp_path):
     """The helper's stdio is no part of its exchange with the caller: with a
     `sitecustomize` on PYTHONPATH that prints a line in every interpreter,
-    the helper still becomes ready and serves the script's second call."""
+    the helper still becomes ready and serves the script's one call."""
     site = tmp_path / "site"
     site.mkdir()
     (site / "sitecustomize.py").write_text("print('sitecustomize ran', flush=True)\n")
@@ -323,3 +327,22 @@ def test_no_helper_outlives_its_caller(tmp_path, ending):
             assert not _gone(child)  # the child outlives its parent, as the check above needs
             os.kill(child, signal.SIGKILL)
 
+
+STARTING = """
+import _thread, threading
+threading.Timer(0.03, _thread.interrupt_main).start()
+try:
+    sgd_ensemble(arch, theta0s, 5e-4, 0.0, 1.0, 1.0, SgdConfig(batch_size=100, steps=50_000, seed=2, eval_steps=()))
+except KeyboardInterrupt:
+    print('interrupted; broken', optimize._helper_broken, optimize._helper, flush=True)
+"""
+
+
+def test_an_interrupt_does_not_turn_splitting_off(tmp_path):
+    """A first call interrupted 0.03 s in, while the helper it started is
+    still importing, kills that helper but leaves splitting on: the next call
+    starts another helper, which serves it."""
+    run = _run_script(tmp_path, CALL, first=STARTING)
+    assert run.returncode == 0, run.stderr
+    assert "interrupted; broken False None" in run.stdout
+    assert _gone(_helper_pid(run))

@@ -21,12 +21,14 @@ from relu_lyapunov import (
     SgdConfig,
     TargetSpec,
     UniformSampler,
+    decade_steps,
     empirical_risk,
     forward_exact,
     forward_smooth,
     gaussian_init,
     gd_run,
     generalized_gradient,
+    geometric_checkpoints,
     gf_euler_run,
     gradient_pathsum_oracle,
     last_layer_midpoint_check,
@@ -396,3 +398,34 @@ def test_non_finite_targets_are_rejected_at_every_entry_point(xi):
     for call in calls:
         with pytest.raises(ValueError, match="target"):
             call()
+
+
+# the counts of the grids, the sampler and the Monte Carlo estimate, each with the name its error gives
+GRID_COUNTS = [
+    ("last", decade_steps),
+    ("steps", geometric_checkpoints),
+    ("count", lambda n: geometric_checkpoints(100, n)),
+    ("count", lambda n: DiscreteMeasure.uniform_grid(0.0, 1.0, n).points),
+    ("sample size", lambda n: UniformSampler(0.0, 1.0, 1, 3).sample(n)),
+    ("n_samples", lambda n: population_risk_mc(ARCH, THETA, UniformSampler(0.0, 1.0, 1, 3), 1.0, n)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(range(len(GRID_COUNTS))), non_integers)
+def test_grid_and_sample_counts_reject_non_integers(index, value):
+    # decade_steps(2.5) used to return (1, 2, 2.5), and the others to raise numpy's TypeError
+    name, call = GRID_COUNTS[index]
+    with pytest.raises(ValueError, match=name):
+        call(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(range(len(GRID_COUNTS))), st.integers(2, 60), st.sampled_from([float, np.float64, np.int64]))
+def test_grid_and_sample_counts_take_integral_values_as_ints(index, n, kind):
+    # 3.0 raised numpy's TypeError or came back in the grid as a float, though every SgdConfig count takes it
+    call = GRID_COUNTS[index][1]
+    got, want = call(kind(n)), call(n)
+    np.testing.assert_array_equal(got, want)
+    if index < 3:  # the grids of steps
+        assert all(type(step) is int for step in got)
