@@ -3,13 +3,13 @@
 The exact ReLU network is only piecewise smooth, so `generalized_gradient`
 computes the limit of the smoothed gradients: a reverse sweep whose hidden
 gates are the left derivative of ReLU (0 exactly at a kink).  For smoothed
-networks `smooth_gradient` is the honest gradient of `risk_smooth`.  Both, and
-every training loop, run the one reverse sweep `_backward`; only the gate
-differs.  Like `_forward`, it works on feature-major ``(..., width, samples)``
-arrays.  With the workspace of a training run it writes into buffers
-allocated once and, for scalar output, factors the output weights out of the
-last hidden layer's gradients (see `_backward`); the public gradient functions
-take the plain layer-by-layer loop.
+networks `smooth_gradient` is the honest gradient of `risk_smooth`.  Both run
+the allocating reverse sweep `_backward`; only the gate differs.  Like
+`_forward`, it works on feature-major ``(..., width, samples)`` arrays.  The
+training loops run the same sweep as the step `_bind_step` builds once per
+bound workspace: straight-line ``out=`` calls into buffers allocated once
+that, for scalar output, factor the output weights out of the last hidden
+layer's gradients.
 
 `gradient_pathsum_oracle` is an independent reference implementation that
 expands the same quantity as a literal sum over neuron paths.  It is
@@ -36,9 +36,9 @@ class PathCountError(RuntimeError):
     """Raised when the path-sum oracle would enumerate too many paths."""
 
 
-def _left_gate(k: int, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _left_gate(k: int, z: np.ndarray) -> np.ndarray:
     """Strict left derivative of ReLU: only positive preactivations pass."""
-    return z > 0.0 if out is None else np.greater(z, 0.0, out=out)
+    return z > 0.0
 
 
 def _smooth_gate(sharpness: float, cfg: ClampConfig):
@@ -46,9 +46,7 @@ def _smooth_gate(sharpness: float, cfg: ClampConfig):
     return lambda k, z: smooth_relu_derivative(cfg, layer_sharpness(sharpness, k), z)
 
 
-def _backward(
-    layers, points, pres, acts, delta, gate, ws: _Workspace | None = None
-) -> list[tuple[np.ndarray, np.ndarray]] | None:
+def _backward(layers, points, pres, acts, delta, gate) -> list[tuple[np.ndarray, np.ndarray]]:
     """Reverse sweep from output sensitivities ``delta``: [(dW_k, db_k)] for k = 1..L.
 
     Shapes and the optional leading trial axis follow `_forward`, whose
@@ -56,64 +54,84 @@ def _backward(
     bias gradients sum its contiguous sample axis.  ``gate(k, z)`` is the
     derivative of the unit after hidden layer k.  Through a fan-out-1 layer
     the delta is back-propagated as the broadcast product ``W_k^T * delta``.
-
-    With the workspace ``ws`` that `_forward` ran on, the sweep is a fixed
-    sequence of ``out=`` calls on the views ``ws`` binds and returns nothing:
-    layer k's gradient is the one product ``delta_k @ [h; 1]^T`` written into
-    ``ws.grads[k-1]``, a view of the block ``ws.grad``, its bias column a
-    product with the ones row rather than a sum; ``gate`` takes an ``out``
-    argument, as `_left_gate` does, and each layer's delta overwrites its
-    preactivation in ``ws.pres`` once the gate is taken.  With scalar output
-    (l_L = 1, L >= 2) the sweep never forms delta_{L-1} = w^T * delta * G,
-    with ``w = W_L[..., 0, :]``, ``G`` the gate after layer L-1 and ``a`` the
-    input of layer L-1: ``w`` is factored out of layer L-1's gradients,
-    ``w[..., :, None] * (D @ [a; 1]^T)`` with ``D = G * delta``, and the loop
-    continues from ``delta_{L-2} = ((W_{L-1}^T * w[..., None, :]) @ D) * gate(L-2)``,
-    the product in brackets written into ``ws.back``.
-    For a 1 -> h -> 1 network (L = 2, one input) delta goes on the two-row
-    side instead: ``w[..., :, None] * (G @ (delta * [x; 1])^T)``.  This skips
-    the broadcasts over the (trials, l_{L-1}, M) delta.  Without a workspace
-    (the public gradient functions and the tests' reference loops) the sweep
-    is the plain layer-by-layer loop.
+    Training runs the same sweep as the step of `_bind_step`.
     """
-    if ws is None:
-        grads = []
-        for k in range(len(layers), 0, -1):
-            inputs = acts[k - 2] if k > 1 else points
-            grads.append((delta @ inputs.swapaxes(-1, -2), delta.sum(axis=-1)))
-            if k > 1:
-                back = layers[k - 1][0].swapaxes(-1, -2)
-                delta = back * delta if back.shape[-1] == 1 else back @ delta
-                delta *= gate(k - 1, pres[k - 2])
-        return grads[::-1]
-
-    top = len(ws.blocks)
-    if ws.factored:
-        np.matmul(delta, ws.inputs_t[top - 1], out=ws.grads[top - 1])
-        # the gate as floats, over the spent preactivation: it multiplies the
-        # broadcast delta ~1.5x faster than as bools
-        g = ws.pres[top - 2]
-        np.copyto(g, gate(top - 1, g, ws.gates[top - 2]))
-        if ws.narrow:
-            np.multiply(delta, ws.inputs[0], out=ws.scaled)
-            both = np.matmul(g, ws.scaled_t, out=ws.grads[0])
-        else:
-            np.multiply(g, delta, out=g)
-            both = np.matmul(g, ws.inputs_t[top - 2], out=ws.grads[top - 2])
-            if top > 2:
-                below = gate(top - 2, ws.pres[top - 3], ws.gates[top - 3])
-                np.multiply(ws.weights_t[top - 2], ws.w_row, out=ws.back)
-                delta = np.matmul(ws.back, g, out=ws.pres[top - 3])
-                delta *= below
-        both *= ws.w_col
-        top -= 2
-    for k in range(top, 0, -1):
-        np.matmul(delta, ws.inputs_t[k - 1], out=ws.grads[k - 1])
+    grads = []
+    for k in range(len(layers), 0, -1):
+        inputs = acts[k - 2] if k > 1 else points
+        grads.append((delta @ inputs.swapaxes(-1, -2), delta.sum(axis=-1)))
         if k > 1:
-            below = gate(k - 1, ws.pres[k - 2], ws.gates[k - 2])
-            back = ws.weights_t[k - 1]
-            delta = (np.multiply if back.shape[-1] == 1 else np.matmul)(back, delta, out=ws.pres[k - 2])
+            back = layers[k - 1][0].swapaxes(-1, -2)
+            delta = back * delta if back.shape[-1] == 1 else back @ delta
+            delta *= gate(k - 1, pres[k - 2])
+    return grads[::-1]
+
+
+def _bind_step(ws: _Workspace):
+    """The training step over the views of ``ws``, built once per bind: ``step(fvals, resid, scale)``.
+
+    It runs ``ws.forward()``, writes the residual N - ``fvals`` into ``resid``
+    (``ws.pres[-1]`` or a buffer of its shape) and delta = ``resid * scale``
+    into ``ws.pres[-1]``, and sweeps back with the exact gate in ``out=`` calls
+    that leave the gradient in ``ws.grad``: layer k's is the one product
+    ``delta_k @ [h; 1]^T`` (its bias column a product with the ones row), and
+    each delta overwrites its preactivation once the gate is taken.  With
+    scalar output (l_L = 1, L >= 2) the output weights ``w = W_L[..., 0, :]``
+    are factored out of layer L-1's gradients, ``w[..., :, None] * (D @ [a; 1]^T)``
+    with ``D = G * delta``, G the gate after layer L-1 and ``a`` its input,
+    and the plain sweep goes on from ``delta_{L-2} = ((W_{L-1}^T * w[..., None, :]) @ D) * gate(L-2)``,
+    the bracket written into ``ws.back``; for 1 -> h -> 1 (``ws.narrow``)
+    delta goes on the two-row side, ``w[..., :, None] * (G @ (delta * [x; 1])^T)``.
+    This skips the broadcasts over the (trials, l_{L-1}, M) delta.
+    """
+    matmul, multiply, greater, subtract, copyto = np.matmul, np.multiply, np.greater, np.subtract, np.copyto
+    forward, blocks, pres, gates, grads, inputs_t = ws.forward, ws.blocks, ws.pres, ws.gates, ws.grads, ws.inputs_t
+    out, depth, plain, first_t, first_grad = pres[-1], len(pres), [], inputs_t[0], grads[0]
+    # the plain layers k = L or L-2 .. 2: gradient, then delta_{k-1} through W_k^T (a broadcast at fan-out 1)
+    for k in range(depth - 2 if ws.factored else depth, 1, -1):
+        w_t = blocks[k - 1][..., :-1].swapaxes(-1, -2)
+        plain.append((grads[k - 1], inputs_t[k - 1], multiply if w_t.shape[-1] == 1 else matmul, w_t, pres[k - 2], gates[k - 2]))
+
+    def sweep(delta):
+        for grad, x_t, back, w_t, z, gate in plain:
+            matmul(delta, x_t, out=grad)
+            below = greater(z, 0.0, out=gate)
+            delta = back(w_t, delta, out=z)
             delta *= below
+        matmul(delta, first_t, out=first_grad)
+
+    if not ws.factored:
+
+        def step(fvals, resid, scale):
+            subtract(forward(), fvals, out=resid)
+            sweep(multiply(resid, scale, out=out))
+
+        return step
+    # the gate G is taken as floats over the spent preactivation g: times the broadcast delta, ~1.5x faster than bools
+    top_t, top_grad, g, g_gate, g_grad, w = inputs_t[-1], grads[-1], pres[-2], gates[-1], grads[-2], blocks[-1][..., 0, :-1]
+    left, right, prod, rows = (out, ws.inputs[0], ws.scaled, ws.scaled_t) if ws.narrow else (g, out, g, inputs_t[-2])
+    w_col, w_row, deep = w[..., :, None], w[..., None, :], depth > 2
+    if deep:
+        z, z_gate, w_t, back = pres[-3], gates[-2], blocks[-2][..., :-1].swapaxes(-1, -2), ws.back
+
+    def step(fvals, resid, scale):
+        subtract(forward(), fvals, out=resid)
+        multiply(resid, scale, out=out)
+        matmul(out, top_t, out=top_grad)
+        copyto(g, greater(g, 0.0, out=g_gate))
+        multiply(left, right, out=prod)
+        both = matmul(g, rows, out=g_grad)
+        if deep:  # delta_{L-2}, then the plain layers below
+            below = greater(z, 0.0, out=z_gate)
+            multiply(w_t, w_row, out=back)
+            delta = matmul(back, g, out=z)
+            delta *= below
+            both *= w_col
+            sweep(delta)
+        else:
+            both *= w_col
+
+    return step
 
 
 def _grad_core(

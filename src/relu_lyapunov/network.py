@@ -6,12 +6,12 @@ per-layer sharpness ``sharpness**(1/k)`` (computed as ``exp(ln(sharpness)/k)``),
 so deeper layers smooth more gently; this keeps the composed map converging
 to the exact one with an explicit rate as sharpness grows.
 
-Every evaluation in the package, of one network or of a trial-stacked block of
-networks, goes through `_forward`; exact and smoothed differ only in the unit
-passed to it.  Its arrays are feature-major, ``(..., width, samples)``, so the
-contiguous axis runs over samples rather than over a handful of neurons.  The
-public risks and gradients reach it through `_residual`, whose `_check_inputs`
-is their one input check, and the single-input traces through `_trace`.
+An evaluation goes through the allocating `_forward`, where exact and smoothed
+differ only in the unit, or in the training loops through the exact ``forward``
+a `_Workspace` binds.  Arrays are feature-major, ``(..., width, samples)``, so
+the contiguous axis runs over samples rather than over a handful of neurons.
+The public risks and gradients reach `_forward` through `_residual`, whose
+`_check_inputs` is their one input check, and the single-input traces through `_trace`.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def layer_sharpness(sharpness: float, k: int) -> float:
     return math.exp(math.log(sharpness) / k)
 
 
-def _relu_unit(k: int, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return relu(z) if out is None else np.maximum(z, 0.0, out=out)
+def _relu_unit(k: int, z: np.ndarray) -> np.ndarray:
+    return relu(z)
 
 
 def _smooth_unit(sharpness: float, cfg: ClampConfig):
@@ -83,35 +83,45 @@ def _aligned(shape, dtype=np.float64) -> np.ndarray:
     return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
+def _arena(*shapes) -> tuple[np.ndarray, ...]:
+    """Float `_aligned` arrays of ``shapes`` from one allocation: one address read (~2 us) for the set."""
+    lines = [-(-math.prod(shape) // 8) for shape in shapes]  # whole 64-byte lines of 8 floats
+    raw, start, out = _aligned((8 * sum(lines),)), 0, []
+    for shape, n in zip(shapes, lines):
+        out.append(raw[start : start + math.prod(shape)].reshape(shape))
+        start += 8 * n
+    return tuple(out)
+
+
 class _Workspace:
-    """The buffers of the passes over one trial-stacked block at batch size m, and every view of them.
+    """The buffers of the passes over one trial-stacked block at batch size m, and the kernel bound to them.
 
     The buffers depend only on the block's shapes and m, so a workspace serves
     any parameters of those shapes: `bind` points it at them.  The block's
     parameters are the augmented (trials, l_k, l_{k-1} + 1) matrices
     ``blocks[k-1] = [W_k b_k]``, views of one (trials, d) array in
-    `_augmented_order` that the caller updates in place; ``layers`` are their
-    ``(W_k, b_k)`` splits and ``weights_t[k-1]`` is ``W_k^T``.  ``inputs[k-1]``
-    is layer k's input [h; 1] as (trials, l_{k-1} + 1, m), its ones row written
+    `_augmented_order` that the caller updates in place.  ``inputs[k-1]`` is
+    layer k's input [h; 1] as (trials, l_{k-1} + 1, m), its ones row written
     here once, so layer k is the one product ``blocks[k-1] @ inputs[k-1]`` and
     its gradient [dW_k db_k] the one product ``delta_k @ inputs_t[k-1]``
     (``inputs_t`` the transposes), written into ``grads[k-1]``, a view of the
     (trials, d) gradient block ``grad`` laid out like the parameters.
     ``points`` are the x rows of the first [x; 1], which a caller fills, and
-    ``hidden[k-1]`` the h_k rows of layer k + 1's input, which the unit writes.  ``pres[k-1]`` holds layer k's
-    preactivation and, once its gate is taken into ``gates[k-1]``, layer k's
-    delta.  ``draw_target`` is the points as (trials, m, l_0).  With l_0 = 1
-    it is C-contiguous, so a batch is drawn straight into it; with l_0 > 1
-    ``draw`` is the (trials, m, l_0) buffer a batch is drawn into first, and
-    an l_0 = 1 workspace has no ``draw``.
+    ``hidden[k-1]`` the h_k rows of layer k + 1's input.  ``pres[k-1]`` holds
+    layer k's preactivation and, once its gate is taken into ``gates[k-1]``,
+    its delta.  ``draw_target`` is the points as (trials, m, l_0).  With
+    l_0 = 1 it is C-contiguous, so a batch is drawn straight into it; with
+    l_0 > 1 ``draw`` is the (trials, m, l_0) buffer a batch is drawn into
+    first, and an l_0 = 1 workspace has no ``draw``.
 
-    With scalar output (l_L = 1, L >= 2) `_backward` factors the output weights
-    out of the last hidden layer: ``w_col``/``w_row`` are ``w = W_L[..., 0, :]``
-    as a column and a row, and ``back`` (L >= 3) holds ``W_{L-1}^T * w_row``.
-    For a 1 -> h -> 1 network (``narrow``) ``scaled`` holds the
-    (trials, 2, m) product delta * [x; 1] instead.  Without ``backward`` the
-    workspace serves `_forward` alone and has none of the buffers only
-    `_backward` writes: ``gates``, ``grad``, ``scaled`` and ``back``.  Every
+    `bind` builds the kernel as closures over the views: ``forward()`` runs the
+    L products and L - 1 ReLUs and returns ``pres[-1]`` (a bias enters through
+    the ones row rather than an add, which moves outputs at the rounding
+    level), and ``step`` (`gradient._bind_step`) adds the residual and the
+    reverse sweep, which keeps ``W_{L-1}^T * w`` in ``back`` (``factored``,
+    L >= 3) or delta * [x; 1] in ``scaled`` (``narrow``).  Without
+    ``backward`` it has ``forward`` alone and none of the buffers only
+    ``step`` writes: ``gates``, ``grad``, ``scaled`` and ``back``.  Every
     buffer starts on a cache line (`_aligned`); ``buffers`` lists them.
     """
 
@@ -136,8 +146,11 @@ class _Workspace:
         self.factored = depth > 1 and widths[-1] == 1
         self.narrow = self.factored and depth == 2 and widths[0] == 1
         self.buffers += [*self.inputs, *self.pres]
+        self.backward = backward
         if backward:
-            self.inputs_t = [a.swapaxes(-1, -2) for a in self.inputs]
+            from .gradient import _bind_step  # gradient imports this module; an import at every bind cost 0.6-4.5 us
+
+            self.bind_step, self.inputs_t = _bind_step, [a.swapaxes(-1, -2) for a in self.inputs]
             self.gates = [_aligned((w, trials, m), bool).transpose(1, 0, 2) for w in widths[1:-1]]
             self.grad = _aligned((trials, sum(a[0].size for a in blocks)))
             self.grads = _augmented_blocks(widths, self.grad)
@@ -157,13 +170,19 @@ class _Workspace:
         return sum(a.nbytes for a in self.buffers)
 
     def bind(self, blocks: list[np.ndarray]) -> None:
-        """Point the passes at ``blocks``, of the shapes the workspace was built for."""
-        self.blocks = blocks
-        self.layers = [(a[..., :-1], a[..., -1]) for a in blocks]
-        self.weights_t = [w.swapaxes(-1, -2) for w, _ in self.layers]
-        if self.factored:
-            w = self.layers[-1][0][..., 0, :]
-            self.w_col, self.w_row = w[..., :, None], w[..., None, :]
+        """Point the kernel at ``blocks``, of the shapes the workspace was built for: build ``forward`` and ``step``."""
+        matmul, maximum, top, x, out = np.matmul, np.maximum, blocks[-1], self.inputs[-1], self.pres[-1]
+        hidden = list(zip(blocks, self.inputs, self.pres, self.hidden))  # the L - 1 hidden layers
+
+        def forward() -> np.ndarray:
+            for block, x_k, z, h in hidden:
+                matmul(block, x_k, out=z)
+                maximum(z, 0.0, out=h)
+            return matmul(top, x, out=out)
+
+        self.blocks, self.forward = blocks, forward
+        if self.backward:
+            self.step = self.bind_step(self)
 
 
 @functools.lru_cache(maxsize=64)
@@ -195,30 +214,15 @@ def _augmented_blocks(widths, array: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _forward(
-    layers, points: np.ndarray, unit, ws: _Workspace | None = None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _forward(layers, points: np.ndarray, unit) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Batched pass through per-layer ``(W_k, b_k)``: (preactivations, activations).
 
     Arrays are feature-major: ``points`` is (..., l_0, M), ``W_k``
     (..., l_k, l_{k-1}) and ``b_k`` (..., l_k), and layer k's outputs are
     (..., l_k, M).  A leading trial axis on the parameters evaluates a stack
     of networks, each on its own points.  ``unit(k, z)`` is the nonlinearity
-    after hidden layer k: `_relu_unit` or a `_smooth_unit`.
-
-    With a workspace ``ws`` (whose ``layers`` and ``points`` the caller
-    passes) the pass reads ``ws.blocks`` and the points already in
-    ``ws.points``, allocates nothing and returns ``ws.pres`` and ``ws.hidden``;
-    ``unit`` then takes an ``out`` argument, as `_relu_unit` does.  Each
-    layer's bias then enters through the ones row of its input rather than an
-    add, which moves outputs at the rounding level.
+    after hidden layer k: `_relu_unit` or a `_smooth_unit`.  Training runs a `_Workspace`'s ``forward``.
     """
-    if ws is not None:
-        for k, (block, z) in enumerate(zip(ws.blocks, ws.pres), start=1):
-            np.matmul(block, ws.inputs[k - 1], out=z)
-            if k < len(ws.blocks):
-                unit(k, z, ws.hidden[k - 1])
-        return ws.pres, ws.hidden
     pres: list[np.ndarray] = []
     acts: list[np.ndarray] = []
     h = points

@@ -7,10 +7,11 @@ constant target), `gd_run` (the whole measure at every step) and its explicit
 Euler gradient flow `gf_euler_run` with one, logged into a `Trajectory` by an
 observer that takes the risks, V and the norms a block of steps at a time.
 The state is one array in augmented order (each layer's [W_k b_k] row-major),
-and one `_Workspace` per batch size holds every intermediate of the kernel and
-the gradient block, so a step allocates no array of samples; the Monte Carlo
-checkpoints of the SGD runs take the same kernel on forward-only workspaces of
-their own.  Workspaces and the observer's blocks are leased from the
+and one `_Workspace` per batch size holds every intermediate and the gradient
+block, with the kernel bound to them each time it is leased: a step is one
+call of its ``step``, which allocates no array of samples, and the Monte Carlo
+checkpoints of the SGD runs call the ``forward`` of forward-only workspaces
+of their own.  Workspaces and the observer's blocks are leased from the
 process's spares, one per key within a byte bound (`_Lease`), so a call builds
 and page-faults none that an earlier call of the same shapes gave back.  An
 ensemble call with enough work runs its upper trial rows in a second Python
@@ -40,9 +41,8 @@ from typing import Callable
 import numpy as np
 
 from .arch import Architecture, check_params
-from .gradient import _backward, _left_gate
 from .lyapunov import LyapunovContext, _augmented_coeff, _check_f0, lyapunov_value
-from .network import _aligned, _augmented_blocks, _augmented_order, _check_inputs, _forward, _relu_unit, _Workspace
+from .network import _aligned, _arena, _augmented_blocks, _augmented_order, _check_inputs, _Workspace
 from .risk import DiscreteMeasure, TargetSpec, UniformSampler, _check_box, _entropy, _KeyedStreams, _whole
 
 
@@ -258,7 +258,8 @@ class _Lease:
     def workspace(self, blocks, m: int) -> _Workspace:
         """A step `_Workspace` at batch size ``m`` bound to ``blocks``."""
         ws = self.take((tuple(a.shape for a in blocks), m), lambda: _Workspace(blocks, m))
-        ws.bind(blocks)
+        if ws.blocks is not blocks:  # a spare: a workspace built here is bound already
+            ws.bind(blocks)
         return ws
 
     def give(self, buffers) -> None:
@@ -282,8 +283,9 @@ def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None
 
     ``batch(n, blocks, ws)`` gives the `_Workspace` over ``blocks`` holding step
     n's points in its first [x; 1] and their weights (float or (m,), a new
-    object per batch size).  The residual N - f against ``fvals`` times 2
-    weights is delta, so the gradient comes unscaled.  ``observe(n, theta, grad,
+    object per batch size, at which the loop takes its ``step``).  The step's
+    delta is the residual N - f against ``fvals`` times 2 weights, so the
+    gradient comes unscaled.  ``observe(n, theta, grad,
     resid, weights, gamma)`` sees every step n = 0..steps, the residual in a
     buffer of its own, and owns the divergence check, so theta is updated in
     place; without it the residual is taken in place (a buffer slowed the step
@@ -306,18 +308,15 @@ def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None
                 break
             ws, held = batch(n, blocks, ws)
             if held is not weights:  # a new batch size, so a new workspace
-                weights, scale = held, 2.0 * held
+                weights, scale, step, grad = held, 2.0 * held, ws.step, ws.grad
                 resid = ws.pres[-1] if observe is None else np.empty(ws.pres[-1].shape)
-            pres, acts = _forward(ws.layers, ws.points, _relu_unit, ws)
-            np.subtract(pres[-1], fvals, out=resid)
-            delta = np.multiply(resid, scale, out=pres[-1])
-            _backward(ws.layers, ws.points, pres, acts, delta, _left_gate, ws)
+            step(fvals, resid, scale)
             gamma = rate(n)
             if observe is not None:
-                observe(n, theta, ws.grad, resid, weights, gamma)
+                observe(n, theta, grad, resid, weights, gamma)
                 if n == steps:
                     break
-            np.subtract(theta, np.multiply(ws.grad, gamma, out=ws.grad), out=new)
+            np.subtract(theta, np.multiply(grad, gamma, out=grad), out=new)
             if observe is None and not np.isfinite(new).all():
                 bad = np.flatnonzero(~np.isfinite(new).all(axis=1))
                 raise DivergenceError(
@@ -343,13 +342,13 @@ def _square_sum(resid: np.ndarray) -> np.ndarray:
 class _Recorder:
     """`_train`'s observer for one trial: the rows and flat snapshots of its `Trajectory`.
 
-    Each step's parameter, gradient and residual rows are copied into a block
-    of up to 256 steps and ~2 MB, flushed when it fills, at the last step and
-    before a step with new weights, which takes a new block, leased (see
-    `_Lease`) like the one it gives back.  A flush takes the block's risks, then at
-    its rows (every ``log_stride``-th step and the last) V, summed in the
-    augmented order, the norms and, with ``dt``, the integral 4L sum risk dt,
-    and its snapshots.  A non-finite risk at step n raises `DivergenceError`
+    Each step's parameter, gradient and residual rows and gamma are copied
+    into a block of up to 256 steps and ~2 MB (one `_arena`), flushed when it
+    fills, at the last step and before a step with new weights, which takes a
+    new block, leased (see `_Lease`) like the one it gives back.  A flush
+    takes the block's risks, then at its rows (every ``log_stride``-th step
+    and the last) V, summed in the augmented order, the norms and, with
+    ``dt``, the integral 4L sum risk dt, and its snapshots.  A non-finite risk at step n raises `DivergenceError`
     with step n - 1 and its parameters (kept at the last flush when n starts a
     block), or at step 0 a ValueError.  Used as a context around the run, it
     flushes the steps held when another exception (a rate or batch callable's)
@@ -393,15 +392,13 @@ class _Recorder:
             rows, d = self.rows, len(self.order)
             fit = max(1, min(rows, (1 << 21) // (8 * (resid.size + 2 * d))))  # a new block of steps, in ~2 MB
             shape = (fit,) + resid.shape[1:]
-            self.buffers = self.lease.take(
-                ("record", rows, d, shape), lambda: (_aligned((rows, 2, d)), _aligned((rows,)), _aligned(shape))
-            )
-            self.block, self.gammas, self.resids = self.buffers
-            self.weights = weights
+            self.buffers = self.lease.take(("record", rows, d, shape), lambda: _arena((rows, 2, d), (rows,), shape))
+            (self.block, self.gammas, self.resids), self.weights = self.buffers, weights
+            self.grads, self.thetas, self.fit = self.block[:, 0], self.block[:, 1], fit  # row views, once per block
         i = self.fill
-        self.block[i, 0], self.block[i, 1], self.resids[i], self.gammas[i] = grad, theta, resid, gamma
-        self.fill = i + 1
-        if self.fill == len(self.resids) or n == self.steps:
+        self.grads[i], self.thetas[i], self.resids[i], self.gammas[i] = grad, theta, resid, gamma
+        self.fill = i = i + 1
+        if i == self.fit or n == self.steps:
             self.flush()
 
     def flush(self) -> None:
@@ -604,8 +601,8 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
         for part, params, ws in plan:
             draw(rng, ws)
             np.copyto(params, theta[part])
-            pres, _ = _forward(ws.layers, ws.points, _relu_unit, ws)
-            total[part] += np.add.reduce(_square_sum(np.subtract(pres[-1], target, out=pres[-1])), axis=-1)
+            out = ws.forward()
+            total[part] += np.add.reduce(_square_sum(np.subtract(out, target, out=out)), axis=-1)
         return total / cfg.eval_samples
 
     def eval_workspace(count, m):

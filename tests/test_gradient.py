@@ -148,10 +148,10 @@ def _assert_close(a, b):
 @given(stacked_instances(), st.one_of(st.none(), st.floats(1.0, 1e3)))
 def test_stacked_kernel_matches_single_networks(instance, sharpness):
     """_forward/_backward on a trial-stacked block equal one call per trial,
-    for the exact unit (sharpness None) and the smooth one.  Without a
-    workspace both take the plain loop; the workspace sweep is pinned against
-    the path-sum oracle below and against this loop by the ensemble tests in
-    test_optimize."""
+    for the exact unit (sharpness None) and the smooth one.  Both are the
+    allocating layer-by-layer loops; a workspace's bound step is pinned
+    against the path-sum oracle below and against these loops by the ensemble
+    tests in test_optimize."""
     arch, thetas, points, weights, xi = instance
     if sharpness is None:
         unit, gate = _relu_unit, _left_gate
@@ -186,16 +186,14 @@ def test_stacked_kernel_matches_pathsum_oracle(instance):
 @example(_stacked_instance((2, 3, 2, 1), 3, 4, 1))  # factored, with back
 @example(_stacked_instance((2, 3, 2), 3, 4, 2))  # general
 def test_workspace_sweep_matches_pathsum_oracle(instance):
-    """`_forward`/`_backward` on a `_Workspace`, the training kernel, give each
-    trial's path-sum gradient in ``ws.grad``, on every route of the sweep."""
+    """The step a `_Workspace` binds, the training kernel (its bound forward
+    pass, residual and reverse sweep), gives each trial's path-sum gradient
+    in ``ws.grad``, on every route of the sweep."""
     arch, thetas, points, weights, xi = instance
     order = _augmented_order(arch.widths)
     ws = _Workspace(_augmented_blocks(arch.widths, np.take(thetas, order, axis=1)), points.shape[1])
     ws.points[...] = points.swapaxes(-1, -2)
-    pres, acts = _forward(ws.layers, ws.points, _relu_unit, ws)
-    delta = np.subtract(pres[-1], xi[:, None], out=pres[-1])
-    delta *= 2.0 * weights
-    _backward(ws.layers, ws.points, pres, acts, delta, _left_gate, ws)
+    ws.step(xi[:, None], ws.pres[-1], 2.0 * weights)
     fast = np.empty_like(thetas)
     fast[:, order] = ws.grad
     for t, theta in enumerate(thetas):

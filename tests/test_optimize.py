@@ -861,6 +861,31 @@ def test_repeated_calls_build_no_workspace(monkeypatch):
     assert len(built) == count + 4
 
 
+@pytest.mark.parametrize("widths", [(1, 7, 1), (1, 3, 7, 1)], ids=lambda w: "-".join(map(str, w)))
+def test_a_leased_workspace_is_bound_to_each_call(monkeypatch, widths):
+    """Two gd runs, and two ensembles, of the same shapes from different θ0
+    reuse one leased step workspace, and each equals its run on workspaces
+    built for it, bit for bit: a kernel bound when its workspace is built
+    rather than at each lease runs the second call on the first call's
+    parameters."""
+    built = _count_workspaces(monkeypatch)
+    arch, measure, target = Architecture(widths), DiscreteMeasure.uniform_grid(0.0, 1.0, 101), TargetSpec.constant(1.0)
+    theta0s = gaussian_init(arch, seed=7, scale=widths[1] ** -0.5, trials=6)
+    cfg = SgdConfig(batch_size=30, steps=50, seed=3, eval_samples=400, eval_steps=(0, 50))
+    runs = [lambda t=t: gd_run(arch, theta0s[t], measure, target, 1e-3, 50) for t in (0, 1)]
+    runs += [lambda t=t: sgd_ensemble(arch, theta0s[3 * t : 3 * t + 3], 1e-3, 0.0, 1.0, 1.0, cfg) for t in (0, 1)]
+    fresh = []
+    for run in runs:
+        optimize._spare.clear()
+        fresh.append(_run_outputs(run()))
+    assert fresh[0] != fresh[1] and fresh[2] != fresh[3]
+    optimize._spare.clear()
+    count = len(built)
+    assert [_run_outputs(run()) for run in runs] == fresh
+    # once each: gd's step workspace, and the ensembles' step and eval workspaces
+    assert sorted(built[count:]) == [(1, 101, True), (3, 30, True), (3, 400, False)]
+
+
 def test_concurrent_calls_share_no_buffers():
     """Four threads running same-shape ensembles at once, with a short switch
     interval, each lease their own workspaces: every result equals the same
