@@ -12,9 +12,10 @@ from .activation import smooth_relu_derivative, smooth_relu_derivative_bound
 from .arch import Architecture, layer_views
 from .convexity import last_layer_midpoint_check, midpoint_gap, nonconvexity_witness
 from .gradient import generalized_gradient, gradient_growth_bound, gradient_pathsum_oracle, smooth_gradient
-from .lyapunov import LyapunovContext, lyapunov_gradient, lyapunov_value, pairing, sandwich_bounds
+from .lyapunov import LyapunovContext, descent_certificate, gd_threshold, lyapunov_gradient, lyapunov_value, pairing
+from .lyapunov import sandwich_bounds, sgd_threshold
 from .network import _forward, _smooth_unit, layer_sharpness
-from .optimize import SgdConfig, descent_certificate, gaussian_init, gd_run, gd_threshold, sgd_run, sgd_threshold
+from .optimize import SgdConfig, gaussian_init, gd_run, sgd_run
 from .risk import DiscreteMeasure, TargetSpec, UniformSampler, risk_exact, risk_smooth
 
 CLAIMS = {}

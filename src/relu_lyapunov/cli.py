@@ -19,19 +19,8 @@ import numpy as np
 from .arch import Architecture
 from .claims import CLAIMS
 from .convexity import midpoint_gap, nonconvexity_witness
-from .lyapunov import LyapunovContext
-from .optimize import (
-    DivergenceError,
-    SgdConfig,
-    _write_csv,
-    descent_certificate,
-    gaussian_init,
-    gd_run,
-    gd_threshold,
-    gf_euler_run,
-    sgd_ensemble,
-    sgd_threshold,
-)
+from .lyapunov import LyapunovContext, descent_certificate, gd_threshold, sgd_threshold
+from .optimize import DivergenceError, SgdConfig, _write_csv, gaussian_init, gd_run, gf_euler_run, sgd_ensemble
 from .risk import DiscreteMeasure, TargetSpec, _check_box, risk_exact
 
 

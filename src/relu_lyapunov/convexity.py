@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arch import Architecture, check_params
-from .risk import DiscreteMeasure, TargetSpec, risk_exact
+from .risk import DiscreteMeasure, TargetSpec, _constant_target, risk_exact
 
 
 def nonconvexity_witness(
@@ -31,9 +31,7 @@ def nonconvexity_witness(
         raise ValueError("depth-1 networks have convex risk; no witness exists")
     if measure.mass <= 0.0:
         raise ValueError("witness needs a measure with positive mass")
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    if xi.shape != (arch.widths[-1],):
-        raise ValueError(f"xi has shape {xi.shape}, expected ({arch.widths[-1]},)")
+    xi = _constant_target(arch, xi, "xi")[0]
 
     theta = np.zeros(arch.param_count)
     vartheta = np.zeros(arch.param_count)

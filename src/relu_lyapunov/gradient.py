@@ -232,15 +232,29 @@ def gradient_pathsum_oracle(
     return grad
 
 
+def _growth_factor(arch: Architecture, base: float, mass: float, input_scale: float) -> float:
+    """L scale^2 prod_p (l_p + 1) base^(L-1) mass, in Python floats: inf where it overflows.
+
+    The constant of the gradient growth lemma: at base = ||theta||^2 + 1 it
+    bounds ||G(theta)||^2 by 4 times itself times the risk.  The descent
+    thresholds in `lyapunov` take it at base = 2 V + 4 L^2 ||f0||^2 + 1.
+    """
+    depth = arch.depth
+    try:
+        return depth * float(input_scale) ** 2 * math.prod(w + 1 for w in arch.widths) * float(base) ** (depth - 1) * float(mass)
+    except OverflowError:
+        return math.inf
+
+
 def gradient_growth_bound(
     arch: Architecture, theta, mass: float, risk_value: float, input_scale: float = 1.0
 ) -> float:
     """Upper bound for ||generalized gradient||^2 in terms of the risk.
 
-    4 L mass scale^2 prod_p (l_p + 1) (||theta||^2 + 1)^(L-1) risk.
+    4 L mass scale^2 prod_p (l_p + 1) (||theta||^2 + 1)^(L-1) risk: 4 times
+    `_growth_factor` at base ||theta||^2 + 1, times the risk; inf where the
+    factor overflows, except at zero risk, where the bound is 0.
     """
     theta = check_params(arch, theta)
-    depth = arch.depth
-    prod = math.prod(w + 1 for w in arch.widths)
-    norm_sq = float(theta @ theta)
-    return 4.0 * depth * float(mass) * float(input_scale) ** 2 * prod * (norm_sq + 1.0) ** (depth - 1) * float(risk_value)
+    risk_value = float(risk_value)
+    return 4.0 * _growth_factor(arch, float(theta @ theta) + 1.0, mass, input_scale) * risk_value if risk_value else 0.0

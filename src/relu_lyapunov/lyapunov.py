@@ -1,22 +1,30 @@
-"""The Lyapunov function driving the descent analysis.
+"""The Lyapunov function driving the descent analysis, and the bounds that follow from it.
 
 V(theta) weights each layer's squared bias norm by its depth index, adds all
 squared weight norms, and subtracts 2 L <f(0), b_L>.  Along gradient descent
 and admissibly stepped SGD this quantity never increases, and its decrease
 controls the risk; the helpers here expose the identities tests lean on.
+
+Two constants follow from V: the norm bound ||theta||^2 <= 2 V + 4 L^2 ||f0||^2
+(`_norm_sq_bound`, from the lower sandwich) and the growth factor of the
+gradient growth lemma (`gradient._growth_factor`) at the base that bound
+plus 1.  The step-size thresholds (`gd_threshold`, `sgd_threshold`) give the
+regime in which V is guaranteed to decrease towards a constant target, and
+`descent_certificate` checks a finished trajectory against that guarantee.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arch import Architecture, check_params
-from .gradient import _grad_core
+from .gradient import _grad_core, _growth_factor
 from .network import _augmented_order
-from .risk import DiscreteMeasure, TargetSpec
+from .risk import DiscreteMeasure, TargetSpec, _check_box, _constant_target
 
 
 @dataclass
@@ -28,18 +36,8 @@ class LyapunovContext:
     _coeff: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.f0 = _check_f0(self.arch, self.f0)
+        self.f0 = _constant_target(self.arch, self.f0, "f0")[0]
         self._coeff = _flat_coeff(self.arch.widths)
-
-
-def _check_f0(arch: Architecture, f0) -> np.ndarray:
-    """The target's value at the origin as an (l_L,) float array; another width or a non-finite entry is a ValueError."""
-    f0 = np.atleast_1d(np.asarray(f0, dtype=np.float64))
-    if f0.shape != (arch.widths[-1],):
-        raise ValueError(f"f0 has shape {f0.shape}, expected ({arch.widths[-1]},)")
-    if not np.isfinite(f0).all():
-        raise ValueError(f"the target value f0 must be finite, got {f0}")
-    return f0
 
 
 @functools.lru_cache(maxsize=64)
@@ -92,12 +90,14 @@ def sandwich_bounds(ctx: LyapunovContext, theta) -> tuple[float, float]:
     return 0.5 * norm_sq - 2.0 * depth**2 * f0_sq, 2.0 * depth * norm_sq + depth * f0_sq
 
 
+def _norm_sq_bound(ctx: LyapunovContext, v: float) -> float:
+    """2 v + 4 L^2 ||f0||^2, which bounds ||theta||^2 wherever V(theta) = v: the lower sandwich solved for the norm."""
+    return 2.0 * v + 4.0 * ctx.arch.depth**2 * float(ctx.f0 @ ctx.f0)
+
+
 def norm_bound(ctx: LyapunovContext, theta) -> float:
-    """||theta|| <= sqrt(2 V(theta) + 4 L^2 ||f0||^2), from the lower sandwich."""
-    depth = ctx.arch.depth
-    value = lyapunov_value(ctx, theta)
-    f0_sq = float(ctx.f0 @ ctx.f0)
-    return float(np.sqrt(2.0 * value + 4.0 * depth**2 * f0_sq))
+    """||theta|| <= sqrt(2 V(theta) + 4 L^2 ||f0||^2): the root of `_norm_sq_bound` at V(theta)."""
+    return float(np.sqrt(_norm_sq_bound(ctx, lyapunov_value(ctx, theta))))
 
 
 def pairing(
@@ -113,3 +113,114 @@ def pairing(
     inner = np.sum(resid * (out - ctx.f0[:, None]), axis=0)
     rhs = 4.0 * ctx.arch.depth * float(np.sum(measure.weights * inner))
     return lhs, rhs
+
+
+def gd_threshold(arch: Architecture, theta0, f0, mass: float, input_scale: float = 1.0) -> float:
+    """Largest constant step with guaranteed Lyapunov descent for gd_run towards a constant target f0.
+
+    1 / `gradient._growth_factor` at base `_norm_sq_bound`(V(theta0)) + 1, that is
+    1 / (L scale^2 prod_p(l_p+1) (2 V(theta0) + 4 L^2 ||f0||^2 + 1)^(L-1) mass);
+    infinite when the measure has no mass, 0.0 when the bound is below the
+    smallest float.  ``input_scale`` is the box scale max(|a|, |b|, 1).
+    Towards other targets it guarantees nothing (V can rise below it).
+    """
+    mass, input_scale = float(mass), float(input_scale)
+    if not mass >= 0.0:
+        raise ValueError(f"mass must be nonnegative, got {mass}")
+    if not input_scale >= 1.0:
+        raise ValueError(f"input_scale must be at least 1, got {input_scale}")
+    if mass == 0.0:
+        return math.inf
+    ctx = LyapunovContext(arch, f0)
+    return 1.0 / _growth_factor(arch, _norm_sq_bound(ctx, lyapunov_value(ctx, theta0)) + 1.0, mass, input_scale)
+
+
+def sgd_threshold(arch: Architecture, theta0_norm: float, xi, a: float, b: float) -> float:
+    """Step-size bound under which SGD towards a constant target descends:
+
+    (||theta0|| + 1)^(-2L) / (4 L d max(scale, ||xi||))^(2L), with d the
+    parameter count and scale = max(|a|, |b|, 1); 0.0 when the bound is below
+    the smallest float.  A negative or NaN norm, a box that `risk._check_box`
+    rejects or a target that is not finite of width l_L is a ValueError.
+    """
+    norm = float(theta0_norm)
+    if not norm >= 0.0:
+        raise ValueError(f"theta0_norm must be nonnegative, got {norm}")
+    a, b = _check_box(a, b)
+    depth = arch.depth
+    big = max(abs(a), abs(b), 1.0, math.sqrt(_constant_target(arch, xi, "xi")[1]))
+    try:
+        return (norm + 1.0) ** (-2 * depth) / (4.0 * depth * arch.param_count * big) ** (2 * depth)
+    except OverflowError:
+        return 0.0
+
+
+@dataclass
+class DescentReport:
+    """What descent_certificate found on one trajectory."""
+
+    increase_count: int
+    max_increase: float
+    stepwise_ok: bool
+    stepwise_margin: float
+    delta: float
+    sup_param_norm: float
+    norm_bound: float
+    norm_ok: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.increase_count == 0 and self.stepwise_ok and self.norm_ok
+
+    def summary(self) -> str:
+        stepwise = ("VOID: delta >= 1 certifies nothing" if self.delta >= 1.0
+                    else "ok" if self.stepwise_ok else "VIOLATED")
+        return (
+            f"increases={self.increase_count} (max {self.max_increase:.3g}), "
+            f"stepwise={stepwise} "
+            f"(margin {self.stepwise_margin:.3g}, delta {self.delta:.3g}), "
+            f"norms={'ok' if self.norm_ok else 'VIOLATED'} "
+            f"(sup {self.sup_param_norm:.6g} vs bound {self.norm_bound:.6g})"
+        )
+
+
+def descent_certificate(trajectory, ctx: LyapunovContext) -> DescentReport:
+    """Check a fully logged `optimize.Trajectory` against the descent guarantee.
+
+    Verifies (a) V never increases by more than the rounding slack
+    1e-13 (1 + |V_n| + |V_{n+1}|), (b) each step satisfies, up to the same slack,
+    V_{n+1} - V_n <= -4 gamma_n L (1 - delta) risk_n with delta = sup gamma
+    times `gradient._growth_factor` at base `_norm_sq_bound`(V_0) + 1, as in
+    `gd_threshold` (0 at a zero step, inf where the factor overflows), and
+    (c) every logged parameter norm stays below sqrt(`_norm_sq_bound`(V_0)).
+    (b) needs delta < 1: otherwise its bound is nonnegative and
+    ``stepwise_ok`` is false.  Requires every step to be logged.
+    """
+    steps = trajectory.steps
+    if len(steps) < 2:
+        raise ValueError("certificate needs at least two logged steps")
+    if not np.all(np.diff(steps) == 1):
+        raise ValueError("certificate needs every step logged (log_stride=1)")
+
+    depth = ctx.arch.depth
+    v = trajectory.v
+    diffs = v[1:] - v[:-1]
+    slack = 1e-13 * (1.0 + np.abs(v[:-1]) + np.abs(v[1:]))
+    increase_count = int(np.sum(diffs > slack))
+    max_increase = float(max(diffs.max(), 0.0)) if len(diffs) else 0.0
+
+    applied_gamma = trajectory.gamma[:-1]
+    bound_sq = _norm_sq_bound(ctx, float(v[0]))
+    gamma_max = float(applied_gamma.max())
+    # a zero step has delta 0 even where the growth factor overflows to inf
+    delta = gamma_max * _growth_factor(ctx.arch, bound_sq + 1.0, trajectory.mass, trajectory.input_scale) if gamma_max else 0.0
+    rhs = -4.0 * applied_gamma * depth * (1.0 - delta) * trajectory.risk[:-1]
+    # at delta >= 1 the bound is >= 0 and lets V rise: it certifies nothing
+    stepwise_ok = bool(delta < 1.0 and np.all(diffs <= rhs + slack))
+    stepwise_margin = float(np.min(rhs - diffs))
+
+    norm_bound_value = math.sqrt(max(bound_sq, 0.0))
+    sup_norm = float(trajectory.param_norm.max())
+    norm_ok = sup_norm <= norm_bound_value * (1.0 + 1e-12) + 1e-12
+
+    return DescentReport(increase_count, max_increase, stepwise_ok, stepwise_margin, delta, sup_norm, norm_bound_value, norm_ok)

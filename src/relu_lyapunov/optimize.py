@@ -20,9 +20,8 @@ outputs bit for bit (see `sgd_ensemble`); the two exchange pickles over one
 socket pair, not the helper's stdio.
 
 A step-size ``schedule`` is a finite float >= 0 or a function of the step.
-Step-size thresholds (`gd_threshold`, `sgd_threshold`) reproduce the regime in
-which the Lyapunov function is guaranteed to decrease towards a constant
-target; `descent_certificate` checks a finished trajectory against that guarantee.
+The step-size thresholds and the descent certificate that judge these runs
+live in `lyapunov`, next to the Lyapunov function they follow from.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ from typing import Callable
 import numpy as np
 
 from .arch import Architecture, check_params
-from .lyapunov import LyapunovContext, _augmented_coeff, _check_f0, lyapunov_value
+from .lyapunov import _augmented_coeff, gd_threshold
 from .network import _aligned, _arena, _augmented_blocks, _augmented_order, _check_inputs, _Workspace
-from .risk import DiscreteMeasure, TargetSpec, UniformSampler, _check_box, _entropy, _KeyedStreams, _whole
+from .risk import DiscreteMeasure, TargetSpec, UniformSampler, _check_box, _constant_target, _entropy, _KeyedStreams, _whole
 
 
 class DivergenceError(RuntimeError):
@@ -365,7 +364,7 @@ class _Recorder:
         snaps = geometric_checkpoints(steps) if snapshot_steps is None else snapshot_steps
         snaps = {_whole("snapshot_steps entry", n) for n in snaps}
         self.order, self.coeff = _augmented_order(arch.widths), _augmented_coeff(arch.widths)
-        self.f0, self.depth, d = _check_f0(arch, f0)[:, None], arch.depth, len(self.order)
+        self.f0, self.depth, d = _constant_target(arch, f0, "f0")[0][:, None], arch.depth, len(self.order)
         fan_in = arch.widths[-2]  # the top bias ends each row of [W_L b_L], the last block
         self.top_bias = np.arange(d - arch.widths[-1] * (fan_in + 1) + fan_in, d, fan_in + 1)
         self.steps, self.stride, self.dt = steps, stride, dt
@@ -560,11 +559,7 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
     rate = _rate_fn(schedule)
     eval_grid = _eval_grid(cfg)
     rows_here, span, entropy = theta0s.shape[0], b - a, _entropy(cfg.seed)
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    if xi.shape != (arch.widths[-1],):
-        raise ValueError(f"xi has shape {xi.shape}, expected ({arch.widths[-1]},) for output width {arch.widths[-1]}")
-    if not np.isfinite(xi).all():
-        raise ValueError(f"the target xi must be finite, got {xi}")
+    xi = _constant_target(arch, xi, "xi")[0]
     streams, weight, skip = _KeyedStreams(entropy + (1,), cfg.steps + 1), None, 0
     staged, varying = arch.widths[0] > 1, callable(cfg.batch_size)
 
@@ -642,6 +637,7 @@ def sgd_run(
     if sampler.dim != arch.widths[0]:
         raise ValueError(f"sampler dim {sampler.dim} != input width {arch.widths[0]}")
     theta0 = _require_finite(check_params(arch, theta0))
+    xi = _constant_target(arch, xi, "xi")[0]  # checked under its own name before the recorder takes it as f0
     with _Lease() as lease, _Recorder(lease, arch, xi, cfg.steps, cfg.log_stride, cfg.snapshot_steps) as record:
         res = _sgd_train(lease, arch, theta0[None], schedule, sampler.a, sampler.b, xi, cfg, record)
     return record.trajectory(max(abs(sampler.a), abs(sampler.b), 1.0), 1.0, res.eval_steps, res.risk[0])
@@ -918,133 +914,3 @@ def sgd_ensemble(
         with _Lease() as lease:
             result = _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg)
     return result
-
-
-def gd_threshold(arch: Architecture, theta0, f0, mass: float, input_scale: float = 1.0) -> float:
-    """Largest constant step with guaranteed Lyapunov descent for gd_run towards a constant target f0.
-
-    1 / (L scale^2 prod_p(l_p+1) (2 V(theta0) + 4 L^2 ||f0||^2 + 1)^(L-1) mass);
-    infinite when the measure has no mass, 0.0 when the bound is below the
-    smallest float.  Towards other targets it guarantees nothing (V can rise below it).
-    """
-    mass = float(mass)
-    if mass < 0.0:
-        raise ValueError("mass must be nonnegative")
-    if mass == 0.0:
-        return math.inf
-    f0 = np.atleast_1d(np.asarray(f0, dtype=np.float64))
-    ctx = LyapunovContext(arch, f0)
-    v0 = lyapunov_value(ctx, theta0)
-    depth = arch.depth
-    prod = math.prod(w + 1 for w in arch.widths)
-    base = 2.0 * v0 + 4.0 * depth**2 * float(f0 @ f0) + 1.0
-    try:
-        return 1.0 / (depth * float(input_scale) ** 2 * prod * base ** (depth - 1) * mass)
-    except OverflowError:
-        return 0.0
-
-
-def sgd_threshold(arch: Architecture, theta0_norm: float, xi, a: float, b: float) -> float:
-    """Step-size bound under which SGD towards a constant target descends:
-
-    (||theta0|| + 1)^(-2L) / (4 L d max(scale, ||xi||))^(2L), with d the
-    parameter count and scale = max(|a|, |b|, 1); 0.0 when the bound is below
-    the smallest float.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    depth = arch.depth
-    scale = max(abs(float(a)), abs(float(b)), 1.0)
-    big = max(scale, float(np.sqrt(xi @ xi)))
-    try:
-        return (float(theta0_norm) + 1.0) ** (-2 * depth) / (4.0 * depth * arch.param_count * big) ** (2 * depth)
-    except OverflowError:
-        return 0.0
-
-
-@dataclass
-class DescentReport:
-    """What descent_certificate found on one trajectory."""
-
-    increase_count: int
-    max_increase: float
-    stepwise_ok: bool
-    stepwise_margin: float
-    delta: float
-    sup_param_norm: float
-    norm_bound: float
-    norm_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.increase_count == 0 and self.stepwise_ok and self.norm_ok
-
-    def summary(self) -> str:
-        stepwise = ("VOID: delta >= 1 certifies nothing" if self.delta >= 1.0
-                    else "ok" if self.stepwise_ok else "VIOLATED")
-        return (
-            f"increases={self.increase_count} (max {self.max_increase:.3g}), "
-            f"stepwise={stepwise} "
-            f"(margin {self.stepwise_margin:.3g}, delta {self.delta:.3g}), "
-            f"norms={'ok' if self.norm_ok else 'VIOLATED'} "
-            f"(sup {self.sup_param_norm:.6g} vs bound {self.norm_bound:.6g})"
-        )
-
-
-def descent_certificate(trajectory: Trajectory, ctx: LyapunovContext) -> DescentReport:
-    """Check a fully logged trajectory against the descent guarantee.
-
-    Verifies (a) V never increases by more than the rounding slack
-    1e-13 (1 + |V_n| + |V_{n+1}|), (b) each step satisfies, up to the same slack,
-    V_{n+1} - V_n <= -4 gamma_n L (1 - delta) risk_n with
-    delta = sup gamma * L * scale^2 * prod(l_p+1) * (2 V_0 + 4 L^2 ||f0||^2 + 1)^(L-1) * mass,
-    and (c) every logged parameter norm stays below
-    sqrt(2 V_0 + 4 L^2 ||f0||^2).  (b) needs delta < 1: otherwise its bound
-    is nonnegative and ``stepwise_ok`` is false.  Requires every step to be
-    logged.
-    """
-    steps = trajectory.steps
-    if len(steps) < 2:
-        raise ValueError("certificate needs at least two logged steps")
-    if not np.all(np.diff(steps) == 1):
-        raise ValueError("certificate needs every step logged (log_stride=1)")
-
-    depth = ctx.arch.depth
-    f0_sq = float(ctx.f0 @ ctx.f0)
-    v = trajectory.v
-    diffs = v[1:] - v[:-1]
-    slack = 1e-13 * (1.0 + np.abs(v[:-1]) + np.abs(v[1:]))
-    increase_count = int(np.sum(diffs > slack))
-    max_increase = float(max(diffs.max(), 0.0)) if len(diffs) else 0.0
-
-    applied_gamma = trajectory.gamma[:-1]
-    base = 2.0 * v[0] + 4.0 * depth**2 * f0_sq + 1.0
-    prod = math.prod(w + 1 for w in ctx.arch.widths)
-    gamma_max = float(applied_gamma.max())
-    # a zero step has delta 0 even where the growth factor overflows to inf
-    delta = 0.0 if gamma_max == 0.0 else (
-        gamma_max
-        * depth
-        * trajectory.input_scale**2
-        * prod
-        * base ** (depth - 1)
-        * trajectory.mass
-    )
-    rhs = -4.0 * applied_gamma * depth * (1.0 - delta) * trajectory.risk[:-1]
-    # at delta >= 1 the bound is >= 0 and lets V rise: it certifies nothing
-    stepwise_ok = bool(delta < 1.0 and np.all(diffs <= rhs + slack))
-    stepwise_margin = float(np.min(rhs - diffs))
-
-    norm_bound_value = math.sqrt(max(2.0 * v[0] + 4.0 * depth**2 * f0_sq, 0.0))
-    sup_norm = float(trajectory.param_norm.max())
-    norm_ok = sup_norm <= norm_bound_value * (1.0 + 1e-12) + 1e-12
-
-    return DescentReport(
-        increase_count=increase_count,
-        max_increase=max_increase,
-        stepwise_ok=stepwise_ok,
-        stepwise_margin=stepwise_margin,
-        delta=delta,
-        sup_param_norm=sup_norm,
-        norm_bound=norm_bound_value,
-        norm_ok=norm_ok,
-    )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -101,6 +103,15 @@ def test_growth_bound_input_scale_default():
     b1 = gradient_growth_bound(arch, theta, 1.0, 1.0)
     b2 = gradient_growth_bound(arch, theta, 1.0, 1.0, input_scale=3.0)
     assert abs(b2 - 9.0 * b1) < 1e-9 * b2
+
+
+def test_growth_bound_on_overflowing_net():
+    # 200 hidden layers at ||theta||^2 + 1 = 1 + 9 d: the growth factor
+    # overflows a float, so the bound is inf, and 0 at zero risk (it raised OverflowError)
+    arch = Architecture((1,) + (4,) * 200 + (1,))
+    theta = np.full(arch.param_count, 3.0)
+    assert gradient_growth_bound(arch, theta, 1.0, 0.5) == math.inf
+    assert gradient_growth_bound(arch, theta, 1.0, 0.0) == 0.0
 
 
 def _stacked_instance(widths, trials, m, seed):

@@ -1,11 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from relu_lyapunov import (
     Architecture,
+    DiscreteMeasure,
     LyapunovContext,
+    TargetSpec,
+    descent_certificate,
+    gaussian_init,
+    gd_run,
+    gd_threshold,
     lyapunov_value,
     norm_bound,
+    sgd_threshold,
 )
 from relu_lyapunov.arch import layer_views
 
@@ -56,3 +65,55 @@ def test_context_validates_f0():
     arch = Architecture((1, 2, 1))
     with pytest.raises(ValueError):
         LyapunovContext(arch, np.zeros(2))
+
+
+# gd_threshold and sgd_threshold (as float.hex) at row 0 of each preset's
+# gaussian_init(seed=0), at its init scale l_1^(-1/2), on the 101-point grid
+# of [0, 1] towards xi = 1: at L >= 2 the norm bound 2 V + 4 L^2 ||f0||^2
+# enters both, so a change to that bound has to edit these pins
+THRESHOLD_PINS = {
+    (1, 7, 1): ("0x1.47cd02587a1f7p-11", "0x1.52af389617353p-36"),
+    (1, 3, 7, 1): ("0x1.300323f2351b6p-21", "0x1.b7c9c430615e3p-68"),
+}
+
+
+@pytest.mark.parametrize("widths", THRESHOLD_PINS)
+def test_thresholds_pinned_on_the_presets(widths):
+    """The pins, and a gd run at 0.9 x gd_threshold, whose certificate has
+    delta 0.9 and the norm bound of theta0: both derive from one base."""
+    arch = Architecture(widths)
+    measure = DiscreteMeasure.uniform_grid(0.0, 1.0, 101)
+    target = TargetSpec.constant(1.0)
+    theta0 = gaussian_init(arch, seed=0, scale=widths[1] ** -0.5, trials=1)[0]
+    gd = gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale)
+    sgd = sgd_threshold(arch, float(np.linalg.norm(theta0)), target.xi, 0.0, 1.0)
+    assert (gd.hex(), sgd.hex()) == THRESHOLD_PINS[widths]
+    ctx = LyapunovContext(arch, target.f0)
+    report = descent_certificate(gd_run(arch, theta0, measure, target, 0.9 * gd, 20), ctx)
+    assert report.passed
+    assert report.delta == pytest.approx(0.9, rel=1e-14, abs=0.0)
+    assert report.norm_bound == pytest.approx(norm_bound(ctx, theta0), rel=1e-15, abs=0.0)
+
+
+def test_thresholds_reject_bad_input_naming_it():
+    """A NaN mass or box scale, a negative or NaN norm or a target of the wrong
+    width is a ValueError naming the argument; these returned nan, the value
+    at norm 0, or a finite step.  A NaN box bound or target is rejected in
+    `test_validators` with the other boxes and targets."""
+    arch = Architecture((1, 7, 1))
+    theta0 = np.zeros(arch.param_count)
+    cases = [
+        ("mass", lambda: gd_threshold(arch, theta0, [1.0], math.nan)),
+        ("input_scale", lambda: gd_threshold(arch, theta0, [1.0], 1.0, math.nan)),
+        ("input_scale", lambda: gd_threshold(arch, theta0, [1.0], 1.0, 0.0)),
+        ("theta0_norm", lambda: sgd_threshold(arch, -2.0, 1.0, 0.0, 1.0)),
+        ("theta0_norm", lambda: sgd_threshold(arch, math.nan, 1.0, 0.0, 1.0)),
+        (r"xi has shape \(2,\), expected \(1,\) for output width 1", lambda: sgd_threshold(arch, 1.0, [1.0, 1.0], 0.0, 1.0)),
+    ]
+    for name, call in cases:
+        with pytest.raises(ValueError, match=name):
+            call()
+    # a finite target whose square overflows (numpy warns) is a target all the
+    # same: the bound is below the smallest float
+    with np.errstate(over="ignore"):
+        assert sgd_threshold(arch, 1.0, [1e200], 0.0, 1.0) == 0.0

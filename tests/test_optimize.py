@@ -508,7 +508,7 @@ def test_ensemble_rejects_xi_of_the_wrong_width():
         cfg = SgdConfig(steps=steps, eval_steps=eval_steps)
         with pytest.raises(ValueError, match=r"xi has shape \(2,\), expected \(1,\) for output width 1"):
             sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, [1.0, 2.0], cfg)
-        with pytest.raises(ValueError, match=r"has shape \(2,\), expected \(1,\)"):
+        with pytest.raises(ValueError, match=r"^xi has shape \(2,\), expected \(1,\) for output width 1$"):
             sgd_run(arch, theta0s[0], 1e-3, UniformSampler(0.0, 1.0, 1), [1.0, 2.0], cfg)
 
 
@@ -1102,6 +1102,20 @@ def test_descent_certificate_at_zero_step_on_overflowing_net():
         report = descent_certificate(gd_run(arch, theta0, measure, target, 0.0, 2), LyapunovContext(arch, target.f0))
     assert report.delta == 0.0 and report.stepwise_ok
     assert "nan" not in report.summary()
+
+
+def test_descent_certificate_at_positive_step_on_overflowing_net():
+    # the same net at a step > 0: delta is the step times the overflowed growth
+    # factor, inf, reached without numpy's overflow warning, and certifies nothing
+    arch = Architecture((1,) + (4,) * 200 + (1,))
+    measure = DiscreteMeasure.uniform_grid(0.0, 1.0, 11)
+    target = TargetSpec.constant(1.0)
+    theta0 = gaussian_init(arch, seed=0, scale=0.5, trials=1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = descent_certificate(gd_run(arch, theta0, measure, target, 1e-3, 2), LyapunovContext(arch, target.f0))
+    assert report.delta == math.inf and not report.stepwise_ok and not report.passed
+    assert "stepwise=VOID" in report.summary()
 
 
 def test_descent_certificate_void_when_delta_at_least_one():

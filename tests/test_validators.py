@@ -34,12 +34,14 @@ from relu_lyapunov import (
     last_layer_midpoint_check,
     midpoint_gap,
     minibatch_gradient,
+    nonconvexity_witness,
     pairing,
     population_risk_mc,
     risk_exact,
     risk_smooth,
     sgd_ensemble,
     sgd_run,
+    sgd_threshold,
     smooth_gradient,
 )
 from relu_lyapunov.optimize import _eval_grid, _rate_fn
@@ -89,6 +91,8 @@ def test_bad_boxes_are_rejected(box):
         DiscreteMeasure([[0.0]], [1.0], a, b)
     with pytest.raises(ValueError, match="finite a < b"):
         UniformSampler(a, b)
+    with pytest.raises(ValueError, match="finite a < b"):
+        sgd_threshold(Architecture((1, 7, 1)), 1.0, 1.0, a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -384,8 +388,10 @@ def test_measure_runs_take_integral_values_as_ints(run, steps, stride, snaps, ki
 @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
 def test_non_finite_targets_are_rejected_at_every_entry_point(xi):
     """A non-finite constant target is a ValueError naming the target in the
-    ensemble, `sgd_run`, `TargetSpec.constant` and `LyapunovContext`, where the
-    ensemble raised DivergenceError and `sgd_run` blamed the initial parameters."""
+    ensemble, `sgd_run`, `TargetSpec.constant`, `LyapunovContext`,
+    `nonconvexity_witness` and `sgd_threshold`, where the ensemble raised
+    DivergenceError, `sgd_run` blamed the initial parameters, the witness
+    returned NaN parameters and the threshold a finite step or NaN."""
     arch = Architecture((1, 7, len(np.atleast_1d(xi))))
     theta0s = gaussian_init(arch, seed=0, scale=1.0, trials=3)
     cfg = SgdConfig(batch_size=5, steps=3, eval_samples=10)
@@ -394,6 +400,8 @@ def test_non_finite_targets_are_rejected_at_every_entry_point(xi):
         lambda: sgd_run(arch, theta0s[0], 1e-3, UniformSampler(0.0, 1.0, 1), xi, cfg),
         lambda: TargetSpec.constant(xi),
         lambda: LyapunovContext(arch, xi),
+        lambda: nonconvexity_witness(arch, xi, DiscreteMeasure.uniform_grid(0.0, 1.0, 3)),
+        lambda: sgd_threshold(arch, 1.0, xi, 0.0, 1.0),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="target"):
