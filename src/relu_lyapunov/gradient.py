@@ -71,11 +71,12 @@ def _bind_step(ws: _Workspace):
     """The training step over the views of ``ws``, built once per bind: ``step(fvals, resid, scale)``.
 
     It runs ``ws.forward()``, writes the residual N - ``fvals`` into ``resid``
-    (``ws.pres[-1]`` or a buffer of its shape) and delta = ``resid * scale``
-    into ``ws.pres[-1]``, and sweeps back with the exact gate in ``out=`` calls
-    that leave the gradient in ``ws.grad``: layer k's is the one product
-    ``delta_k @ [h; 1]^T`` (its bias column a product with the ones row), and
-    each delta overwrites its preactivation once the gate is taken.  With
+    (``ws.out`` or a buffer of its shape) and delta = ``resid * scale`` into
+    ``ws.out``, and sweeps back with the exact gate in ``out=`` calls that
+    leave the gradient in ``ws.grad``: layer k's is the one product
+    ``delta_k @ [h; 1]^T`` (its bias column a product with the ones row), its
+    gate is h_k > 0 read from ``ws.hidden`` (the ReLU output, as no
+    preactivation is kept) and delta_k goes into ``ws.deltas``.  With
     scalar output (l_L = 1, L >= 2) the output weights ``w = W_L[..., 0, :]``
     are factored out of layer L-1's gradients, ``w[..., :, None] * (D @ [a; 1]^T)``
     with ``D = G * delta``, G the gate after layer L-1 and ``a`` its input,
@@ -85,18 +86,18 @@ def _bind_step(ws: _Workspace):
     This skips the broadcasts over the (trials, l_{L-1}, M) delta.
     """
     matmul, multiply, greater, subtract, copyto = np.matmul, np.multiply, np.greater, np.subtract, np.copyto
-    forward, blocks, pres, gates, grads, inputs_t = ws.forward, ws.blocks, ws.pres, ws.gates, ws.grads, ws.inputs_t
-    out, depth, plain, first_t, first_grad = pres[-1], len(pres), [], inputs_t[0], grads[0]
+    blocks, grads, inputs_t, hidden = ws.blocks, ws.grads, ws.inputs_t, list(zip(ws.hidden, ws.deltas, ws.gates))
+    forward, out, depth, plain, first_t, first_grad = ws.forward, ws.out, len(blocks), [], inputs_t[0], grads[0]
     # the plain layers k = L or L-2 .. 2: gradient, then delta_{k-1} through W_k^T (a broadcast at fan-out 1)
     for k in range(depth - 2 if ws.factored else depth, 1, -1):
         w_t = blocks[k - 1][..., :-1].swapaxes(-1, -2)
-        plain.append((grads[k - 1], inputs_t[k - 1], multiply if w_t.shape[-1] == 1 else matmul, w_t, pres[k - 2], gates[k - 2]))
+        plain.append((grads[k - 1], inputs_t[k - 1], multiply if w_t.shape[-1] == 1 else matmul, w_t, *hidden[k - 2]))
 
     def sweep(delta):
-        for grad, x_t, back, w_t, z, gate in plain:
+        for grad, x_t, back, w_t, h, d, gate in plain:
             matmul(delta, x_t, out=grad)
-            below = greater(z, 0.0, out=gate)
-            delta = back(w_t, delta, out=z)
+            below = greater(h, 0.0, out=gate)
+            delta = back(w_t, delta, out=d)
             delta *= below
         matmul(delta, first_t, out=first_grad)
 
@@ -107,24 +108,24 @@ def _bind_step(ws: _Workspace):
             sweep(multiply(resid, scale, out=out))
 
         return step
-    # the gate G is taken as floats over the spent preactivation g: times the broadcast delta, ~1.5x faster than bools
-    top_t, top_grad, g, g_gate, g_grad, w = inputs_t[-1], grads[-1], pres[-2], gates[-1], grads[-2], blocks[-1][..., 0, :-1]
+    # the gate G is taken as floats into g, layer L-1's delta buffer: times the broadcast delta, ~1.5x faster than bools
+    (h, g, g_gate), top_t, top_grad, g_grad, w = hidden[-1], inputs_t[-1], grads[-1], grads[-2], blocks[-1][..., 0, :-1]
     left, right, prod, rows = (out, ws.inputs[0], ws.scaled, ws.scaled_t) if ws.narrow else (g, out, g, inputs_t[-2])
     w_col, w_row, deep = w[..., :, None], w[..., None, :], depth > 2
     if deep:
-        z, z_gate, w_t, back = pres[-3], gates[-2], blocks[-2][..., :-1].swapaxes(-1, -2), ws.back
+        (a, d, a_gate), w_t, back = hidden[-2], blocks[-2][..., :-1].swapaxes(-1, -2), ws.back
 
     def step(fvals, resid, scale):
         subtract(forward(), fvals, out=resid)
         multiply(resid, scale, out=out)
         matmul(out, top_t, out=top_grad)
-        copyto(g, greater(g, 0.0, out=g_gate))
+        copyto(g, greater(h, 0.0, out=g_gate))
         multiply(left, right, out=prod)
         both = matmul(g, rows, out=g_grad)
         if deep:  # delta_{L-2}, then the plain layers below
-            below = greater(z, 0.0, out=z_gate)
+            below = greater(a, 0.0, out=a_gate)
             multiply(w_t, w_row, out=back)
-            delta = matmul(back, g, out=z)
+            delta = matmul(back, g, out=d)
             delta *= below
             both *= w_col
             sweep(delta)

@@ -106,33 +106,31 @@ class _Workspace:
     its gradient [dW_k db_k] the one product ``delta_k @ inputs_t[k-1]``
     (``inputs_t`` the transposes), written into ``grads[k-1]``, a view of the
     (trials, d) gradient block ``grad`` laid out like the parameters.
-    ``points`` are the x rows of the first [x; 1], which a caller fills, and
-    ``hidden[k-1]`` the h_k rows of layer k + 1's input.  ``pres[k-1]`` holds
-    layer k's preactivation and, once its gate is taken into ``gates[k-1]``,
-    its delta.  ``draw_target`` is the points as (trials, m, l_0).  With
-    l_0 = 1 it is C-contiguous, so a batch is drawn straight into it; with
-    l_0 > 1 ``draw`` is the (trials, m, l_0) buffer a batch is drawn into
-    first, and an l_0 = 1 workspace has no ``draw``.
+    ``points`` are the x rows of the first [x; 1], which a caller fills,
+    ``hidden[k-1]`` the h_k rows of layer k + 1's input, where layer k's
+    product is written and its ReLU taken in place (no preactivation is kept),
+    and ``out`` the (trials, l_L, m) output.  ``draw_target`` is the points as
+    (trials, m, l_0).  With l_0 = 1 it is C-contiguous, so a batch is drawn
+    straight into it; with l_0 > 1 ``draw`` is the (trials, m, l_0) buffer a
+    batch is drawn into first, and an l_0 = 1 workspace has no ``draw``.
 
     `bind` builds the kernel as closures over the views: ``forward()`` runs the
-    L products and L - 1 ReLUs and returns ``pres[-1]`` (a bias enters through
-    the ones row rather than an add, which moves outputs at the rounding
-    level), and ``step`` (`gradient._bind_step`) adds the residual and the
-    reverse sweep, which keeps ``W_{L-1}^T * w`` in ``back`` (``factored``,
-    L >= 3) or delta * [x; 1] in ``scaled`` (``narrow``).  Without
-    ``backward`` it has ``forward`` alone and none of the buffers only
-    ``step`` writes: ``gates``, ``grad``, ``scaled`` and ``back``.  Every
-    buffer starts on a cache line (`_aligned`); ``buffers`` lists them.
+    L products and L - 1 ReLUs and returns ``out`` (a bias enters through the
+    ones row rather than an add, which moves outputs at the rounding level),
+    and ``step`` (`gradient._bind_step`) adds the residual and the reverse
+    sweep, which reads the gates from ``hidden`` into ``gates``, writes the
+    deltas into ``out`` and ``deltas`` and keeps ``W_{L-1}^T * w`` in ``back``
+    (``factored``, L >= 3) or delta * [x; 1] in ``scaled`` (``narrow``).
+    Without ``backward`` it has ``forward`` alone and holds only its inputs
+    and ``out``, none of the buffers only ``step`` writes: ``deltas``,
+    ``gates``, ``grad``, ``scaled`` and ``back``.  Every buffer starts on a
+    cache line (`_aligned`); ``buffers`` lists them.
     """
 
     def __init__(self, blocks: list[np.ndarray], m: int, backward: bool = True):
-        trials = blocks[0].shape[0]
-        widths = [blocks[0].shape[-1] - 1] + [a.shape[-2] for a in blocks]
-        depth = len(blocks)
-        self.buffers = []
+        trials, depth, widths = blocks[0].shape[0], len(blocks), [blocks[0].shape[-1] - 1] + [a.shape[-2] for a in blocks]
         if widths[0] > 1:  # one input's points are C-contiguous as (trials, m, 1) and drawn into directly
             self.draw = _aligned((trials, m, widths[0]))
-            self.buffers.append(self.draw)
         # stored row-major as (width, trials, m) and viewed as (trials, width, m):
         # the hidden rows of [h; 1] are then one contiguous block, which the
         # unit writes ~1.6x faster than trials-many strided blocks
@@ -142,10 +140,11 @@ class _Workspace:
         self.points = self.inputs[0][..., :-1, :]
         self.draw_target = self.points.swapaxes(-1, -2)
         self.hidden = [a[..., :-1, :] for a in self.inputs[1:]]
-        self.pres = [_aligned((w, trials, m)).transpose(1, 0, 2) for w in widths[1:]]
+        self.deltas = [_aligned((w, trials, m)).transpose(1, 0, 2) for w in widths[1:-1]] if backward else []
+        self.out = _aligned((widths[-1], trials, m)).transpose(1, 0, 2)
         self.factored = depth > 1 and widths[-1] == 1
         self.narrow = self.factored and depth == 2 and widths[0] == 1
-        self.buffers += [*self.inputs, *self.pres]
+        self.buffers = ([self.draw] if widths[0] > 1 else []) + [*self.inputs, *self.deltas, self.out]
         self.backward = backward
         if backward:
             from .gradient import _bind_step  # gradient imports this module; an import at every bind cost 0.6-4.5 us
@@ -154,14 +153,12 @@ class _Workspace:
             self.gates = [_aligned((w, trials, m), bool).transpose(1, 0, 2) for w in widths[1:-1]]
             self.grad = _aligned((trials, sum(a[0].size for a in blocks)))
             self.grads = _augmented_blocks(widths, self.grad)
-            self.buffers += [*self.gates, self.grad]
             if self.narrow:
                 self.scaled = _aligned((2, trials, m)).transpose(1, 0, 2)
                 self.scaled_t = self.scaled.swapaxes(-1, -2)
-                self.buffers.append(self.scaled)
             elif self.factored and depth > 2:
                 self.back = _aligned((trials, widths[-3], widths[-2]))
-                self.buffers.append(self.back)
+            self.buffers += [*self.gates, self.grad] + [getattr(self, n) for n in ("scaled", "back") if hasattr(self, n)]
         self.bind(blocks)
 
     @property
@@ -171,13 +168,12 @@ class _Workspace:
 
     def bind(self, blocks: list[np.ndarray]) -> None:
         """Point the kernel at ``blocks``, of the shapes the workspace was built for: build ``forward`` and ``step``."""
-        matmul, maximum, top, x, out = np.matmul, np.maximum, blocks[-1], self.inputs[-1], self.pres[-1]
-        hidden = list(zip(blocks, self.inputs, self.pres, self.hidden))  # the L - 1 hidden layers
+        matmul, maximum, top, x, out = np.matmul, np.maximum, blocks[-1], self.inputs[-1], self.out
+        hidden = list(zip(blocks, self.inputs, self.hidden))  # the L - 1 hidden layers
 
         def forward() -> np.ndarray:
-            for block, x_k, z, h in hidden:
-                matmul(block, x_k, out=z)
-                maximum(z, 0.0, out=h)
+            for block, x_k, h in hidden:
+                maximum(matmul(block, x_k, out=h), 0.0, out=h)
             return matmul(top, x, out=out)
 
         self.blocks, self.forward = blocks, forward

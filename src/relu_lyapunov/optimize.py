@@ -205,7 +205,7 @@ def _eval_grid(cfg: SgdConfig) -> tuple[int, ...]:
 
 
 # Buffer sets kept between calls, one per key, within a byte bound: a benchmark process ends holding 7
-# sets and 4.1 MB (1,7,1 at 100 trials) or 5.3 MB (1,3,7,1), or 6 sets and 1.0 MB (one trial).  A set
+# sets and 2.3 MB (1,7,1 at 100 trials) or 3.1 MB (1,3,7,1), or 6 sets and 0.85 MB (one trial).  A set
 # over the bound (a gd run over 10^5 points, ~22 MB on 1,3,7,1) is freed when its call ends.
 _SPARE_BYTES = 8 << 20
 _spare: dict[tuple, tuple[object, int]] = {}  # key: (buffers, bytes) given back, the least recently returned first
@@ -308,7 +308,7 @@ def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None
             ws, held = batch(n, blocks, ws)
             if held is not weights:  # a new batch size, so a new workspace
                 weights, scale, step, grad = held, 2.0 * held, ws.step, ws.grad
-                resid = ws.pres[-1] if observe is None else np.empty(ws.pres[-1].shape)
+                resid = ws.out if observe is None else np.empty(ws.out.shape)
             step(fvals, resid, scale)
             gamma = rate(n)
             if observe is not None:
@@ -548,12 +548,11 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
     block by block of `_eval_block` in trial order, each straight into the
     first [x; 1] of a forward-only workspace bound to a (rows, d) copy of the
     block's parameters, leased together: one for the full block and one for a
-    ragged last block or part, once per call.  Stream order makes the points those of one (trials, samples, l_0)
-    draw, bit for bit, without holding it.  At 100 trials a block is one
-    10^4-sample row, so a layer is one product rather than 100 per-trial
-    products per chunk, and a checkpoint call runs ~0.75-0.8x as long.  A full
-    preset run redraws the sample (~4.5 ms) at each of its 16 checkpoints and
-    measured no faster: its gain is the ~8 MB sample it no longer holds.
+    ragged last block or part, once per call.  Such a workspace holds its
+    inputs and output row and keeps no preactivation: each hidden ReLU is taken
+    in place in the next layer's input rows.  Stream order makes the points
+    those of one (trials, samples, l_0) draw, bit for bit, without holding it
+    (at 100 trials a block is one 10^4-sample row, so a layer is one product).
     """
     a, b = _check_box(a, b)
     rate = _rate_fn(schedule)

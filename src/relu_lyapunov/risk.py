@@ -255,17 +255,21 @@ def _constant_row(xi) -> np.ndarray:
 
 
 def _constant_target(arch: Architecture, value, name: str) -> tuple[np.ndarray, float]:
-    """A constant target ``value`` as an (l_L,) float array and its squared norm; another width or a
-    non-finite entry is a ValueError naming ``name``.  It runs 100 times in a preset's set-up, so the entries
-    are tested one by one only where the square is not finite, and a scalar becomes (1,) by indexing (~0.25 us
-    below `np.atleast_1d`)."""
+    """A constant target ``value`` as an (l_L,) float array and its squared norm (inf above ~1e154, with no
+    warning); another width or a non-finite entry is a ValueError naming ``name``.  It runs 100 times in a preset's
+    set-up, so the entries are tested only where the square is not finite, a scalar becomes (1,) by indexing, and
+    at width 1 the square is a float product, bit-identical to the one-element dot and ~0.5 us cheaper."""
     value = np.asarray(value, dtype=np.float64)
     if not value.ndim:
         value = value[None]
     width = arch.widths[-1]
     if value.shape != (width,):
         raise ValueError(f"{name} has shape {value.shape}, expected ({width},) for output width {width}")
-    square = float(value @ value)
+    if width == 1:
+        square = (x := float(value[0])) * x
+    else:
+        with np.errstate(over="ignore"):
+            square = float(value @ value)
     if not math.isfinite(square) and not np.isfinite(value).all():
         raise ValueError(f"the target {name} must be finite, got {value}")
     return value, square

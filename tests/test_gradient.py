@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from relu_lyapunov import (
     Architecture,
@@ -200,14 +201,57 @@ def test_workspace_sweep_matches_pathsum_oracle(instance):
     """The step a `_Workspace` binds, the training kernel (its bound forward
     pass, residual and reverse sweep), gives each trial's path-sum gradient
     in ``ws.grad``, on every route of the sweep."""
-    arch, thetas, points, weights, xi = instance
+    _workspace_step_matches_oracle(*instance)
+
+
+def _workspace_step_matches_oracle(arch, thetas, points, weights, xi) -> _Workspace:
+    """A workspace over ``thetas`` after one step at ``points``, its gradient checked against the path-sum oracle."""
     order = _augmented_order(arch.widths)
     ws = _Workspace(_augmented_blocks(arch.widths, np.take(thetas, order, axis=1)), points.shape[1])
     ws.points[...] = points.swapaxes(-1, -2)
-    ws.step(xi[:, None], ws.pres[-1], 2.0 * weights)
+    ws.step(xi[:, None], ws.out, 2.0 * weights)
     fast = np.empty_like(thetas)
     fast[:, order] = ws.grad
     for t, theta in enumerate(thetas):
         measure = DiscreteMeasure(points[t], weights, -1.0, 1.0)
         slow = gradient_pathsum_oracle(arch, theta, measure, TargetSpec.constant(xi))
         assert np.abs(fast[t] - slow).max() <= 1e-12 * max(1.0, float(np.linalg.norm(slow)))
+    return ws
+
+
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(allow_subnormal=True) | SPECIAL_FLOATS))
+def test_gate_of_relu_output_is_gate_of_preactivation(z):
+    """max(z, 0) > 0 is z > 0 for every float64, -0.0, subnormals, infinities
+    and NaN included, and the ReLU taken in place equals it taken into another
+    buffer bit for bit: so a workspace can take each hidden ReLU in place in
+    the next layer's input rows and read the step's gates from there."""
+    h = z.copy()
+    np.maximum(h, 0.0, out=h)
+    assert np.array_equal(np.greater(h, 0.0), np.greater(z, 0.0))
+    assert np.maximum(z, 0.0).tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("widths", [(1, 7, 1), (1, 3, 7, 1), (2, 3, 2)])
+def test_workspace_gates_at_exact_zero_preactivations(widths):
+    """On the narrow, factored and plain routes, with dyadic parameters and
+    points (0.0 and -0.0 among them) whose preactivations are exactly 0 at some
+    samples of every hidden layer, the gates a workspace's step reads from its
+    h rows equal z > 0 of the allocating `_forward` bit for bit, and the
+    gradient is the path-sum oracle's.  Terms w x = -0.0 and b = -0.0 occur, but
+    the products sum from +0.0, so a zero preactivation comes out +0.0; the
+    property above covers -0.0 itself."""
+    arch, trials, m = Architecture(widths), 3, 16
+    rng = np.random.default_rng(23)
+    dyadic = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    thetas = rng.choice(dyadic, (trials, arch.param_count))
+    points = rng.choice(dyadic, (trials, m, widths[0]))
+    weights, xi = np.full(m, 1.0 / m), np.full(widths[-1], 0.25)
+    pres, _ = _forward(_stack_layers(arch, thetas), points.swapaxes(-1, -2), _relu_unit)
+    assert all((z == 0.0).any() and (z > 0.0).any() for z in pres[:-1])
+    ws = _workspace_step_matches_oracle(arch, thetas, points, weights, xi)
+    for gate, z in zip(ws.gates, pres[:-1]):
+        assert np.array_equal(gate, z > 0.0)

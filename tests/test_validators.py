@@ -8,6 +8,7 @@ or target values of the wrong width raise a ValueError naming the width
 in every public function that evaluates the network on them."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from relu_lyapunov import (
     smooth_gradient,
 )
 from relu_lyapunov.optimize import _eval_grid, _rate_fn
+from relu_lyapunov.risk import _constant_target
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -406,6 +408,28 @@ def test_non_finite_targets_are_rejected_at_every_entry_point(xi):
     for call in calls:
         with pytest.raises(ValueError, match="target"):
             call()
+
+
+def test_finite_targets_whose_square_overflows_are_targets_without_warning():
+    """A finite target above ~1e154 has a squared norm that overflows to inf:
+    it is a target all the same, and no entry point warns (numpy's matmul
+    raised `overflow encountered in matmul`, an error under -W error).  At
+    width 1 the square is the Python float product, bit-identical to the
+    one-element dot it replaces."""
+    narrow, wide = Architecture((1, 7, 1)), Architecture((1, 7, 2))
+    grid, xs = DiscreteMeasure.uniform_grid(0.0, 1.0, 3), (-1e200, -1.3e154, 1e-170, 5e-324, -0.0, 0.1, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert LyapunovContext(narrow, 1e200).f0.tolist() == [1e200]
+        assert LyapunovContext(wide, [1e200, 1.0]).f0.tolist() == [1e200, 1.0]
+        assert sgd_threshold(narrow, 1.0, [1e200], 0.0, 1.0) == 0.0
+        assert sgd_threshold(wide, 1.0, [1.0, -1e200], 0.0, 1.0) == 0.0
+        nonconvexity_witness(narrow, [-1e200], grid)
+        assert _constant_target(wide, [1e200, 1e200], "xi")[1] == math.inf
+        squares = [_constant_target(narrow, x, "xi")[1] for x in xs]
+    with np.errstate(over="ignore"):
+        dots = [float(np.array([x]) @ np.array([x])) for x in xs]
+    assert [float.hex(q) for q in squares] == [float.hex(q) for q in dots] and squares[0] == math.inf
 
 
 # the counts of the grids, the sampler and the Monte Carlo estimate, each with the name its error gives
