@@ -85,7 +85,8 @@ def cmd_sgd(args) -> int:
     res = _resolve(args)
     trials, gamma, seed = args.trials, args.gamma, args.seed
     out = args.out or f"sgd_{res.tag}.csv"
-    _require_positive(("--steps", args.steps), ("--trials", trials), ("--eval-samples", args.eval_samples))
+    _require_positive(("--steps", args.steps), ("--trials", trials), ("--eval-samples", args.eval_samples),
+                      ("--batch", args.batch))
 
     theta0s = gaussian_init(res.arch, seed, res.init_scale, trials)
     norms = np.sqrt(np.sum(theta0s * theta0s, axis=1))
@@ -113,10 +114,18 @@ def cmd_sgd(args) -> int:
     return 0
 
 
+def _grid(args, res: Resolved) -> DiscreteMeasure:
+    """The ``--points`` grid on [a, b], which needs one input: each flag it rejects is a usage error naming it."""
+    _require_positive(("--points", args.points))
+    if res.arch.widths[0] != 1:
+        raise UsageError(f"--arch must have input width 1 for the one-dimensional grid, got {res.arch.widths[0]}")
+    return DiscreteMeasure.uniform_grid(res.a, res.b, args.points)
+
+
 def _deterministic_setup(args):
     _require_positive(("--steps", args.steps))
     res = _resolve(args)
-    measure = DiscreteMeasure.uniform_grid(res.a, res.b, args.points)
+    measure = _grid(args, res)
     target = TargetSpec.constant(res.xi)
     theta0 = gaussian_init(res.arch, args.seed, res.init_scale, 1)[0]
     threshold = gd_threshold(res.arch, theta0, res.xi, measure.mass, measure.input_scale)
@@ -161,6 +170,7 @@ def cmd_gf(args) -> int:
 
 def cmd_nonconvexity(args) -> int:
     res = _resolve(args)
+    measure = _grid(args, res)
     if res.arch.depth < 2:
         print(
             "depth-1 networks: the risk is a convex least-squares objective, "
@@ -168,7 +178,6 @@ def cmd_nonconvexity(args) -> int:
             file=sys.stderr,
         )
         return 2
-    measure = DiscreteMeasure.uniform_grid(res.a, res.b, args.points)
     target = TargetSpec.constant(res.xi)
     theta, vartheta = nonconvexity_witness(res.arch, res.xi, measure)
     mid = 0.5 * (theta + vartheta)

@@ -67,10 +67,12 @@ def _backward(layers, points, pres, acts, delta, gate) -> list[tuple[np.ndarray,
     return grads[::-1]
 
 
-def _bind_step(ws: _Workspace):
-    """The training step over the views of ``ws``, built once per bind: ``step(fvals, resid, scale)``.
+def _bind_step(ws: _Workspace, blocks: list[np.ndarray]):
+    """The training step over ``ws.views`` and ``blocks``, built once per bind: ``step(fvals, resid, scale)``.
 
-    It runs ``ws.forward()``, writes the residual N - ``fvals`` into ``resid``
+    ``blocks`` are the bound parameters as the views see them (their 2-D ``[0]``
+    where ``ws.matmul`` is ``np.dot``, see `_Workspace`), and every product is a
+    ``ws.matmul``.  It runs ``ws.forward()``, writes the residual N - ``fvals`` into ``resid``
     (``ws.out`` or a buffer of its shape) and delta = ``resid * scale`` into
     ``ws.out``, and sweeps back with the exact gate in ``out=`` calls that
     leave the gradient in ``ws.grad``: layer k's is the one product
@@ -85,9 +87,10 @@ def _bind_step(ws: _Workspace):
     delta goes on the two-row side, ``w[..., :, None] * (G @ (delta * [x; 1])^T)``.
     This skips the broadcasts over the (trials, l_{L-1}, M) delta.
     """
-    matmul, multiply, greater, subtract, copyto = np.matmul, np.multiply, np.greater, np.subtract, np.copyto
-    blocks, grads, inputs_t, hidden = ws.blocks, ws.grads, ws.inputs_t, list(zip(ws.hidden, ws.deltas, ws.gates))
-    forward, out, depth, plain, first_t, first_grad = ws.forward, ws.out, len(blocks), [], inputs_t[0], grads[0]
+    matmul, multiply, greater, subtract, copyto = ws.matmul, np.multiply, np.greater, np.subtract, np.copyto
+    v = ws.views  # the buffers as the products take them, by name
+    grads, inputs_t, hidden, out, stacked = v["grads"], v["inputs_t"], v["layers"], v["out"], ws.out
+    forward, depth, plain, first_t, first_grad = ws.forward, len(blocks), [], inputs_t[0], grads[0]
     # the plain layers k = L or L-2 .. 2: gradient, then delta_{k-1} through W_k^T (a broadcast at fan-out 1)
     for k in range(depth - 2 if ws.factored else depth, 1, -1):
         w_t = blocks[k - 1][..., :-1].swapaxes(-1, -2)
@@ -105,19 +108,20 @@ def _bind_step(ws: _Workspace):
 
         def step(fvals, resid, scale):
             subtract(forward(), fvals, out=resid)
-            sweep(multiply(resid, scale, out=out))
+            multiply(resid, scale, out=stacked)
+            sweep(out)
 
         return step
     # the gate G is taken as floats into g, layer L-1's delta buffer: times the broadcast delta, ~1.5x faster than bools
     (h, g, g_gate), top_t, top_grad, g_grad, w = hidden[-1], inputs_t[-1], grads[-1], grads[-2], blocks[-1][..., 0, :-1]
-    left, right, prod, rows = (out, ws.inputs[0], ws.scaled, ws.scaled_t) if ws.narrow else (g, out, g, inputs_t[-2])
+    left, right, prod, rows = (out, v["inputs"][0], v["scaled"], v["scaled_t"]) if ws.narrow else (g, out, g, inputs_t[-2])
     w_col, w_row, deep = w[..., :, None], w[..., None, :], depth > 2
     if deep:
-        (a, d, a_gate), w_t, back = hidden[-2], blocks[-2][..., :-1].swapaxes(-1, -2), ws.back
+        (a, d, a_gate), w_t, back = hidden[-2], blocks[-2][..., :-1].swapaxes(-1, -2), v["back"]
 
     def step(fvals, resid, scale):
         subtract(forward(), fvals, out=resid)
-        multiply(resid, scale, out=out)
+        multiply(resid, scale, out=stacked)
         matmul(out, top_t, out=top_grad)
         copyto(g, greater(h, 0.0, out=g_gate))
         multiply(left, right, out=prod)

@@ -8,7 +8,8 @@ to the exact one with an explicit rate as sharpness grows.
 
 An evaluation goes through the allocating `_forward`, where exact and smoothed
 differ only in the unit, or in the training loops through the exact ``forward``
-a `_Workspace` binds.  Arrays are feature-major, ``(..., width, samples)``, so
+a `_Workspace` binds (through ``np.dot`` on 2-D views at one trial and a small
+batch).  Arrays are feature-major, ``(..., width, samples)``, so
 the contiguous axis runs over samples rather than over a handful of neurons.
 The public risks and gradients reach `_forward` through `_residual`, whose
 `_check_inputs` is their one input check, and the single-input traces through `_trace`.
@@ -93,6 +94,13 @@ def _arena(*shapes) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+# One trial at a batch of 2 to this many samples takes its products through np.dot on 2-D views, at 0.56-0.69x
+# the cost of np.matmul on the stacked ones and with the same bits; np.dot is 1.1x slower at 1,024 samples and 1.8x
+# at 10^4 (ROADMAP.md, Measurements), and at one sample W^T @ delta is a gemv whose last bit the two round apart.
+_DOT_SAMPLES = 512
+_KERNEL_BUFFERS = ("inputs", "inputs_t", "hidden", "deltas", "gates", "out", "grads", "scaled", "scaled_t", "back")
+
+
 class _Workspace:
     """The buffers of the passes over one trial-stacked block at batch size m, and the kernel bound to them.
 
@@ -125,6 +133,12 @@ class _Workspace:
     and ``out``, none of the buffers only ``step`` writes: ``deltas``,
     ``gates``, ``grad``, ``scaled`` and ``back``.  Every buffer starts on a
     cache line (`_aligned`); ``buffers`` lists them.
+
+    The kernel reads the buffers through ``views``, by name, taken here: at
+    one trial and 2 to `_DOT_SAMPLES` samples each buffer's 2-D ``[0]``, with
+    the blocks' ``[0]`` taken at `bind` and every product an ``np.dot``
+    (``matmul``), else the buffers and ``np.matmul``.  The elementwise calls,
+    the 3-D ``out`` that ``forward()`` returns and every output bit are the same.
     """
 
     def __init__(self, blocks: list[np.ndarray], m: int, backward: bool = True):
@@ -159,6 +173,13 @@ class _Workspace:
             elif self.factored and depth > 2:
                 self.back = _aligned((trials, widths[-3], widths[-2]))
             self.buffers += [*self.gates, self.grad] + [getattr(self, n) for n in ("scaled", "back") if hasattr(self, n)]
+        self.matmul = np.dot if trials == 1 and 1 < m <= _DOT_SAMPLES else np.matmul
+        view = (lambda a: a[0]) if self.matmul is np.dot else (lambda a: a)
+        # by getattr: reading vars(self) would slow each later read of the workspace's attributes (bind ~10 %)
+        kernel = [(n, getattr(self, n)) for n in _KERNEL_BUFFERS if hasattr(self, n)]
+        self.views = {n: [*map(view, a)] if isinstance(a, list) else view(a) for n, a in kernel}
+        if backward:  # each hidden layer's h rows, delta and gate, zipped here rather than at every bind
+            self.views["layers"] = list(zip(*(self.views[n] for n in ("hidden", "deltas", "gates"))))
         self.bind(blocks)
 
     @property
@@ -168,17 +189,20 @@ class _Workspace:
 
     def bind(self, blocks: list[np.ndarray]) -> None:
         """Point the kernel at ``blocks``, of the shapes the workspace was built for: build ``forward`` and ``step``."""
-        matmul, maximum, top, x, out = np.matmul, np.maximum, blocks[-1], self.inputs[-1], self.out
-        hidden = list(zip(blocks, self.inputs, self.hidden))  # the L - 1 hidden layers
+        matmul, maximum, views, out = self.matmul, np.maximum, self.views, self.out
+        self.blocks, blocks = blocks, [a[0] for a in blocks] if matmul is np.dot else blocks
+        top, x, y = blocks[-1], views["inputs"][-1], views["out"]
+        hidden = list(zip(blocks, views["inputs"], views["hidden"]))  # the L - 1 hidden layers
 
         def forward() -> np.ndarray:
             for block, x_k, h in hidden:
                 maximum(matmul(block, x_k, out=h), 0.0, out=h)
-            return matmul(top, x, out=out)
+            matmul(top, x, out=y)
+            return out
 
-        self.blocks, self.forward = blocks, forward
+        self.forward = forward
         if self.backward:
-            self.step = self.bind_step(self)
+            self.step = self.bind_step(self, blocks)
 
 
 @functools.lru_cache(maxsize=64)

@@ -490,11 +490,12 @@ def gf_euler_run(
 
     Warns when dt exceeds `gd_threshold`, above which the discretization is no
     better behaved than gradient descent with a large step; below it, V is
-    guaranteed to descend only towards a constant target.
+    guaranteed to descend only towards a constant target.  A dt that is not
+    positive and finite is a ValueError naming it, raised before the threshold.
     """
     dt = float(dt)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     return _measure_run(arch, theta0, measure, target, dt, steps, log_stride, snapshot_steps, dt=dt)
 
 

@@ -107,14 +107,16 @@ def test_sgd_csv_reproducible(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad", [("--steps", "0"), ("--trials", "0"), ("--eval-samples", "0"), ("--eval-samples", "-1")]
+    "bad",
+    [("--steps", "0"), ("--trials", "0"), ("--eval-samples", "0"), ("--eval-samples", "-1"), ("--batch", "0"), ("--batch", "-2")],
 )
 def test_sgd_rejects_empty_runs(tmp_path, capsys, bad):
+    # before any work: --batch 0 printed the thresholds, then failed at step 0 without naming the flag
     out_path = tmp_path / "s.csv"
     small = ["--trials", "2", "--steps", "10", "--eval-samples", "10"]
     code, out, err = run(capsys, "sgd", "--preset", "shallow", *small, *bad, "--out", str(out_path))
     assert code == 2
-    assert bad[0] in err
+    assert bad[0] in err and out == ""
     assert not out_path.exists()
 
 
@@ -138,6 +140,22 @@ def test_deterministic_runs_reject_empty_runs(tmp_path, capsys, command, steps):
     code, out, err = run(capsys, command, "--arch", "1,7,1", "--steps", steps, "--out", str(out_path))
     assert code == 2
     assert "--steps" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["gd", "gf", "nonconvexity"])
+@pytest.mark.parametrize(
+    "bad, flag",
+    [(("--points", "0"), "--points"), (("--points", "-4"), "--points"), (("--arch", "2,3,1"), "--arch")],
+    ids=["points-0", "points-negative", "arch-two-inputs"],
+)
+def test_grid_commands_name_the_flag_they_reject(tmp_path, capsys, command, bad, flag):
+    """Before any threshold: the grid's own errors read "count must be positive"
+    and "points have shape (101, 1), expected (M, 2)" (the grid has one input)."""
+    out_path = tmp_path / "g.csv"
+    code, out, err = run(capsys, command, "--arch", "1,7,1", *bad, "--out", str(out_path))
+    assert code == 2
+    assert f"error: {flag} must" in err and out == ""
     assert not out_path.exists()
 
 

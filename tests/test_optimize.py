@@ -469,19 +469,24 @@ def test_gaussian_init_streams():
 
 # (1,7,1): fan-in-1 broadcast affine and fan-out-1 back-propagation;
 # (1,3,7,1): a general 3->7 matmul; (2,5,1): a multi-input first layer whose
-# points are a transposed view of the sample block
-@pytest.mark.parametrize("widths", [(1, 7, 1), (1, 3, 7, 1), (2, 5, 1)], ids=lambda w: "-".join(map(str, w)))
-def test_ensemble_single_trial_matches_sgd_run(widths):
+# points are a transposed view of the sample block; (2,3,2): the plain sweep.
+# At batch 25 sgd_run takes its products through np.dot on 2-D views and the
+# 3-trial block through np.matmul; at 600, above network._DOT_SAMPLES, both np.matmul.
+@pytest.mark.parametrize(
+    "widths, batch", [((1, 7, 1), 25), ((1, 3, 7, 1), 25), ((2, 5, 1), 25), ((2, 3, 2), 25), ((1, 3, 7, 1), 600)],
+    ids=["1-7-1", "1-3-7-1", "2-5-1", "2-3-2", "1-3-7-1-batch600"],
+)
+def test_ensemble_single_trial_matches_sgd_run(widths, batch):
     """sgd_run is a one-trial block of the ensemble's loop, and trial 0 of a
     3-trial block runs the same per-trial products: bit for bit equal.  The
     400 eval samples are one part of each trial row at 1 and at 3 trials, so
     the risks sum in the same order too."""
-    arch = Architecture(widths)
+    arch, xi = Architecture(widths), np.ones(widths[-1])
     theta0 = gaussian_init(arch, seed=3, scale=widths[1] ** -0.5, trials=3)
-    cfg = SgdConfig(batch_size=25, steps=200, seed=77, eval_samples=400)
+    cfg = SgdConfig(batch_size=batch, steps=200, seed=77, eval_samples=400)
     sampler = UniformSampler(0.0, 1.0, widths[0], seed=77)
-    traj = sgd_run(arch, theta0[0], 2e-4, sampler, 1.0, cfg)
-    res = sgd_ensemble(arch, theta0, 2e-4, 0.0, 1.0, 1.0, cfg)
+    traj = sgd_run(arch, theta0[0], 2e-4, sampler, xi, cfg)
+    res = sgd_ensemble(arch, theta0, 2e-4, 0.0, 1.0, xi, cfg)
     np.testing.assert_array_equal(res.eval_steps, traj.mc_steps)
     np.testing.assert_array_equal(res.risk[0], traj.mc_risk)
     assert res.theta_final.shape == (3, arch.param_count)

@@ -368,6 +368,14 @@ def test_measure_runs_reject_non_integral_counts(run, name, value):
         MEASURE_RUNS[run](**counts)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.inf, -math.inf, math.nan])
+def test_gf_rejects_non_positive_or_non_finite_dt(dt):
+    # an infinite dt warned that it exceeds the descent threshold before it
+    # failed as a step size; a NaN dt failed as a step size
+    with pytest.raises(ValueError, match=r"^dt must be positive and finite, got "):
+        gf_euler_run(ARCH, THETA, GRID, TargetSpec.constant(1.0), dt, 3)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from(sorted(MEASURE_RUNS)),
