@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 divergence.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -81,12 +82,19 @@ def _require_positive(*flags: tuple[str, int]) -> None:
             raise UsageError(f"{flag} must be >= 1, got {value}")
 
 
+def _require_step(flag: str, value: float | None, positive: bool = False) -> None:
+    """A given step size must be finite and >= 0 (> 0 if ``positive``), checked before any threshold is printed."""
+    if value is not None and not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise UsageError(f"{flag} must be finite and {'> 0' if positive else '>= 0'}, got {value}")
+
+
 def cmd_sgd(args) -> int:
     res = _resolve(args)
     trials, gamma, seed = args.trials, args.gamma, args.seed
     out = args.out or f"sgd_{res.tag}.csv"
     _require_positive(("--steps", args.steps), ("--trials", trials), ("--eval-samples", args.eval_samples),
                       ("--batch", args.batch))
+    _require_step("--gamma", gamma)
 
     theta0s = gaussian_init(res.arch, seed, res.init_scale, trials)
     norms = np.sqrt(np.sum(theta0s * theta0s, axis=1))
@@ -142,6 +150,7 @@ def _default_step(step: float, flag: str) -> float:
 
 
 def cmd_gd(args) -> int:
+    _require_step("--gamma", args.gamma)
     res, measure, target, theta0, threshold, steps = _deterministic_setup(args)
     gamma = args.gamma if args.gamma is not None else _default_step(0.9 * threshold, "--gamma")
     out = args.out or f"gd_{res.tag}.csv"
@@ -156,6 +165,7 @@ def cmd_gd(args) -> int:
 
 
 def cmd_gf(args) -> int:
+    _require_step("--dt", args.dt, positive=True)
     res, measure, target, theta0, threshold, steps = _deterministic_setup(args)
     dt = args.dt if args.dt is not None else _default_step(0.5 * threshold, "--dt")
     out = args.out or f"gf_{res.tag}.csv"

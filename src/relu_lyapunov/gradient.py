@@ -26,7 +26,7 @@ import numpy as np
 
 from .activation import DEFAULT_CLAMP, ClampConfig, smooth_relu_derivative
 from .arch import Architecture, check_params
-from .network import _check_inputs, _relu_unit, _residual, _smooth_unit, _Workspace, forward_exact, layer_sharpness
+from .network import _ZERO, _check_inputs, _relu_unit, _residual, _smooth_unit, _Workspace, forward_exact, layer_sharpness
 from .risk import DiscreteMeasure, TargetSpec, _batch, _constant_row
 
 PATH_CAP = 10_000
@@ -74,7 +74,7 @@ def _bind_step(ws: _Workspace, blocks: list[np.ndarray]):
     where ``ws.matmul`` is ``np.dot``, see `_Workspace`), and every product is a
     ``ws.matmul``.  It runs ``ws.forward()``, writes the residual N - ``fvals`` into ``resid``
     (``ws.out`` or a buffer of its shape) and delta = ``resid * scale`` into
-    ``ws.out``, and sweeps back with the exact gate in ``out=`` calls that
+    ``ws.out`` (but see ``narrow`` below), and sweeps back with the exact gate in ``out=`` calls that
     leave the gradient in ``ws.grad``: layer k's is the one product
     ``delta_k @ [h; 1]^T`` (its bias column a product with the ones row), its
     gate is h_k > 0 read from ``ws.hidden`` (the ReLU output, as no
@@ -84,10 +84,14 @@ def _bind_step(ws: _Workspace, blocks: list[np.ndarray]):
     with ``D = G * delta``, G the gate after layer L-1 and ``a`` its input,
     and the plain sweep goes on from ``delta_{L-2} = ((W_{L-1}^T * w[..., None, :]) @ D) * gate(L-2)``,
     the bracket written into ``ws.back``; for 1 -> h -> 1 (``ws.narrow``)
-    delta goes on the two-row side, ``w[..., :, None] * (G @ (delta * [x; 1])^T)``.
-    This skips the broadcasts over the (trials, l_{L-1}, M) delta.
+    delta goes on the two-row side, ``w[..., :, None] * (G @ (delta * [x; 1])^T)``,
+    written straight into the ones row of ``ws.scaled`` (delta * 1.0 is delta),
+    from which the x row's one-row product and the top gradient read it.
+    This skips the broadcasts over the (trials, l_{L-1}, M) delta.  The gates'
+    zero is `network._ZERO`, and callers pass a scalar ``fvals`` or ``scale``
+    as a 0-d array taken once: numpy converts a float operand at every call.
     """
-    matmul, multiply, greater, subtract, copyto = ws.matmul, np.multiply, np.greater, np.subtract, np.copyto
+    matmul, multiply, greater, subtract, copyto, zero = ws.matmul, np.multiply, np.greater, np.subtract, np.copyto, _ZERO
     v = ws.views  # the buffers as the products take them, by name
     grads, inputs_t, hidden, out, stacked = v["grads"], v["inputs_t"], v["layers"], v["out"], ws.out
     forward, depth, plain, first_t, first_grad = ws.forward, len(blocks), [], inputs_t[0], grads[0]
@@ -99,7 +103,7 @@ def _bind_step(ws: _Workspace, blocks: list[np.ndarray]):
     def sweep(delta):
         for grad, x_t, back, w_t, h, d, gate in plain:
             matmul(delta, x_t, out=grad)
-            below = greater(h, 0.0, out=gate)
+            below = greater(h, zero, out=gate)
             delta = back(w_t, delta, out=d)
             delta *= below
         matmul(delta, first_t, out=first_grad)
@@ -114,7 +118,12 @@ def _bind_step(ws: _Workspace, blocks: list[np.ndarray]):
         return step
     # the gate G is taken as floats into g, layer L-1's delta buffer: times the broadcast delta, ~1.5x faster than bools
     (h, g, g_gate), top_t, top_grad, g_grad, w = hidden[-1], inputs_t[-1], grads[-1], grads[-2], blocks[-1][..., 0, :-1]
-    left, right, prod, rows = (out, v["inputs"][0], v["scaled"], v["scaled_t"]) if ws.narrow else (g, out, g, inputs_t[-2])
+    # delta goes into `stacked` and the top gradient reads it from `top`; D's product is left * right into prod
+    if ws.narrow:  # into the ones row of delta * [x; 1], and delta * x from it into the x row
+        stacked, top = ws.scaled[..., 1:, :], v["scaled"][..., 1:, :]
+        left, right, prod, rows = top, v["inputs"][0][..., :1, :], v["scaled"][..., :1, :], v["scaled_t"]
+    else:
+        top, left, right, prod, rows = out, g, out, g, inputs_t[-2]
     w_col, w_row, deep = w[..., :, None], w[..., None, :], depth > 2
     if deep:
         (a, d, a_gate), w_t, back = hidden[-2], blocks[-2][..., :-1].swapaxes(-1, -2), v["back"]
@@ -122,12 +131,12 @@ def _bind_step(ws: _Workspace, blocks: list[np.ndarray]):
     def step(fvals, resid, scale):
         subtract(forward(), fvals, out=resid)
         multiply(resid, scale, out=stacked)
-        matmul(out, top_t, out=top_grad)
-        copyto(g, greater(h, 0.0, out=g_gate))
+        matmul(top, top_t, out=top_grad)
+        copyto(g, greater(h, zero, out=g_gate))
         multiply(left, right, out=prod)
         both = matmul(g, rows, out=g_grad)
         if deep:  # delta_{L-2}, then the plain layers below
-            below = greater(a, 0.0, out=a_gate)
+            below = greater(a, zero, out=a_gate)
             multiply(w_t, w_row, out=back)
             delta = matmul(back, g, out=d)
             delta *= below

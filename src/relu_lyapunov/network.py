@@ -94,6 +94,9 @@ def _arena(*shapes) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+# The ReLU's and the gates' zero, taken once: numpy converts a Python float operand at every call (~0.12 us each).
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 # One trial at a batch of 2 to this many samples takes its products through np.dot on 2-D views, at 0.56-0.69x
 # the cost of np.matmul on the stacked ones and with the same bits; np.dot is 1.1x slower at 1,024 samples and 1.8x
 # at 10^4 (ROADMAP.md, Measurements), and at one sample W^T @ delta is a gemv whose last bit the two round apart.
@@ -128,7 +131,8 @@ class _Workspace:
     and ``step`` (`gradient._bind_step`) adds the residual and the reverse
     sweep, which reads the gates from ``hidden`` into ``gates``, writes the
     deltas into ``out`` and ``deltas`` and keeps ``W_{L-1}^T * w`` in ``back``
-    (``factored``, L >= 3) or delta * [x; 1] in ``scaled`` (``narrow``).
+    (``factored``, L >= 3); on the ``narrow`` route delta goes not into
+    ``out`` but straight into the ones row of delta * [x; 1] in ``scaled``.
     Without ``backward`` it has ``forward`` alone and holds only its inputs
     and ``out``, none of the buffers only ``step`` writes: ``deltas``,
     ``gates``, ``grad``, ``scaled`` and ``back``.  Every buffer starts on a
@@ -189,14 +193,14 @@ class _Workspace:
 
     def bind(self, blocks: list[np.ndarray]) -> None:
         """Point the kernel at ``blocks``, of the shapes the workspace was built for: build ``forward`` and ``step``."""
-        matmul, maximum, views, out = self.matmul, np.maximum, self.views, self.out
+        matmul, maximum, zero, views, out = self.matmul, np.maximum, _ZERO, self.views, self.out
         self.blocks, blocks = blocks, [a[0] for a in blocks] if matmul is np.dot else blocks
         top, x, y = blocks[-1], views["inputs"][-1], views["out"]
         hidden = list(zip(blocks, views["inputs"], views["hidden"]))  # the L - 1 hidden layers
 
         def forward() -> np.ndarray:
             for block, x_k, h in hidden:
-                maximum(matmul(block, x_k, out=h), 0.0, out=h)
+                maximum(matmul(block, x_k, out=h), zero, out=h)
             matmul(top, x, out=y)
             return out
 

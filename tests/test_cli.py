@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relu_lyapunov import cli
 from relu_lyapunov.claims import CLAIMS
 from relu_lyapunov.cli import PRESETS, UsageError, _parse_xi, _resolve, build_parser, main
 
@@ -117,6 +118,28 @@ def test_sgd_rejects_empty_runs(tmp_path, capsys, bad):
     code, out, err = run(capsys, "sgd", "--preset", "shallow", *small, *bad, "--out", str(out_path))
     assert code == 2
     assert bad[0] in err and out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [("sgd", "--gamma=nan"), ("sgd", "--gamma=-1"), ("sgd", "--gamma=inf"), ("gd", "--gamma=nan"), ("gd", "--gamma=-1"),
+     ("gd", "--gamma=-inf"), ("gf", "--dt=inf"), ("gf", "--dt=nan"), ("gf", "--dt=0"), ("gf", "--dt=-0.5")],
+)
+def test_bad_step_size_is_usage_error(tmp_path, capsys, monkeypatch, command, bad):
+    """A --gamma that is negative or not finite, or a --dt that is not finite and > 0, is a usage error naming the
+    flag before any threshold is computed: `sgd --gamma nan` printed the thresholds, then failed in the run with a
+    message that did not name the flag."""
+    def no_threshold(*args):
+        raise AssertionError("a threshold was computed")
+
+    monkeypatch.setattr(cli, "sgd_threshold", no_threshold)
+    monkeypatch.setattr(cli, "gd_threshold", no_threshold)
+    out_path = tmp_path / "s.csv"
+    small = ["--trials", "2", "--eval-samples", "10"] if command == "sgd" else []
+    code, out, err = run(capsys, command, "--arch", "1,7,1", "--steps", "10", *small, bad, "--out", str(out_path))
+    assert code == 2
+    assert bad.split("=")[0] in err and out == ""
     assert not out_path.exists()
 
 

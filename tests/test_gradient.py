@@ -255,3 +255,28 @@ def test_workspace_gates_at_exact_zero_preactivations(widths):
     ws = _workspace_step_matches_oracle(arch, thetas, points, weights, xi)
     for gate, z in zip(ws.gates, pres[:-1]):
         assert np.array_equal(gate, z > 0.0)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_narrow_step_writes_delta_into_the_ones_row(trials):
+    """On 1 -> h -> 1, at one trial (``np.dot``) and at three (``np.matmul``),
+    the step writes delta = resid * scale straight into the ones row of
+    ``scaled`` and delta * x into its x row, and its gradient is the two-row
+    product replayed here, multiply(delta, [x; 1]), then G @ S^T, then times
+    w (and delta @ [h; 1]^T on top), bit for bit."""
+    arch, m = Architecture((1, 7, 1)), 25
+    rng = np.random.default_rng(31)
+    thetas = rng.normal(0.0, 0.5, (trials, arch.param_count))
+    blocks = _augmented_blocks(arch.widths, np.take(thetas, _augmented_order(arch.widths), axis=1))
+    ws = _Workspace(blocks, m)
+    assert ws.narrow and ws.matmul is (np.dot if trials == 1 else np.matmul)
+    ws.points[...] = rng.random((trials, 1, m))
+    resid, scale = np.empty(ws.out.shape), np.array(2.0 / m)
+    ws.step(np.array(0.75), resid, scale)
+    delta = resid * scale
+    assert ws.scaled[:, 1:].tobytes() == delta.tobytes()
+    assert ws.scaled[:, :1].tobytes() == (delta * ws.points).tobytes()
+    both = (ws.hidden[0] > 0.0).astype(np.float64) @ np.multiply(delta, ws.inputs[0]).swapaxes(-1, -2)
+    both *= blocks[1][:, 0, :-1, None]
+    assert ws.grads[0].tobytes() == both.tobytes()
+    assert ws.grads[1].tobytes() == (delta @ ws.inputs[1].swapaxes(-1, -2)).tobytes()

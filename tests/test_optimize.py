@@ -62,11 +62,35 @@ def test_schedule_constant_and_callable():
         return sgd_ensemble(arch, theta0[None], rate, 0.0, 1.0, 1.0, cfg).theta_final
 
     np.testing.assert_array_equal(ensemble(lambda n: 2.5e-4), ensemble(2.5e-4))
+    # a constant rate is one 0-d array for every step, a callable's a float per step: the same bits
+    runs = [
+        lambda rate: gd_run(arch, theta0, measure, target, rate, 9, snapshot_steps=(0, 4, 9)),
+        lambda rate: sgd_run(arch, theta0, rate, sampler, 1.0, cfg),
+    ]
+    for run in runs:
+        constant, called = run(2.5e-4), run(lambda n: 2.5e-4)
+        assert constant.snapshots.keys() == called.snapshots.keys()
+        assert _run_outputs(constant) == _run_outputs(called)
     for run in logged + [ensemble]:
         with pytest.raises(ValueError, match="finite and >= 0"):
             run(-1.0)
         with pytest.raises(ValueError, match="at step 0"):
             run(lambda n: -0.1)
+
+
+@pytest.mark.parametrize("widths", [(1, 7, 1), (1, 3, 7, 1), (1, 4, 2)])
+def test_constant_target_matches_its_function(widths):
+    """gd_run takes a constant target as one (l_L, 1) operand, 0-d at l_L = 1,
+    and a target function as its (l_L, M) values: the same bits."""
+    arch, xi = Architecture(widths), np.ones(widths[-1])
+    measure = DiscreteMeasure.uniform_grid(0.0, 1.0, 101)
+    theta0 = gaussian_init(arch, seed=1, scale=widths[1] ** -0.5, trials=1)[0]
+    constant, function = (
+        gd_run(arch, theta0, measure, target, 1e-3, 20, snapshot_steps=(0, 7, 20))
+        for target in (TargetSpec.constant(xi), TargetSpec.from_function(lambda p: xi, xi))
+    )
+    assert constant.snapshots.keys() == function.snapshots.keys() == {0, 7, 20}
+    assert _run_outputs(constant) == _run_outputs(function)
 
 
 def test_decade_steps_grid():
