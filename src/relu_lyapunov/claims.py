@@ -25,15 +25,17 @@ def _claim(name: str):
     return lambda check: CLAIMS.setdefault(name, check)
 
 
-def _instance(rng, widths=None, scale=1.0, points=5, box=(-1.0, 1.0), weight=1.0, functional=False, depth=3):
-    """(arch, theta ~ N(0, scale^2), 1..points points on ``box`` weighted U(0, weight), a N(0, 1) constant target,
-    or with ``functional`` that constant plus tanh of the point); widths 1..3 over 1..depth layers unless given."""
+def _instance(rng, widths=None, scale=1.0, points=5, box=(-1.0, 1.0), weight=1.0, functional=False, depth=3, mass=None):
+    """(arch, theta ~ N(0, scale^2), 1..points points on ``box`` weighted U(0, weight) (with ``mass``, exactly
+    ``points`` points, their weights scaled to that total), a N(0, 1) constant target, or with ``functional`` that
+    constant plus tanh of the point); widths 1..3 over 1..depth layers unless given."""
     if widths is None:
         widths = tuple(int(w) for w in rng.integers(1, 4, int(rng.integers(1, depth + 1)) + 1))
     arch = Architecture(widths)
     theta = rng.normal(0.0, scale, arch.param_count)
-    m = int(rng.integers(1, points + 1))
-    measure = DiscreteMeasure(rng.uniform(*box, (m, widths[0])), rng.uniform(0.0, weight, m), *box)
+    m = points if mass is not None else int(rng.integers(1, points + 1))
+    x, w = rng.uniform(*box, (m, widths[0])), rng.uniform(0.0, weight, m)
+    measure = DiscreteMeasure(x, w if mass is None else w * (mass / w.sum()), *box)
     f0 = rng.normal(size=widths[-1])
     if not functional:
         return arch, theta, measure, TargetSpec.constant(f0)
@@ -245,7 +247,7 @@ def _last_layer_convexity(seed):
     """With the hidden layers frozen, the midpoint inequality in the output layer holds to 1e-12."""
     shapes = ((1, 7, 1), (1, 3, 7, 1), (2, 4, 3), (1, 2, 2, 1))
     regimes = ((1000, shapes, dict(scale=0.8, points=6, box=(0.0, 1.0))),
-               (300, shapes[:3], dict(points=6, box=(0.0, 1.0))), (200, (None,), dict(points=4)))
+               (300, shapes[:3], dict(points=6, box=(0.0, 1.0), mass=1.0)), (200, (None,), dict(points=4)))
     rng, worst = np.random.default_rng(seed), -np.inf
     for count, shapes, options in regimes:
         for i in range(count):
@@ -263,7 +265,7 @@ def _depth1_convex(seed):
     """Depth-1 risks are convex: the midpoint gap of two N(0, 1) draws is <= 1e-12."""
     rng, bad = np.random.default_rng(seed), 0
     for arch, t1, measure, target in _instances(rng, ((200, (None,), dict(points=4, depth=1)),
-                                                      (200, ((2, 3),), dict(points=4, box=(0.0, 1.0))))):
+                                                      (200, ((2, 3),), dict(points=4, box=(0.0, 1.0), mass=1.0)))):
         bad += midpoint_gap(arch, t1, rng.normal(0.0, 1.0, arch.param_count), measure, target) > 1e-12
     return bad == 0, f"{bad} violations in 400 pairs"
 

@@ -27,7 +27,7 @@ import numpy as np
 from .activation import DEFAULT_CLAMP, ClampConfig, smooth_relu_derivative
 from .arch import Architecture, check_params
 from .network import _ZERO, _check_inputs, _relu_unit, _residual, _smooth_unit, _Workspace, forward_exact, layer_sharpness
-from .risk import DiscreteMeasure, TargetSpec, _batch, _constant_row
+from .risk import DiscreteMeasure, TargetSpec, _batch, _constant_target
 
 PATH_CAP = 10_000
 
@@ -178,7 +178,7 @@ def minibatch_gradient(arch: Architecture, theta, batch: np.ndarray, xi) -> np.n
     """Generalized gradient of the minibatch objective (mean squared error)."""
     batch = _batch(batch)
     weights = np.full(batch.shape[0], 1.0 / batch.shape[0])
-    return _grad_core(arch, theta, batch, weights, _constant_row(xi))[0]
+    return _grad_core(arch, theta, batch, weights, _constant_target(arch, xi, "xi")[0][None])[0]
 
 
 def smooth_gradient(

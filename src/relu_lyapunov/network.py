@@ -268,10 +268,11 @@ def _check_inputs(arch: Architecture, theta, points, fvals) -> tuple[np.ndarray,
     """θ in the flat layout, points as (M, l_0) and target values as (M, l_L), as float arrays.
 
     The one input check of the public risks, gradients and the path-sum oracle:
-    a wrong shape is a ValueError naming the width it misses.  ``fvals`` may
-    be a function of the checked points (`TargetSpec.values`), so that a target
-    function never sees points of the wrong width.  A constant target may give
-    its values as one (1, l_L) row, which holds at every point.
+    a wrong shape is a ValueError naming the width it misses, and a non-finite
+    target value one naming the target.  ``fvals`` may be a function of the
+    checked points (`TargetSpec.values`), so that a target function never sees
+    points of the wrong width.  A constant target may give its values as one
+    (1, l_L) row, which holds at every point.
     """
     theta = check_params(arch, theta)
     points = np.asarray(points, dtype=np.float64)
@@ -284,6 +285,8 @@ def _check_inputs(arch: Architecture, theta, points, fvals) -> tuple[np.ndarray,
             f"target values have shape {fvals.shape}, expected ({points.shape[0]}, {l_out}) or (1, {l_out}) "
             f"for output width {l_out}"
         )
+    if not np.isfinite(fvals).all():
+        raise ValueError("the target's values must be finite at every point")
     return theta, points, fvals
 
 

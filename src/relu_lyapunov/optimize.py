@@ -540,7 +540,7 @@ def _eval_block(trials: int, samples: int) -> tuple[int, int]:
 
 
 def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe=None, first=0, trials=None):
-    """`_train` on keyed batches, with the Monte Carlo risks at the evaluation steps.
+    """`_train` on keyed batches, given a checked box a < b and (l_L,) ``xi``, with the Monte Carlo risks at eval steps.
 
     Trial t reads row t of the step-n block from numpy's `SeedSequence` stream
     (seed, 1, n), each point weighing 1/m, and of the eval block from (seed, 0).
@@ -564,11 +564,9 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
     those of one (trials, samples, l_0) draw, bit for bit, without holding it
     (at 100 trials a block is one 10^4-sample row, so a layer is one product).
     """
-    a, b = _check_box(a, b)
     rate = _rate_fn(schedule)
     eval_grid = _eval_grid(cfg)
     rows_here, span, entropy = theta0s.shape[0], b - a, _entropy(cfg.seed)
-    xi = _constant_target(arch, xi, "xi")[0]
     streams, weight, skip = _KeyedStreams(entropy + (1,), cfg.steps + 1), None, 0
     staged, varying = arch.widths[0] > 1, callable(cfg.batch_size)
 
@@ -760,7 +758,7 @@ def _cpus() -> int:
 
 
 def _split_row(trials: int, schedule, cfg: SgdConfig) -> tuple[int, float]:
-    """The first trial row of the helper's half (0 runs the call in-process) and its rate.
+    """The first trial row of the helper's half (0 runs the call in-process) and its rate; raises on a bad grid or batch.
 
     The row is the block boundary of `_eval_block` nearest the middle (any row
     without checkpoints).  Steps of fewer than `_SPLIT_WORK` / `_SPLIT_STEPS`
@@ -772,10 +770,7 @@ def _split_row(trials: int, schedule, cfg: SgdConfig) -> tuple[int, float]:
     """
     if trials < 2 or callable(schedule) or callable(cfg.batch_size) or _helper_broken or os.name != "posix":
         return 0, 0.0
-    try:
-        grid, m, rate = _eval_grid(cfg), cfg.batch_at(0), float(schedule)
-    except (TypeError, ValueError):
-        return 0, 0.0  # raised in-process
+    grid, m, rate = _eval_grid(cfg), cfg.batch_at(0), float(schedule)
     steps = cfg.steps if trials * m * _SPLIT_STEPS >= _SPLIT_WORK else 0
     work = trials * (steps * m + len(grid) * cfg.eval_samples)
     if work < _SPLIT_WORK or _cpus() < 2:
@@ -818,10 +813,10 @@ def _drop_helper() -> None:
 def _split(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig) -> EnsembleResult | None:
     """The call with its upper rows on the helper and the rest here, at the same time; None to run it in-process.
 
-    Either half raising, or a helper that dies or sends a bad reply, returns
-    None, so the in-process run gives the call's result or error.  An interrupt
-    kills the helper.  Only a helper that dies before it is ready turns
-    splitting off.
+    Either half raising at run time, or a helper that dies or sends a bad reply,
+    returns None, so the in-process run gives the call's result or error.  An
+    interrupt kills the helper.  Only a helper that dies before it is ready
+    turns splitting off.
     """
     global _helper_broken
     trials = theta0s.shape[0]
@@ -908,16 +903,21 @@ def sgd_ensemble(
     the helper's stdin, stdout and stderr are the null device, so whatever its
     interpreter prints at start-up (a `sitecustomize`, say) is no part of the
     exchange; only a helper that cannot be started or exits before it is
-    ready turns splitting off for the rest of this process.  If either half raises, or the helper dies or
-    replies badly, the whole call runs again in-process, so errors are those
-    of the in-process call.  One call at a time uses the helper; a call that
-    cannot take it, a forked child and a call with a callable rate or batch
-    size run in-process.  This process kills the helper when it exits.
+    ready turns splitting off for the rest of this process.  Bad input raises
+    on entry, before a helper is started or messaged; if either half raises at
+    run time, or the helper dies or replies badly, the whole call runs again
+    in-process, so errors are those of the in-process call.  One call at a time
+    uses the helper; a call that cannot take it, a forked child and a call with
+    a callable rate or batch size run in-process.  This process kills the
+    helper when it exits.
     """
     theta0s = np.asarray(theta0s, dtype=np.float64)
     if theta0s.ndim != 2 or theta0s.shape[0] < 1 or theta0s.shape[1] != arch.param_count:
         raise ValueError(f"theta0s must have shape (trials >= 1, {arch.param_count})")
     theta0s = _require_finite(theta0s)
+    a, b = _check_box(a, b)
+    _rate_fn(schedule)
+    xi = _constant_target(arch, xi, "xi")[0]
     result = _split(arch, theta0s, schedule, a, b, xi, cfg)
     if result is None:
         with _Lease() as lease:

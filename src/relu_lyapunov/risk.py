@@ -189,12 +189,11 @@ class TargetSpec:
             raise ValueError("exactly one of xi and fn must be set")
         if self.xi is not None:
             self.xi = np.atleast_1d(np.asarray(self.xi, dtype=np.float64))
+            if not np.isfinite(self.xi).all():
+                raise ValueError(f"the constant target xi must be finite, got {self.xi}")
 
     @classmethod
     def constant(cls, xi) -> "TargetSpec":
-        xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-        if not np.isfinite(xi).all():
-            raise ValueError(f"the constant target xi must be finite, got {xi}")
         return cls(f0=xi, xi=xi)
 
     @classmethod
@@ -228,7 +227,7 @@ class UniformSampler:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _check_box(self.a, self.b)
+        self.a, self.b = _check_box(self.a, self.b)
         self.dim = _whole("dim", self.dim)
         if self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
@@ -247,11 +246,6 @@ def _batch(batch) -> np.ndarray:
     if batch.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     return batch
-
-
-def _constant_row(xi) -> np.ndarray:
-    """A constant target ``xi`` as the one (1, l_L) row of target values that `_residual` takes for every point."""
-    return np.atleast_1d(np.asarray(xi, dtype=np.float64))[None, :]
 
 
 def _constant_target(arch: Architecture, value, name: str) -> tuple[np.ndarray, float]:
@@ -301,7 +295,7 @@ def risk_smooth(
 def empirical_risk(arch: Architecture, theta, batch: np.ndarray, xi) -> float:
     """Mean squared error against a constant target over one batch."""
     batch = _batch(batch)
-    *_, resid = _residual(arch, theta, batch, _constant_row(xi))
+    *_, resid = _residual(arch, theta, batch, _constant_target(arch, xi, "xi")[0][None])
     return float(np.mean(np.sum(resid * resid, axis=0)))
 
 
@@ -319,7 +313,7 @@ def population_risk_mc(
     n_samples = _whole("n_samples", n_samples)
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    row = _constant_row(xi)
+    row = _constant_target(arch, xi, "xi")[0][None]
     # checked before the draw too, so that a rejected call leaves the sampler's stream where it was
     _check_inputs(arch, theta, np.empty((0, sampler.dim)), row)
     *_, resid = _residual(arch, theta, sampler.sample(n_samples), row)

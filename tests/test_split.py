@@ -184,6 +184,52 @@ def test_a_callable_rate_or_batch_size_starts_no_helper(monkeypatch):
             optimize._drop_helper()
 
 
+# one bad input each, over a call of 5e-4 on [0, 1] towards 1.0 at batch 100
+BAD_INPUTS = {
+    "nan-box": dict(a=math.nan),
+    "inverted-box": dict(a=1.0, b=0.0),
+    "negative-rate": dict(rate=-1.0),
+    "nan-rate": dict(rate=math.nan),
+    "nan-target": dict(xi=math.nan),
+    "wide-target": dict(xi=[1.0, 1.0]),
+    "zero-batch": dict(batch=0),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("bad", BAD_INPUTS)
+def test_bad_input_raises_before_a_helper_is_started_or_messaged(request, monkeypatch, bad, warm):
+    """A 100-trial, 2,000-step call, work enough to split, with one bad input
+    raises the in-process call's message on entry: from a cold start it starts
+    no helper, and a ready helper serves nothing."""
+    if warm:
+        helper = request.getfixturevalue("helper")
+        served = helper.served
+    else:
+        monkeypatch.setattr(optimize, "_helper", None)
+        monkeypatch.setattr(optimize, "_helper_broken", False)
+    arch = Architecture((1, 7, 1))
+    theta0s = gaussian_init(arch, seed=0, scale=7.0**-0.5, trials=100)
+    args = {"rate": 5e-4, "a": 0.0, "b": 1.0, "xi": 1.0, "batch": 100, **BAD_INPUTS[bad]}
+    cfg = SgdConfig(batch_size=args["batch"], steps=2_000, seed=1, eval_steps=())
+
+    def call():
+        with pytest.raises(ValueError) as error:
+            sgd_ensemble(arch, theta0s, args["rate"], args["a"], args["b"], args["xi"], cfg)
+        return str(error.value)
+
+    try:
+        assert call() == _in_process(call)
+        if warm:
+            assert optimize._helper is helper and helper.served == served
+        else:
+            assert optimize._helper is None
+    finally:
+        if not warm:
+            with optimize._helper_lock:
+                optimize._drop_helper()
+
+
 def test_a_bad_reply_reruns_the_call_in_process(helper, monkeypatch):
     """A reply that is not a (risk, theta) pair drops the helper, which was
     ready, so this process still splits later calls, and the call runs again

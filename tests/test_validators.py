@@ -5,7 +5,8 @@ count or step index that is not an integer.  A seed that
 is not a nonnegative integer or a tuple of them raises TypeError, or
 ValueError for a negative word, as numpy's `SeedSequence` does.  Points
 or target values of the wrong width raise a ValueError naming the width
-in every public function that evaluates the network on them."""
+in every public function that evaluates the network on them, and a
+non-finite target or xi one naming it."""
 
 import math
 import warnings
@@ -376,6 +377,33 @@ def test_gf_rejects_non_positive_or_non_finite_dt(dt):
         gf_euler_run(ARCH, THETA, GRID, TargetSpec.constant(1.0), dt, 3)
 
 
+@pytest.mark.parametrize("name", sorted(XI_CALLS))
+@pytest.mark.parametrize("xi", [math.nan, math.inf, [1.0, 1.0]], ids=["nan", "inf", "wide"])
+def test_xi_taking_functions_reject_a_bad_xi_by_name(name, xi):
+    """empirical_risk, minibatch_gradient and population_risk_mc check xi as
+    every other constant target is checked (they returned nan or inf), and the
+    Monte Carlo estimate does so before it draws."""
+    sampler = UniformSampler(0.0, 1.0, 1, 7)
+    state = sampler._rng.bit_generator.state
+    calls = {
+        "empirical_risk": lambda: empirical_risk(ARCH, THETA, GRID.points, xi),
+        "minibatch_gradient": lambda: minibatch_gradient(ARCH, THETA, GRID.points, xi),
+        "population_risk_mc": lambda: population_risk_mc(ARCH, THETA, sampler, xi, 10),
+    }
+    with pytest.raises(ValueError, match="xi"):
+        calls[name]()
+    assert sampler._rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("name", ["gd_run", "gf_euler_run", "risk_exact", "generalized_gradient"])
+def test_a_target_function_returning_nan_is_rejected_by_name(name):
+    """A target function's values are checked at every point (risk_exact
+    returned nan, and gd_run blamed the initial parameters)."""
+    target = TargetSpec.from_function(lambda p: np.array([math.nan if p[0] > 0.5 else 1.0]), f0=[1.0])
+    with pytest.raises(ValueError, match="target"):
+        TARGET_CALLS[name](GRID, target)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from(sorted(MEASURE_RUNS)),
@@ -398,7 +426,7 @@ def test_measure_runs_take_integral_values_as_ints(run, steps, stride, snaps, ki
 @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
 def test_non_finite_targets_are_rejected_at_every_entry_point(xi):
     """A non-finite constant target is a ValueError naming the target in the
-    ensemble, `sgd_run`, `TargetSpec.constant`, `LyapunovContext`,
+    ensemble, `sgd_run`, `TargetSpec` (however it is made), `LyapunovContext`,
     `nonconvexity_witness` and `sgd_threshold`, where the ensemble raised
     DivergenceError, `sgd_run` blamed the initial parameters, the witness
     returned NaN parameters and the threshold a finite step or NaN."""
@@ -409,6 +437,7 @@ def test_non_finite_targets_are_rejected_at_every_entry_point(xi):
         lambda: sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, xi, cfg),
         lambda: sgd_run(arch, theta0s[0], 1e-3, UniformSampler(0.0, 1.0, 1), xi, cfg),
         lambda: TargetSpec.constant(xi),
+        lambda: TargetSpec(f0=[0.0], xi=xi),
         lambda: LyapunovContext(arch, xi),
         lambda: nonconvexity_witness(arch, xi, DiscreteMeasure.uniform_grid(0.0, 1.0, 3)),
         lambda: sgd_threshold(arch, 1.0, xi, 0.0, 1.0),
