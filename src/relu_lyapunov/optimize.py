@@ -16,8 +16,8 @@ process's spares, one per key within a byte bound (`_Lease`), so a call builds
 and page-faults none that an earlier call of the same shapes gave back.  An
 ensemble call with enough work runs its upper trial rows in a second Python
 process (`_Helper`), at the same time as the lower rows here, with the same
-outputs bit for bit (see `sgd_ensemble`); the two exchange pickles over one
-socket pair, not the helper's stdio.
+outputs bit for bit (see `sgd_ensemble`); the two exchange one raw frame each
+way over one socket pair, not the helper's stdio.
 
 A step-size ``schedule`` is a finite float >= 0 or a function of the step.
 The step-size thresholds and the descent certificate that judge these runs
@@ -27,6 +27,7 @@ live in `lyapunov`, next to the Lyapunov function they follow from.
 from __future__ import annotations
 
 import atexit
+import marshal
 import math
 import os
 import signal
@@ -545,16 +546,17 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
     Trial t reads row t of the step-n block from numpy's `SeedSequence` stream
     (seed, 1, n), each point weighing 1/m, and of the eval block from (seed, 0).
     ``theta0s`` may be rows ``first``.. of a call of ``trials`` rows (by default
-    all of it): the streams are then advanced past the draws of the rows before
-    them, and the eval blocks are those of the whole call, so with ``first`` on
-    a block boundary each row sees the draws, blocks and sums it sees in the
+    all of it): the streams then start at those rows' draws (the step streams
+    jumped as `_KeyedStreams` derives them, the eval generator advanced once),
+    and the eval blocks are those of the whole call, so with ``first`` on a
+    block boundary each row sees the draws, blocks and sums it sees in the
     whole call.  A draw is a + (b - a) u, written at l_0 = 1 straight into
     the workspace's points and at l_0 > 1 through its staging buffer; a factor
     1.0 or a term +-0.0 is skipped, so on the presets' box [0, 1] a draw is one
-    pass.  Workspaces are taken from the call's ``lease``: an int batch size
-    is resolved once, and at a change of a callable's batch size the step
-    `_Workspace` goes back and one of the new size is taken.  A
-    checkpoint rewinds the (seed, 0) generator and draws the sample again,
+    pass.  An int batch size is checked on entry, before any checkpoint.
+    Workspaces are taken from the call's ``lease``; at a change of a callable's
+    batch size the step `_Workspace` goes back and one of the new size is
+    taken.  A checkpoint rewinds the (seed, 0) generator and draws the sample again,
     block by block of `_eval_block` in trial order, each straight into the
     first [x; 1] of a forward-only workspace bound to a (rows, d) copy of the
     block's parameters, leased together: one for the full block and one for a
@@ -566,9 +568,11 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
     """
     rate = _rate_fn(schedule)
     eval_grid = _eval_grid(cfg)
+    varying = callable(cfg.batch_size)
+    m = None if varying else cfg.batch_at(0)
     rows_here, span, entropy = theta0s.shape[0], b - a, _entropy(cfg.seed)
-    streams, weight, skip = _KeyedStreams(entropy + (1,), cfg.steps + 1), None, 0
-    staged, varying = arch.widths[0] > 1, callable(cfg.batch_size)
+    streams = _KeyedStreams(entropy + (1,), cfg.steps + 1, 0 if varying else first * m * arch.widths[0])
+    staged, weight = arch.widths[0] > 1, None
 
     def draw(rng, ws):
         """a + span * u, in that order, into the x rows of ws's first [x; 1].
@@ -583,17 +587,14 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
             np.add(a, u, out=ws.draw_target)
 
     def batch(n, blocks, ws):
-        nonlocal weight, skip
-        if ws is None or varying:  # an int batch size is resolved once per call
-            m = cfg.batch_at(n)
-            if ws is None or ws.points.shape[-1] != m:
+        nonlocal weight
+        if ws is None or varying:
+            size = cfg.batch_at(n) if varying else m
+            if ws is None or ws.points.shape[-1] != size:
                 if ws is not None:
                     lease.give(ws)
-                ws, weight, skip = lease.workspace(blocks, m), 1.0 / m, first * m * arch.widths[0]
-        rng = streams(n)
-        if skip:
-            rng.bit_generator.advance(skip)
-        draw(rng, ws)
+                ws, weight = lease.workspace(blocks, size), 1.0 / size
+        draw(streams(n), ws)
         return ws, weight
 
     def evaluate(theta):
@@ -669,7 +670,7 @@ def gaussian_init(arch: Architecture, seed, scale: float, trials: int) -> np.nda
 
 
 # An ensemble call splits only when its work, trials x (steps x batch + checkpoints x eval samples),
-# is at least _SPLIT_WORK: below it the ~0.1-0.15 ms of pickling and socket traffic outweighs half the call.
+# is at least _SPLIT_WORK: below it the ~0.4 ms the request and the reply take to arrive outweighs half the call.
 # Its steps count only where trials x batch is at least _SPLIT_WORK / _SPLIT_STEPS (2,000): both processes
 # pay a step's fixed Python cost, and narrower steps split ran no faster (1,7,1 at 50 steps, CHANGES.md).
 # The first such call starts the helper, sends it its rows at once and waits out its ~0.1 s of imports.
@@ -683,11 +684,12 @@ _helper_broken = False  # a helper failed to start or exited before it was ready
 class _Helper:
     """A second Python process that runs `_serve`: a `_sgd_train` per request, one at a time.
 
-    It imports the package from this package's own directory and exchanges
-    pickles with this side over one `multiprocessing.connection.Pipe` socket
-    pair, ``conn`` here and a descriptor passed to the child; its stdin,
-    stdout and stderr are the null device and no part of the exchange, so
-    whatever its interpreter prints at start-up is lost, not read as a reply.
+    It imports the package from this package's own directory and exchanges one
+    raw frame each way per request (see `_serve`) with this side over one
+    `multiprocessing.connection.Pipe` socket pair, ``conn`` here and a
+    descriptor passed to the child; its stdin, stdout and stderr are the null
+    device and no part of the exchange, so whatever its interpreter prints at
+    start-up is lost, not read as a reply.
     It sends ``b"r"`` once its imports are done (``ready``), ~0.1 s after its
     start, and then serves requests until its end of the pair reaches EOF.  It
     ignores SIGINT: the caller kills it (``close``), at the latest at exit.
@@ -729,8 +731,9 @@ class _Helper:
 def _serve(fd: int) -> None:
     """The helper's loop on socket ``fd``: `_sgd_train` on each request's rows, under the caller's `np.geterr`, until EOF.
 
-    The reply is (risk, theta) or, if the rows raised (a warning counts), None:
-    the caller then runs the whole call in-process, where it raises as it would alone.
+    A request is one frame, the `marshal` bytes of plain fields (see `_split`; `marshal.loads` stops at their
+    end) and then the rows' raw float64 bytes.  The reply is one frame, the rows' raw [theta_final | risk] block
+    or, if they raised (a warning counts), empty: the caller then runs the call in-process, where it raises alone.
     """
     from multiprocessing.connection import Connection
 
@@ -740,16 +743,19 @@ def _serve(fd: int) -> None:
     conn.send_bytes(b"r")
     while True:
         try:
-            errstate, args = conn.recv()
+            frame = conn.recv_bytes()
         except EOFError:
             return
         try:
+            widths, rate, a, b, xi, fields, first, trials, errstate = marshal.loads(frame)
+            arch, rows = Architecture(widths), trials - first
+            theta0s = np.frombuffer(frame, offset=len(frame) - 8 * rows * arch.param_count).reshape(rows, -1)
             with np.errstate(**errstate), _Lease() as lease:
-                result = _sgd_train(lease, *args)
-            reply = result.risk, result.theta_final
+                result = _sgd_train(lease, arch, theta0s, rate, a, b, np.array(xi), SgdConfig(**fields), None, first, trials)
+            reply = np.concatenate((result.theta_final, result.risk), axis=1)
         except Exception:
-            reply = None
-        conn.send(reply)
+            reply = b""
+        conn.send_bytes(reply)
 
 
 def _cpus() -> int:
@@ -813,10 +819,13 @@ def _drop_helper() -> None:
 def _split(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig) -> EnsembleResult | None:
     """The call with its upper rows on the helper and the rest here, at the same time; None to run it in-process.
 
-    Either half raising at run time, or a helper that dies or sends a bad reply,
-    returns None, so the in-process run gives the call's result or error.  An
-    interrupt kills the helper.  Only a helper that dies before it is ready
-    turns splitting off.
+    The request holds the widths, rate, box, xi, the config's fields with its
+    batch size and seed words, ``first``, ``trials`` and `np.geterr` as plain
+    values, then the upper rows (see `_serve`).  Either half raising at run
+    time (an empty reply), or a helper that dies or sends a frame of another
+    wrong length, returns None, so the in-process run gives the call's result
+    or error; the last two drop the helper.  An interrupt kills the helper.
+    Only a helper that dies before it is ready turns splitting off.
     """
     global _helper_broken
     trials = theta0s.shape[0]
@@ -827,18 +836,21 @@ def _split(arch, theta0s, schedule, a, b, xi, cfg: SgdConfig) -> EnsembleResult 
     if helper is None:
         return None
     try:
-        helper.conn.send((np.geterr(), (arch, theta0s[first:], rate, a, b, xi, cfg, None, first, trials)))
+        fields = {**vars(cfg), "batch_size": cfg.batch_at(0), "seed": _entropy(cfg.seed)}
+        header = arch.widths, rate, a, b, xi.tolist(), fields, first, trials, np.geterr()
+        helper.conn.send_bytes(marshal.dumps(header) + theta0s[first:].tobytes())
         try:
             with _Lease() as lease:
                 low = _sgd_train(lease, arch, theta0s[:first], rate, a, b, xi, cfg, None, 0, trials)
         except Exception:  # run again in-process, which raises it as the call would alone
             low = None
         helper.ready()
-        high = helper.conn.recv()
+        frame = helper.conn.recv_bytes()
         helper.served += 1
-        if low is None or high is None:
+        if low is None or not frame:
             return None
-        risk, theta = high
+        d = theta0s.shape[1]  # a frame of another length than the rows' [theta | risk] block raises ValueError here
+        theta, risk = np.hsplit(np.frombuffer(frame).reshape(trials - first, d + low.risk.shape[1]), [d])
         return EnsembleResult(low.eval_steps, np.concatenate((low.risk, risk)), np.concatenate((low.theta_final, theta)))
     except BaseException as error:
         _helper_broken = isinstance(error, (EOFError, OSError)) and not helper.is_ready
@@ -899,7 +911,8 @@ def sgd_ensemble(
     in-process call's.  The first such call starts the helper, sends it its
     rows at once and waits ~0.1 s for the helper's imports; later calls find
     it ready.  It peaks at ~41 MB of resident memory, which this process's own
-    figures do not count.  The two processes talk over one socket pair, and
+    figures do not count.  The two processes talk over one socket pair, one
+    raw frame each way and nothing pickled (see `_serve`), and
     the helper's stdin, stdout and stderr are the null device, so whatever its
     interpreter prints at start-up (a `sitecustomize`, say) is no part of the
     exchange; only a helper that cannot be started or exits before it is

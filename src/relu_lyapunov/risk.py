@@ -56,8 +56,21 @@ _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32
 _PCG64_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
-def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) after seeding from `SeedSequence` of each column of a (words, keys) uint32 block."""
+def _pcg64_jump(skip: int) -> tuple[int, int]:
+    """(A M, A + G) mod 2^128 for PCG64's multiplier M and its LCG jump-ahead by ``skip`` steps, state <- A state +
+    G inc: a seeded state (seed + inc) M + inc, jumped, is (seed + inc) A M + inc (A + G).  (M, 1) at skip 0."""
+    mult, plus, step_mult, step_plus = 1, 0, _PCG64_MULT, 1  # step_plus, and so plus, in units of inc
+    while skip:
+        if skip & 1:
+            mult, plus = mult * step_mult & _MASK128, (plus * step_mult + step_plus) & _MASK128
+        step_mult, step_plus = step_mult * step_mult & _MASK128, (step_mult + 1) * step_plus & _MASK128
+        skip >>= 1
+    return mult * _PCG64_MULT & _MASK128, mult + plus & _MASK128
+
+
+def _pcg64_states(entropy: np.ndarray, jump: tuple[int, int]) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) after seeding from `SeedSequence` of each column of a (words, keys) uint32 block and
+    jumping ahead by `_pcg64_jump`'s ``jump``."""
     consts = _hash_consts(0x43B0D7E5, 0x931E8875, 16 + 4 * max(len(entropy) - 4, 0))
 
     def hashmix(value, i, count):
@@ -82,30 +95,37 @@ def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
     # pcg64_set_seed steps from 0 with inc, adds the seed and steps again
     words = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").tolist()
     seeds = [(s_hi << 64 | s_lo, (i_hi << 65 | i_lo << 1 | 1) & _MASK128) for s_hi, s_lo, i_hi, i_lo in words]
-    return [((seed + inc) * _PCG64_MULT + inc & _MASK128, inc) for seed, inc in seeds]
+    mult, plus = jump
+    return [((seed + inc) * mult + inc * plus & _MASK128, inc) for seed, inc in seeds]
 
 
 class _KeyedStreams:
-    """The streams ``prefix + (k,)``, k < stop, each numpy's ``Generator(PCG64(SeedSequence(prefix + (k,))))``.
+    """The streams ``prefix + (k,)``, k < stop, each numpy's ``Generator(PCG64(SeedSequence(prefix + (k,))))``
+    advanced by ``skip`` draws (those of the trial rows before a split's upper half).
 
-    With 16 keys or more left, one pass vectorized over k derives up to 256 keys' PCG64 states, set one
-    per call on a reused `Generator` (valid until the next call); with fewer, numpy's set-up is cheaper.
+    With 16 keys or more left, one pass vectorized over k derives up to 256 keys' PCG64 states, each jumped
+    ``skip`` steps ahead as it is derived (one `_pcg64_jump` per instance), set one per call on a reused
+    `Generator` (valid until the next call); with fewer, numpy's set-up and `advance` are cheaper.
     """
 
-    def __init__(self, prefix: tuple[int, ...], stop: int):
-        self.prefix, self.stop, self.start, self.states, self.gen, self.record = prefix, stop, 0, [], None, None
+    def __init__(self, prefix: tuple[int, ...], stop: int, skip: int = 0):
+        self.prefix, self.stop, self.skip, self.jump = prefix, stop, skip, _pcg64_jump(skip)
+        self.start, self.states, self.gen, self.record = 0, [], None, None
 
     def __call__(self, k: int) -> np.random.Generator:
         i = k - self.start
         if not 0 <= i < len(self.states):
             if self.stop - k < 16:
-                return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.prefix + (k,))))
+                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.prefix + (k,))))
+                if self.skip:
+                    rng.bit_generator.advance(self.skip)
+                return rng
             key = _uint32_words(k)  # the keys of a block differ in their lowest word only
             count = min(self.stop - k, 256, 2**32 - key[0])
             words = [w for p in self.prefix for w in _uint32_words(p)] + key
             block = np.repeat(np.array(words, dtype=np.uint32)[:, None], count, axis=1)
             block[-len(key)] += np.arange(count, dtype=np.uint32)
-            self.start, self.states, i = k, _pcg64_states(block), 0
+            self.start, self.states, i = k, _pcg64_states(block, self.jump), 0
         if self.gen is None:
             self.gen = np.random.Generator(np.random.PCG64(0))
             self.record = self.gen.bit_generator.state

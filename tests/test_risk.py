@@ -174,13 +174,20 @@ def key_ranges(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(words, min_size=1, max_size=5).map(tuple), key_ranges())
-def test_keyed_streams_equal_numpy_seed_sequence_streams(prefix, keys):
-    """Every stream, derived in blocks or one by one, is numpy's keyed stream:
-    the same PCG64 state and the same first uniform and normal draws."""
+@given(
+    st.lists(words, min_size=1, max_size=5).map(tuple),
+    key_ranges(),
+    st.one_of(st.just(0), st.integers(1, 10**4), st.integers(1, 2**70)),
+)
+def test_keyed_streams_equal_numpy_seed_sequence_streams(prefix, keys, skip):
+    """Every stream, derived in blocks or one by one, is numpy's keyed stream
+    advanced by ``skip`` draws (a derived state jumped ahead, a numpy stream
+    advanced): the same PCG64 state and the same first uniform and normal draws."""
     first, stop = keys
-    streams = _KeyedStreams(prefix, stop)
+    streams = _KeyedStreams(prefix, stop, skip)
     for k in range(first, stop):
         got, want = streams(k), np.random.Generator(np.random.PCG64(np.random.SeedSequence(prefix + (k,))))
+        if skip:
+            want.bit_generator.advance(skip)
         assert got.bit_generator.state == want.bit_generator.state
         assert got.random() == want.random() and got.normal() == want.normal()

@@ -60,8 +60,8 @@ CASES = [
 @pytest.mark.parametrize("widths, trials, samples", CASES)
 def test_split_outputs_equal_in_process_outputs(helper, widths, trials, samples):
     """Every `EnsembleResult` array, its dtype and shape, equals the in-process
-    call's bit for bit: the helper's streams are advanced past the lower rows'
-    draws and its checkpoints take the whole call's blocks, at batch 37 on the
+    call's bit for bit: the helper's streams start at its rows' draws and its
+    checkpoints take the whole call's blocks, at batch 37 on the
     box [-0.5, 1.5], over one trial at a time in parts (10,001 samples) and
     blocks of several rows (400).  A call whose one eval block holds every
     trial (2 or 3 trials at 400 samples) has no block boundary to split at and
@@ -80,10 +80,28 @@ def test_split_outputs_equal_in_process_outputs(helper, widths, trials, samples)
     assert _outputs(split) == _outputs(_in_process(call))
 
 
+def test_helper_rows_crossing_a_key_block_equal_in_process_rows(helper):
+    """266 steps take keys 0..266: one 256-key block of derived states, each
+    jumped past the lower rows' draws, and an 11-key tail of numpy streams
+    advanced past them.  The split call equals the in-process call bit for bit."""
+    arch = Architecture((1, 7, 1))
+    theta0s = gaussian_init(arch, seed=6, scale=7.0**-0.5, trials=10)
+    cfg = SgdConfig(batch_size=30, steps=266, seed=(2, 66), eval_samples=500, eval_steps=(0, 255, 266))
+
+    def call():
+        return sgd_ensemble(arch, theta0s, 1e-3, -0.5, 1.5, 1.0, cfg)
+
+    served = helper.served
+    split = call()
+    assert helper.served == served + 1
+    assert _outputs(split) == _outputs(_in_process(call))
+
+
 @pytest.mark.parametrize("half", ["caller", "helper"])
 def test_divergence_in_either_half_is_the_in_process_error(helper, half):
     """A trial diverging in either half raises the in-process call's
-    `DivergenceError`: the same step, message and parameters of every trial."""
+    `DivergenceError`: the same step, message and parameters of every trial.
+    The helper, whose reply is empty when its rows raise, is kept."""
     arch = Architecture((1, 7, 1))
     theta0s = gaussian_init(arch, seed=3, scale=7.0**-0.5, trials=20)
     bad = 2 if half == "caller" else 17
@@ -97,7 +115,7 @@ def test_divergence_in_either_half_is_the_in_process_error(helper, half):
 
     served = helper.served
     split = call()
-    assert helper.served == served + 1
+    assert helper.served == served + 1 and optimize._helper is helper  # an empty reply keeps the helper
     alone = _in_process(call)
     assert f"[{bad}]" in str(alone)
     assert (str(split), split.step, split.theta.tobytes()) == (str(alone), alone.step, alone.theta.tobytes())
@@ -231,9 +249,10 @@ def test_bad_input_raises_before_a_helper_is_started_or_messaged(request, monkey
 
 
 def test_a_bad_reply_reruns_the_call_in_process(helper, monkeypatch):
-    """A reply that is not a (risk, theta) pair drops the helper, which was
-    ready, so this process still splits later calls, and the call runs again
-    in-process with its outputs bit for bit."""
+    """A reply frame that is neither empty nor the helper's rows' [theta |
+    risk] block (here 7 floats) drops the helper, which was ready, so this
+    process still splits later calls, and the call runs again in-process with
+    its outputs bit for bit."""
     arch = Architecture((1, 7, 1))
     theta0s = gaussian_init(arch, seed=4, scale=7.0**-0.5, trials=10)
     cfg = SgdConfig(batch_size=30, steps=20, seed=3, eval_samples=500, eval_steps=(0, 20))
@@ -242,7 +261,7 @@ def test_a_bad_reply_reruns_the_call_in_process(helper, monkeypatch):
         return _outputs(sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, 1.0, cfg))
 
     alone = _in_process(call)
-    monkeypatch.setattr(helper.conn, "recv", lambda: ("risk", "theta", "extra"))
+    monkeypatch.setattr(helper.conn, "recv_bytes", lambda: bytes(8 * 7))
     assert call() == alone
     assert optimize._helper is None and helper.proc.returncode is not None
     assert optimize._helper_broken is False

@@ -46,6 +46,7 @@ from relu_lyapunov import (
     sgd_threshold,
     smooth_gradient,
 )
+from relu_lyapunov import optimize
 from relu_lyapunov.optimize import _eval_grid, _rate_fn
 from relu_lyapunov.risk import _constant_target
 
@@ -163,6 +164,26 @@ def test_batch_at_rejects_non_positive_or_fractional_or_non_finite(size, as_func
     cfg = SgdConfig(batch_size=(lambda n: size) if as_function else size)
     with pytest.raises(ValueError, match="batch size"):
         cfg.batch_at(3)
+
+
+@pytest.mark.parametrize("call", ["sgd_run", "one-trial ensemble", "callable-rate ensemble"])
+def test_a_zero_int_batch_size_is_rejected_before_any_checkpoint(monkeypatch, call):
+    """`sgd_run` and the in-process `sgd_ensemble` calls (one trial, or a
+    callable rate) reject ``batch_size=0`` on entry with the step-0 message:
+    no Monte Carlo checkpoint is planned, let alone run."""
+
+    def unreachable(*args):
+        raise AssertionError("a checkpoint was planned")
+
+    monkeypatch.setattr(optimize, "_eval_block", unreachable)
+    arch = Architecture((1, 7, 1))
+    theta0s = gaussian_init(arch, seed=0, scale=7.0**-0.5, trials=1 if call != "callable-rate ensemble" else 10)
+    cfg = SgdConfig(batch_size=0, steps=100, eval_steps=(0,))
+    with pytest.raises(ValueError, match=r"^batch size must be a positive integer, got 0 at step 0$"):
+        if call == "sgd_run":
+            sgd_run(arch, theta0s[0], 5e-4, UniformSampler(0.0, 1.0), 1.0, cfg)
+        else:
+            sgd_ensemble(arch, theta0s, 5e-4 if call == "one-trial ensemble" else (lambda n: 5e-4), 0.0, 1.0, 1.0, cfg)
 
 
 @settings(max_examples=200, deadline=None)
