@@ -274,6 +274,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
+        if args.seed < 0:  # every command takes --seed: checked before any stream is keyed or threshold printed
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

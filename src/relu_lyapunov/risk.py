@@ -9,6 +9,8 @@ splittable: a key's stream is numpy's ``Generator(PCG64(SeedSequence(key)))``.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -27,7 +29,7 @@ def _entropy(seed) -> tuple[int, ...]:
         if isinstance(word, bool) or not isinstance(word, (int, np.integer)):
             raise TypeError(f"seed must be a nonnegative integer or a tuple of them, got {seed!r}")
         if word < 0:
-            raise ValueError("expected non-negative integer")
+            raise ValueError(f"seed must be a nonnegative integer or a tuple of them, got {seed!r}")
     return tuple(map(int, words))
 
 
@@ -46,6 +48,7 @@ def _uint32_words(value: int) -> list[int]:
     return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
+@functools.cache
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
     """init mult^i mod 2^32, i = 0..count: `SeedSequence`'s hash call i xors entry i, multiplies by entry i + 1."""
     return np.multiply.accumulate(np.array([init] + [mult] * count, dtype=np.uint32), dtype=np.uint32)[:, None]
@@ -53,24 +56,41 @@ def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
 
 _HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_OTHERS = tuple(np.array([d for d in range(4) if d != src]) for src in range(4))  # the pool words each word mixes into
 _PCG64_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+_LOW32, _HALF, _ONE = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(1)
 
 
-def _pcg64_jump(skip: int) -> tuple[int, int]:
-    """(A M, A + G) mod 2^128 for PCG64's multiplier M and its LCG jump-ahead by ``skip`` steps, state <- A state +
-    G inc: a seeded state (seed + inc) M + inc, jumped, is (seed + inc) A M + inc (A + G).  (M, 1) at skip 0."""
+def _pcg64_jump(skip: int) -> np.ndarray:
+    """The multipliers of seed and inc in PCG64's seeded state jumped ``skip`` steps ahead, as (hi, lo) uint64 limbs.
+
+    Seeding steps from 0 with inc, adds the seed and steps again: (seed + inc) M + inc for the multiplier M.  The
+    LCG's jump-ahead by ``skip`` steps is state <- A state + G inc, so the jumped state is seed (A M) + inc (A M + A
+    + G) mod 2^128; (M, M + 1) at skip 0.  Returns [[A M], [A M + A + G]] as a (2, 2) block of limbs.
+    """
     mult, plus, step_mult, step_plus = 1, 0, _PCG64_MULT, 1  # step_plus, and so plus, in units of inc
     while skip:
         if skip & 1:
             mult, plus = mult * step_mult & _MASK128, (plus * step_mult + step_plus) & _MASK128
         step_mult, step_plus = step_mult * step_mult & _MASK128, (step_mult + 1) * step_plus & _MASK128
         skip >>= 1
-    return mult * _PCG64_MULT & _MASK128, mult + plus & _MASK128
+    seed_mult = mult * _PCG64_MULT & _MASK128
+    limbs = [[m >> 64, m & 2**64 - 1] for m in (seed_mult, seed_mult + mult + plus & _MASK128)]
+    return np.array(limbs, dtype=np.uint64)
 
 
-def _pcg64_states(entropy: np.ndarray, jump: tuple[int, int]) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) after seeding from `SeedSequence` of each column of a (words, keys) uint32 block and
-    jumping ahead by `_pcg64_jump`'s ``jump``."""
+def _mul128(x_hi, x_lo, m_hi, m_lo):
+    """x m mod 2^128 of 128-bit ints given as uint64 (hi, lo) limbs, as limbs: the carry out of the low limbs'
+    product is summed from their 32-bit halves' partial products, each of which fits in 64 bits."""
+    a0, a1, b0, b1 = x_lo & _LOW32, x_lo >> _HALF, m_lo & _LOW32, m_lo >> _HALF
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _HALF) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> _HALF) + (p10 >> _HALF) + (mid >> _HALF) + x_hi * m_lo + x_lo * m_hi, x_lo * m_lo
+
+
+def _pcg64_states(entropy: np.ndarray, jump: np.ndarray) -> np.ndarray:
+    """PCG64 (state hi, state lo, inc hi, inc lo) words, a (keys, 4) uint64 block, after seeding from `SeedSequence`
+    of each column of a (words, keys) uint32 block and jumping ahead by `_pcg64_jump`'s ``jump``."""
     consts = _hash_consts(0x43B0D7E5, 0x931E8875, 16 + 4 * max(len(entropy) - 4, 0))
 
     def hashmix(value, i, count):
@@ -84,53 +104,117 @@ def _pcg64_states(entropy: np.ndarray, jump: tuple[int, int]) -> list[tuple[int,
     pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
     pool[: len(entropy)] = entropy[:4]
     pool = hashmix(pool, 0, 4)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
+    for src, dst in enumerate(_OTHERS):
         pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
     for j, word in enumerate(entropy[4:]):
         pool = mix(pool, hashmix(word, 16 + 4 * j, 4))
     out = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:8]) * _HASH_B[1:]
     out ^= out >> _SHIFT
-    # generate_state(4, uint64) gives (seed_hi, seed_lo, inc_hi, inc_lo), and
-    # pcg64_set_seed steps from 0 with inc, adds the seed and steps again
-    words = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").tolist()
-    seeds = [(s_hi << 64 | s_lo, (i_hi << 65 | i_lo << 1 | 1) & _MASK128) for s_hi, s_lo, i_hi, i_lo in words]
-    mult, plus = jump
-    return [((seed + inc) * mult + inc * plus & _MASK128, inc) for seed, inc in seeds]
+    # generate_state(4, uint64) gives the limbs (seed hi, seed lo, i hi, i lo); pcg64_set_seed takes
+    # inc = 2 i + 1 mod 2^128, and the jumped state is seed jump[0] + inc jump[1], one product over both rows
+    words = np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+    block = np.empty((len(words), 2, 2), dtype=np.uint64)  # [key, (seed, inc) -> (state, inc), (hi, lo)]
+    block[:, 0] = words[:, :2]
+    np.left_shift(words[:, 3], _ONE, out=block[:, 1, 1])
+    block[:, 1, 1] |= _ONE
+    np.left_shift(words[:, 2], _ONE, out=block[:, 1, 0])
+    block[:, 1, 0] |= words[:, 3] >> np.uint64(63)
+    hi, lo = _mul128(block[..., 0], block[..., 1], jump[:, 0], jump[:, 1])
+    np.add(lo[:, 0], lo[:, 1], out=block[:, 0, 1])
+    np.add(hi[:, 0], hi[:, 1], out=block[:, 0, 0])
+    block[:, 0, 0] += block[:, 0, 1] < lo[:, 0]
+    return block.reshape(-1, 4)
+
+
+def _struct_views(bit_generator: np.random.PCG64) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 views of a PCG64's four state words and of the word after the pointer to them in the struct that
+    ``ctypes.state_address`` points to (has_uint32 and the buffered uinteger), both checked to lie in the object."""
+    address, base = bit_generator.ctypes.state_address, id(bit_generator)
+    flags = address + ctypes.sizeof(ctypes.c_void_p)
+    end = base + type(bit_generator).__basicsize__
+    words = ctypes.c_void_p.from_address(address).value if base <= address and flags + 8 <= end else None
+    if words is None or not base <= words <= end - 32:
+        raise LookupError("the PCG64 state struct is not where numpy keeps it")
+    return (np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(words)),
+            np.ctypeslib.as_array((ctypes.c_uint64 * 1).from_address(flags)))
+
+
+@functools.cache
+def _pcg64_order() -> np.ndarray | None:
+    """Where each of (state hi, state lo, inc hi, inc lo) sits among a PCG64's struct words, probed once per process:
+    a state set through numpy's setter is read back through `_struct_views`, and the block written back through
+    them must give numpy's state again.  None on a layout the probe does not recognise."""
+    known = [0x0123456789ABCDEF, 0x1032547698BADCFE, 0x2301674589EFCDAB, 0x32107654BA98FEDD]
+    bit_generator = np.random.PCG64(0)
+    state = bit_generator.state
+    state["state"] = {"state": known[0] << 64 | known[1], "inc": known[2] << 64 | known[3]}
+    state["has_uint32"], state["uinteger"] = 1, 0x89ABCDEF
+    bit_generator.state = state
+    try:
+        words, flags = _struct_views(bit_generator)
+    except (AttributeError, LookupError):
+        return None
+    seen = words.tolist()
+    if sorted(seen) != known or flags[0] != 0x89ABCDEF << 32 | 1:
+        return None
+    order = np.array([known.index(word) for word in seen])
+    state["has_uint32"], state["uinteger"] = 0, 0
+    words[...], flags[0] = np.array(known[::-1], dtype=np.uint64)[order], 0
+    state["state"] = {"state": known[3] << 64 | known[2], "inc": known[1] << 64 | known[0]}
+    return order if bit_generator.state == state else None
+
+
+# Below this many keys left, numpy's Generator(PCG64(SeedSequence(key))), ~13 us a key, is cheaper than a derived
+# block: a block cost ~100 us on a new instance (~67 us to derive, ~15 us for its generator and views) and ~75 us on
+# one whose generator exists, plus ~0.6 us a key, so numpy's path broke even at ~10 and ~7 keys left (2-vCPU Xeon
+# host, best of 11; at 16 keys a block took 133 and 87 us against numpy's 192 and 182 us).
+_BLOCK_MIN = 10
 
 
 class _KeyedStreams:
     """The streams ``prefix + (k,)``, k < stop, each numpy's ``Generator(PCG64(SeedSequence(prefix + (k,))))``
     advanced by ``skip`` draws (those of the trial rows before a split's upper half).
 
-    With 16 keys or more left, one pass vectorized over k derives up to 256 keys' PCG64 states, each jumped
-    ``skip`` steps ahead as it is derived (one `_pcg64_jump` per instance), set one per call on a reused
-    `Generator` (valid until the next call); with fewer, numpy's set-up and `advance` are cheaper.
+    With `_BLOCK_MIN` keys or more left, one pass vectorized over k derives up to 256 keys' PCG64 states, each
+    jumped ``skip`` steps ahead as it is derived (one `_pcg64_jump` per instance), and each call writes its key's
+    state words into one reused `Generator` (valid until the next call) and clears its buffered uint32, as numpy's
+    state setter does; on a struct layout `_pcg64_order` does not recognise, the setter itself takes them.  With
+    fewer keys left, numpy's set-up and `advance` are cheaper.
     """
 
     def __init__(self, prefix: tuple[int, ...], stop: int, skip: int = 0):
-        self.prefix, self.stop, self.skip, self.jump = prefix, stop, skip, _pcg64_jump(skip)
-        self.start, self.states, self.gen, self.record = 0, [], None, None
+        self.prefix, self.stop, self.skip = prefix, stop, skip
+        self.start, self.states, self.gen = 0, (), None
 
     def __call__(self, k: int) -> np.random.Generator:
         i = k - self.start
         if not 0 <= i < len(self.states):
-            if self.stop - k < 16:
+            if self.stop - k < _BLOCK_MIN:
                 rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.prefix + (k,))))
                 if self.skip:
                     rng.bit_generator.advance(self.skip)
                 return rng
+            if self.gen is None:  # set up at the first block, so that a call drawing no batch pays none of it
+                self.gen, self.jump = np.random.Generator(np.random.PCG64(0)), _pcg64_jump(self.skip)
+                self.order = _pcg64_order()
+                if self.order is not None:
+                    self.words, self.flags = _struct_views(self.gen.bit_generator)
+                else:
+                    self.record = self.gen.bit_generator.state
             key = _uint32_words(k)  # the keys of a block differ in their lowest word only
             count = min(self.stop - k, 256, 2**32 - key[0])
             words = [w for p in self.prefix for w in _uint32_words(p)] + key
             block = np.repeat(np.array(words, dtype=np.uint32)[:, None], count, axis=1)
             block[-len(key)] += np.arange(count, dtype=np.uint32)
             self.start, self.states, i = k, _pcg64_states(block, self.jump), 0
-        if self.gen is None:
-            self.gen = np.random.Generator(np.random.PCG64(0))
-            self.record = self.gen.bit_generator.state
-        self.record["state"]["state"], self.record["state"]["inc"] = self.states[i]
-        self.gen.bit_generator.state = self.record
+            if self.order is not None:
+                self.states = self.states[:, self.order]
+        if self.order is not None:
+            self.words[...], self.flags[0] = self.states[i], 0
+        else:
+            s_hi, s_lo, i_hi, i_lo = self.states[i].tolist()
+            self.record["state"] = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+            self.gen.bit_generator.state = self.record
         return self.gen
 
 

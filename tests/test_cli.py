@@ -143,6 +143,23 @@ def test_bad_step_size_is_usage_error(tmp_path, capsys, monkeypatch, command, ba
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command", ["sgd", "gd", "gf", "verify", "nonconvexity"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    """A negative --seed is a usage error naming the flag, before any threshold is computed or printed: it exited 2
+    with numpy's "expected non-negative integer", which names no flag."""
+    def no_threshold(*args):
+        raise AssertionError("a threshold was computed")
+
+    monkeypatch.setattr(cli, "sgd_threshold", no_threshold)
+    monkeypatch.setattr(cli, "gd_threshold", no_threshold)
+    out_path = tmp_path / "s.csv"
+    given = ["--arch", "1,7,1", "--out", str(out_path)] if command != "verify" else []
+    code, out, err = run(capsys, command, "--seed", "-1", *given)
+    assert code == 2
+    assert "--seed must be >= 0, got -1" in err and out == ""
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("command", ["sgd", "gd", "gf", "nonconvexity"])
 @pytest.mark.parametrize("xi", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_target_is_usage_error(tmp_path, capsys, command, xi):

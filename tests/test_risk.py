@@ -1,3 +1,6 @@
+import ctypes
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,8 @@ from relu_lyapunov import (
     risk_exact,
     risk_smooth,
 )
-from relu_lyapunov.risk import _KeyedStreams
+from relu_lyapunov import risk
+from relu_lyapunov.risk import _KeyedStreams, _pcg64_order
 
 
 def test_uniform_grid_properties():
@@ -168,26 +172,56 @@ words = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70))
 @st.composite
 def key_ranges(draw):
     """A first key and a stop: one-word, two-word and 2**32-straddling keys, and
-    ranges just around the 16-key and 256-key sizes of a derived block."""
+    ranges just around the 10-key (`risk._BLOCK_MIN`) and 256-key sizes of a derived block."""
     first = draw(st.one_of(st.integers(0, 600), st.integers(2**32 - 300, 2**32 + 20), st.integers(2**32, 2**64)))
     return first, first + draw(st.one_of(st.integers(1, 20), st.integers(250, 262), st.integers(500, 520)))
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(words, min_size=1, max_size=5).map(tuple),
-    key_ranges(),
-    st.one_of(st.just(0), st.integers(1, 10**4), st.integers(1, 2**70)),
+# skips whose jump multipliers sit near a 64-bit limb boundary or wrap round 2**128 exercise the limb carries
+skips = st.one_of(
+    st.just(0),
+    st.integers(1, 10**4),
+    st.integers(1, 2**70),
+    st.integers(2**64 - 2**10, 2**64 + 2**10),
+    st.integers(2**128 - 2**10, 2**128 - 1),
 )
-def test_keyed_streams_equal_numpy_seed_sequence_streams(prefix, keys, skip):
-    """Every stream, derived in blocks or one by one, is numpy's keyed stream
-    advanced by ``skip`` draws (a derived state jumped ahead, a numpy stream
-    advanced): the same PCG64 state and the same first uniform and normal draws."""
-    first, stop = keys
-    streams = _KeyedStreams(prefix, stop, skip)
-    for k in range(first, stop):
+
+
+def assert_numpy_streams(streams, prefix, keys, skip):
+    """Every stream is numpy's keyed stream advanced by ``skip`` draws: the same PCG64 state and the same first
+    uniform, normal and float32 draws.  The float32 draw buffers a uint32 in the generator, so the next key's state
+    comparison also checks that setting a state clears it, as numpy's setter does."""
+    for k in keys:
         got, want = streams(k), np.random.Generator(np.random.PCG64(np.random.SeedSequence(prefix + (k,))))
         if skip:
             want.bit_generator.advance(skip)
         assert got.bit_generator.state == want.bit_generator.state
         assert got.random() == want.random() and got.normal() == want.normal()
+        assert got.random(dtype=np.float32) == want.random(dtype=np.float32)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(words, min_size=1, max_size=5).map(tuple), key_ranges(), skips)
+def test_keyed_streams_equal_numpy_seed_sequence_streams(prefix, keys, skip):
+    """Every stream, derived in blocks or one by one, is numpy's keyed stream
+    advanced by ``skip`` draws (a derived state jumped ahead, a numpy stream
+    advanced)."""
+    first, stop = keys
+    assert_numpy_streams(_KeyedStreams(prefix, stop, skip), prefix, range(first, stop), skip)
+
+
+@pytest.mark.skipif(sys.byteorder != "little" or ctypes.sizeof(ctypes.c_void_p) != 8, reason="64-bit little-endian")
+def test_the_probe_recognises_numpys_pcg64_layout():
+    """On a 64-bit little-endian host the probe finds each of numpy's four PCG64 state words, so the stream tests
+    above check the raw write and not only numpy's setter."""
+    assert sorted(_pcg64_order()) == [0, 1, 2, 3]
+
+
+def test_keyed_streams_on_an_unknown_layout_go_through_numpys_setter(monkeypatch):
+    """Where the probe does not recognise the struct layout, each derived state goes through numpy's state setter,
+    and the streams are still numpy's."""
+    monkeypatch.setattr(risk, "_pcg64_order", lambda: None)
+    prefix, skip = (2**40 + 3, 1), 2**64 + 5
+    streams = _KeyedStreams(prefix, 300, skip)
+    assert_numpy_streams(streams, prefix, range(300), skip)
+    assert not hasattr(streams, "words")

@@ -3,12 +3,13 @@ input is accepted, and every non-finite, non-positive or empty-box input
 raises ValueError, never another exception or a silent result; so does a
 count or step index that is not an integer.  A seed that
 is not a nonnegative integer or a tuple of them raises TypeError, or
-ValueError for a negative word, as numpy's `SeedSequence` does.  Points
+ValueError naming the seed for a negative word.  Points
 or target values of the wrong width raise a ValueError naming the width
 in every public function that evaluates the network on them, and a
 non-finite target or xi one naming it."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -250,11 +251,12 @@ def test_seed_rule_rejects_non_integers(word, others):
 def test_seed_rule_rejects_negative_words(word, others):
     # 20 trials take the block-derived streams, whose word split never ends on a negative int
     for seed in (word, tuple(others) + (word,)):
-        with pytest.raises(ValueError, match="expected non-negative integer"):
+        named = re.escape(f"seed must be a nonnegative integer or a tuple of them, got {seed!r}")
+        with pytest.raises(ValueError, match=named):
             SgdConfig(seed=seed)
-        with pytest.raises(ValueError, match="expected non-negative integer"):
+        with pytest.raises(ValueError, match=named):
             gaussian_init(ARCH, seed, 1.0, 20)
-        with pytest.raises(ValueError, match="expected non-negative integer"):
+        with pytest.raises(ValueError, match=named):
             UniformSampler(0.0, 1.0, 1, seed)
 
 
