@@ -215,14 +215,16 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, *, points=False):
+def _add_common(sub, *, points=False, run=True):
+    """The network, target and box flags; a ``run`` (a command that trains) also reads --seed and --out."""
     sub.add_argument("--preset", choices=sorted(PRESETS), help="named experiment configuration")
     sub.add_argument("--arch", help="comma-separated widths, e.g. 1,7,1")
     sub.add_argument("--xi", default="1.0", help="constant target value(s), comma-separated (default 1.0)")
     sub.add_argument("--a", type=float, default=0.0, help="input box lower end (default 0)")
     sub.add_argument("--b", type=float, default=1.0, help="input box upper end (default 1)")
-    sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    sub.add_argument("--out", help="output CSV path")
+    if run:
+        sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        sub.add_argument("--out", help="output CSV path")
     if points:
         sub.add_argument("--points", type=int, default=101, help="grid points of the measure (default 101)")
 
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_verify)
 
     sub = subparsers.add_parser("nonconvexity", help="print an explicit midpoint violation")
-    _add_common(sub, points=True)
+    _add_common(sub, points=True, run=False)
     sub.set_defaults(func=cmd_nonconvexity)
 
     return parser
@@ -274,7 +276,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        if args.seed < 0:  # every command takes --seed: checked before any stream is keyed or threshold printed
+        if "seed" in args and args.seed < 0:  # checked before any stream is keyed or threshold printed
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:

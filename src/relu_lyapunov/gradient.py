@@ -6,8 +6,8 @@ gates are the left derivative of ReLU (0 exactly at a kink).  For smoothed
 networks `smooth_gradient` is the honest gradient of `risk_smooth`.  Both run
 the allocating reverse sweep `_backward`; only the gate differs.  Like
 `_forward`, it works on feature-major ``(..., width, samples)`` arrays.  The
-training loops run the same sweep as the step `_bind_step` builds once per
-bound workspace: straight-line ``out=`` calls into buffers allocated once
+training loops run the same sweep as the step `_build_step` builds once per
+workspace: straight-line ``out=`` calls into buffers allocated once
 that, for scalar output, factor the output weights out of the last hidden
 layer's gradients.
 
@@ -54,7 +54,7 @@ def _backward(layers, points, pres, acts, delta, gate) -> list[tuple[np.ndarray,
     bias gradients sum its contiguous sample axis.  ``gate(k, z)`` is the
     derivative of the unit after hidden layer k.  Through a fan-out-1 layer
     the delta is back-propagated as the broadcast product ``W_k^T * delta``.
-    Training runs the same sweep as the step of `_bind_step`.
+    Training runs the same sweep as the step of `_build_step`.
     """
     grads = []
     for k in range(len(layers), 0, -1):
@@ -67,12 +67,12 @@ def _backward(layers, points, pres, acts, delta, gate) -> list[tuple[np.ndarray,
     return grads[::-1]
 
 
-def _bind_step(ws: _Workspace, blocks: list[np.ndarray]):
-    """The training step over ``ws.views`` and ``blocks``, built once per bind: ``step(fvals, resid, scale)``.
+def _build_step(ws: _Workspace):
+    """The training step over ``ws.views``, built once with the workspace: ``step(fvals, resid, scale)``.
 
-    ``blocks`` are the bound parameters as the views see them (their 2-D ``[0]``
-    where ``ws.matmul`` is ``np.dot``, see `_Workspace`), and every product is a
-    ``ws.matmul``.  It runs ``ws.forward()``, writes the residual N - ``fvals`` into ``resid``
+    The views are the buffers and parameter blocks as the products take them
+    (their 2-D ``[0]`` where ``ws.matmul`` is ``np.dot``, see `_Workspace`), and
+    every product is a ``ws.matmul``.  It runs ``ws.forward()``, writes the residual N - ``fvals`` into ``resid``
     (``ws.out`` or a buffer of its shape) and delta = ``resid * scale`` into
     ``ws.out`` (but see ``narrow`` below), and sweeps back with the exact gate in ``out=`` calls that
     leave the gradient in ``ws.grad``: layer k's is the one product
@@ -93,7 +93,7 @@ def _bind_step(ws: _Workspace, blocks: list[np.ndarray]):
     """
     matmul, multiply, greater, subtract, copyto, zero = ws.matmul, np.multiply, np.greater, np.subtract, np.copyto, _ZERO
     v = ws.views  # the buffers as the products take them, by name
-    grads, inputs_t, hidden, out, stacked = v["grads"], v["inputs_t"], v["layers"], v["out"], ws.out
+    blocks, grads, inputs_t, hidden, out, stacked = v["blocks"], v["grads"], v["inputs_t"], v["layers"], v["out"], ws.out
     forward, depth, plain, first_t, first_grad = ws.forward, len(blocks), [], inputs_t[0], grads[0]
     # the plain layers k = L or L-2 .. 2: gradient, then delta_{k-1} through W_k^T (a broadcast at fan-out 1)
     for k in range(depth - 2 if ws.factored else depth, 1, -1):

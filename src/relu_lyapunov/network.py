@@ -8,8 +8,8 @@ to the exact one with an explicit rate as sharpness grows.
 
 An evaluation goes through the allocating `_forward`, where exact and smoothed
 differ only in the unit, or in the training loops through the exact ``forward``
-a `_Workspace` binds (through ``np.dot`` on 2-D views at one trial and a small
-batch).  Arrays are feature-major, ``(..., width, samples)``, so
+a `_Workspace` builds once over its own parameter block (through ``np.dot`` on
+2-D views at one trial and a small batch).  Arrays are feature-major, ``(..., width, samples)``, so
 the contiguous axis runs over samples rather than over a handful of neurons.
 The public risks and gradients reach `_forward` through `_residual`, whose
 `_check_inputs` is their one input check, and the single-input traces through `_trace`.
@@ -101,17 +101,16 @@ _ZERO.flags.writeable = False
 # the cost of np.matmul on the stacked ones and with the same bits; np.dot is 1.1x slower at 1,024 samples and 1.8x
 # at 10^4 (ROADMAP.md, Measurements), and at one sample W^T @ delta is a gemv whose last bit the two round apart.
 _DOT_SAMPLES = 512
-_KERNEL_BUFFERS = ("inputs", "inputs_t", "hidden", "deltas", "gates", "out", "grads", "scaled", "scaled_t", "back")
+_KERNEL_BUFFERS = ("blocks", "inputs", "inputs_t", "hidden", "deltas", "gates", "out", "grads", "scaled", "scaled_t", "back")
 
 
 class _Workspace:
-    """The buffers of the passes over one trial-stacked block at batch size m, and the kernel bound to them.
+    """A trial-stacked parameter block, the buffers of its passes at batch size m, and the kernel built over them.
 
-    The buffers depend only on the block's shapes and m, so a workspace serves
-    any parameters of those shapes: `bind` points it at them.  The block's
-    parameters are the augmented (trials, l_k, l_{k-1} + 1) matrices
-    ``blocks[k-1] = [W_k b_k]``, views of one (trials, d) array in
-    `_augmented_order` that the caller updates in place.  ``inputs[k-1]`` is
+    It is built for ``(widths, trials, m, backward)`` and owns its parameters:
+    ``theta``, a (trials, d) array in `_augmented_order` that a caller writes
+    and updates in place, whose augmented (trials, l_k, l_{k-1} + 1) views
+    ``blocks[k-1] = [W_k b_k]`` the kernel reads.  ``inputs[k-1]`` is
     layer k's input [h; 1] as (trials, l_{k-1} + 1, m), its ones row written
     here once, so layer k is the one product ``blocks[k-1] @ inputs[k-1]`` and
     its gradient [dW_k db_k] the one product ``delta_k @ inputs_t[k-1]``
@@ -125,28 +124,31 @@ class _Workspace:
     straight into it; with l_0 > 1 ``draw`` is the (trials, m, l_0) buffer a
     batch is drawn into first, and an l_0 = 1 workspace has no ``draw``.
 
-    `bind` builds the kernel as closures over the views: ``forward()`` runs the
-    L products and L - 1 ReLUs and returns ``out`` (a bias enters through the
-    ones row rather than an add, which moves outputs at the rounding level),
-    and ``step`` (`gradient._bind_step`) adds the residual and the reverse
-    sweep, which reads the gates from ``hidden`` into ``gates``, writes the
-    deltas into ``out`` and ``deltas`` and keeps ``W_{L-1}^T * w`` in ``back``
-    (``factored``, L >= 3); on the ``narrow`` route delta goes not into
-    ``out`` but straight into the ones row of delta * [x; 1] in ``scaled``.
-    Without ``backward`` it has ``forward`` alone and holds only its inputs
-    and ``out``, none of the buffers only ``step`` writes: ``deltas``,
-    ``gates``, ``grad``, ``scaled`` and ``back``.  Every buffer starts on a
-    cache line (`_aligned`); ``buffers`` lists them.
+    The kernel is built once, here, as closures over the views: ``forward()``
+    runs the L products and L - 1 ReLUs and returns ``out`` (a bias enters
+    through the ones row rather than an add, which moves outputs at the
+    rounding level), and ``step`` (`gradient._build_step`) adds the residual
+    and the reverse sweep, which reads the gates from ``hidden`` into
+    ``gates``, writes the deltas into ``out`` and ``deltas`` and keeps
+    ``W_{L-1}^T * w`` in ``back`` (``factored``, L >= 3); on the ``narrow``
+    route delta goes not into ``out`` but straight into the ones row of
+    delta * [x; 1] in ``scaled``.  Without ``backward`` it has ``forward``
+    alone and holds only its parameters, inputs and ``out``, none of the
+    buffers only ``step`` writes: ``deltas``, ``gates``, ``grad``, ``scaled``
+    and ``back``.  Every buffer starts on a cache line (`_aligned`);
+    ``buffers`` lists them, and the kernel reads no other memory.
 
     The kernel reads the buffers through ``views``, by name, taken here: at
     one trial and 2 to `_DOT_SAMPLES` samples each buffer's 2-D ``[0]``, with
-    the blocks' ``[0]`` taken at `bind` and every product an ``np.dot``
-    (``matmul``), else the buffers and ``np.matmul``.  The elementwise calls,
-    the 3-D ``out`` that ``forward()`` returns and every output bit are the same.
+    every product an ``np.dot`` (``matmul``), else the buffers and
+    ``np.matmul``.  The elementwise calls, the 3-D ``out`` that ``forward()``
+    returns and every output bit are the same.
     """
 
-    def __init__(self, blocks: list[np.ndarray], m: int, backward: bool = True):
-        trials, depth, widths = blocks[0].shape[0], len(blocks), [blocks[0].shape[-1] - 1] + [a.shape[-2] for a in blocks]
+    def __init__(self, widths: tuple[int, ...], trials: int, m: int, backward: bool = True):
+        depth, d = len(widths) - 1, len(_augmented_order(widths))
+        self.theta = _aligned((trials, d))
+        self.blocks = _augmented_blocks(widths, self.theta)
         if widths[0] > 1:  # one input's points are C-contiguous as (trials, m, 1) and drawn into directly
             self.draw = _aligned((trials, m, widths[0]))
         # stored row-major as (width, trials, m) and viewed as (trials, width, m):
@@ -162,14 +164,11 @@ class _Workspace:
         self.out = _aligned((widths[-1], trials, m)).transpose(1, 0, 2)
         self.factored = depth > 1 and widths[-1] == 1
         self.narrow = self.factored and depth == 2 and widths[0] == 1
-        self.buffers = ([self.draw] if widths[0] > 1 else []) + [*self.inputs, *self.deltas, self.out]
-        self.backward = backward
+        self.buffers = [self.theta] + ([self.draw] if widths[0] > 1 else []) + [*self.inputs, *self.deltas, self.out]
         if backward:
-            from .gradient import _bind_step  # gradient imports this module; an import at every bind cost 0.6-4.5 us
-
-            self.bind_step, self.inputs_t = _bind_step, [a.swapaxes(-1, -2) for a in self.inputs]
+            self.inputs_t = [a.swapaxes(-1, -2) for a in self.inputs]
             self.gates = [_aligned((w, trials, m), bool).transpose(1, 0, 2) for w in widths[1:-1]]
-            self.grad = _aligned((trials, sum(a[0].size for a in blocks)))
+            self.grad = _aligned((trials, d))
             self.grads = _augmented_blocks(widths, self.grad)
             if self.narrow:
                 self.scaled = _aligned((2, trials, m)).transpose(1, 0, 2)
@@ -177,26 +176,13 @@ class _Workspace:
             elif self.factored and depth > 2:
                 self.back = _aligned((trials, widths[-3], widths[-2]))
             self.buffers += [*self.gates, self.grad] + [getattr(self, n) for n in ("scaled", "back") if hasattr(self, n)]
-        self.matmul = np.dot if trials == 1 and 1 < m <= _DOT_SAMPLES else np.matmul
-        view = (lambda a: a[0]) if self.matmul is np.dot else (lambda a: a)
-        # by getattr: reading vars(self) would slow each later read of the workspace's attributes (bind ~10 %)
+        self.matmul = matmul = np.dot if trials == 1 and 1 < m <= _DOT_SAMPLES else np.matmul
+        view = (lambda a: a[0]) if matmul is np.dot else (lambda a: a)
+        # by getattr: reading vars(self) would slow each later read of the workspace's attributes
         kernel = [(n, getattr(self, n)) for n in _KERNEL_BUFFERS if hasattr(self, n)]
-        self.views = {n: [*map(view, a)] if isinstance(a, list) else view(a) for n, a in kernel}
-        if backward:  # each hidden layer's h rows, delta and gate, zipped here rather than at every bind
-            self.views["layers"] = list(zip(*(self.views[n] for n in ("hidden", "deltas", "gates"))))
-        self.bind(blocks)
-
-    @property
-    def nbytes(self) -> int:
-        """The bytes of its ``buffers``."""
-        return sum(a.nbytes for a in self.buffers)
-
-    def bind(self, blocks: list[np.ndarray]) -> None:
-        """Point the kernel at ``blocks``, of the shapes the workspace was built for: build ``forward`` and ``step``."""
-        matmul, maximum, zero, views, out = self.matmul, np.maximum, _ZERO, self.views, self.out
-        self.blocks, blocks = blocks, [a[0] for a in blocks] if matmul is np.dot else blocks
-        top, x, y = blocks[-1], views["inputs"][-1], views["out"]
-        hidden = list(zip(blocks, views["inputs"], views["hidden"]))  # the L - 1 hidden layers
+        self.views = views = {n: [*map(view, a)] if isinstance(a, list) else view(a) for n, a in kernel}
+        maximum, zero, out, top, x, y = np.maximum, _ZERO, self.out, views["blocks"][-1], views["inputs"][-1], views["out"]
+        hidden = list(zip(views["blocks"], views["inputs"], views["hidden"]))  # the L - 1 hidden layers
 
         def forward() -> np.ndarray:
             for block, x_k, h in hidden:
@@ -205,8 +191,16 @@ class _Workspace:
             return out
 
         self.forward = forward
-        if self.backward:
-            self.step = self.bind_step(self, blocks)
+        if backward:  # each hidden layer's h rows, delta and gate, zipped for the step
+            from .gradient import _build_step  # gradient imports this module
+
+            views["layers"] = list(zip(*(views[n] for n in ("hidden", "deltas", "gates"))))
+            self.step = _build_step(self)
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of its ``buffers``."""
+        return sum(a.nbytes for a in self.buffers)
 
 
 @functools.lru_cache(maxsize=64)

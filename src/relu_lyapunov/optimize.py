@@ -7,11 +7,12 @@ constant target), `gd_run` (the whole measure at every step) and its explicit
 Euler gradient flow `gf_euler_run` with one, logged into a `Trajectory` by an
 observer that takes the risks, V and the norms a block of steps at a time.
 The state is one array in augmented order (each layer's [W_k b_k] row-major),
-and one `_Workspace` per batch size holds every intermediate and the gradient
-block, with the kernel bound to them each time it is leased: a step is one
-call of its ``step``, which allocates no array of samples, and the Monte Carlo
-checkpoints of the SGD runs call the ``forward`` of forward-only workspaces
-of their own.  Workspaces and the observer's blocks are leased from the
+held by one `_Workspace` per batch size with every intermediate and the
+gradient block, and the kernel built over them once, when the workspace is:
+a step is one call of its ``step``, which allocates no array of samples, on
+the parameters the run copied in, and the Monte Carlo checkpoints of the SGD
+runs copy each block's parameters into forward-only workspaces of their own
+and call their ``forward``.  Workspaces and the observer's blocks are leased from the
 process's spares, one per key within a byte bound (`_Lease`), so a call builds
 and page-faults none that an earlier call of the same shapes gave back.  An
 ensemble call with enough work runs its upper trial rows in a second Python
@@ -42,7 +43,7 @@ import numpy as np
 
 from .arch import Architecture, check_params
 from .lyapunov import _augmented_coeff, gd_threshold
-from .network import _aligned, _arena, _augmented_blocks, _augmented_order, _check_inputs, _Workspace
+from .network import _arena, _augmented_order, _check_inputs, _Workspace
 from .risk import DiscreteMeasure, TargetSpec, UniformSampler, _check_box, _constant_target, _entropy, _KeyedStreams, _whole
 
 
@@ -234,7 +235,9 @@ class _Lease:
     never share memory.  A call holds at most one set per key, as the spares do;
     they drop the least recently returned while over `_SPARE_BYTES`.  A call
     writes every element of a leased buffer before reading it, save a
-    workspace's ones rows, so outputs do not depend on the lease.
+    workspace's ones rows, so outputs do not depend on the lease.  A workspace
+    owns the parameters its kernel reads, so a spare holds no memory of the
+    call that gave it back.
     """
 
     def __init__(self):
@@ -257,12 +260,10 @@ class _Lease:
         self.held.append((key, buffers, nbytes))
         return buffers
 
-    def workspace(self, blocks, m: int) -> _Workspace:
-        """A step `_Workspace` at batch size ``m`` bound to ``blocks``."""
-        ws = self.take((tuple(a.shape for a in blocks), m), lambda: _Workspace(blocks, m))
-        if ws.blocks is not blocks:  # a spare: a workspace built here is bound already
-            ws.bind(blocks)
-        return ws
+    def workspace(self, widths, trials: int, m: int, backward: bool = True) -> _Workspace:
+        """A `_Workspace` of these arguments, leased under them as its key."""
+        key = widths, trials, m, backward
+        return self.take(key, lambda: _Workspace(*key))
 
     def give(self, buffers) -> None:
         """Give back ``buffers`` before the call ends."""
@@ -280,12 +281,14 @@ class _Lease:
                 del _spare[next(iter(_spare))]
 
 
-def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None, eval_grid=()):
+def _train(lease, arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None, eval_grid=()):
     """theta_{n+1} = theta_n - gamma_n G(theta_n, X_n) on a (trials, d) block: the one step loop.
 
-    ``batch(n, blocks, ws)`` gives the `_Workspace` over ``blocks`` holding step
-    n's points in its first [x; 1] and their weights (float or (m,), a new
-    object per batch size, at which the loop takes its ``step``).  The step's
+    ``batch(n, ws)`` gives the step `_Workspace` holding step n's points in its
+    first [x; 1], ``ws`` or at a new batch size one taken from ``lease``, and
+    their weights (float or (m,), a new object per workspace).  A new workspace
+    takes a copy of the parameters before the one it replaces goes back to the
+    lease, and the loop steps its ``theta`` in place.  The step's
     delta is the residual N - f against ``fvals`` times 2 weights, so the
     gradient comes unscaled.  ``observe(n, theta, grad,
     resid, weights, gamma)`` sees every step n = 0..steps, the residual in a
@@ -293,14 +296,14 @@ def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None
     place; without it the residual is taken in place (a buffer slowed the step
     3-5 %) and a step leaving a trial non-finite raises.  Returns the
     ``evaluate(theta)`` risks at ``eval_grid``, taken from the (trials, d)
-    state in augmented order, and the flat parameters.
+    state in augmented order (before the first step, a local copy: a call
+    with no step and no observer takes no workspace), and the flat parameters.
     """
     order = _augmented_order(arch.widths)
     theta = np.take(theta0s, order, axis=1)
-    blocks = _augmented_blocks(arch.widths, theta)
     risk = np.empty((theta.shape[0], len(eval_grid)))
     eval_pos = {n: c for c, n in enumerate(eval_grid)}
-    ws, weights, new = None, None, np.empty_like(theta) if observe is None else theta
+    ws, new = None, np.empty_like(theta) if observe is None else None
     # a diverging trial overflows before the check below sees it: report it once, as DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(steps + 1):
@@ -308,10 +311,13 @@ def _train(arch, theta0s, rate, steps, batch, fvals, observe=None, evaluate=None
                 risk[:, eval_pos[n]] = evaluate(theta)
             if n == steps and observe is None:
                 break
-            ws, held = batch(n, blocks, ws)
-            if held is not weights:  # a new batch size, so a new workspace
-                weights, scale, step, grad = held, np.asarray(2.0 * held), ws.step, ws.grad
-                resid = ws.out if observe is None else np.empty(ws.out.shape)
+            took, weights = batch(n, ws)
+            if took is not ws:  # a new batch size, so a new workspace
+                np.copyto(took.theta, theta)
+                if ws is not None:
+                    lease.give(ws)
+                ws, theta, scale, step, grad = took, took.theta, np.asarray(2.0 * weights), took.step, took.grad
+                resid, new = (ws.out, new) if observe is None else (np.empty(ws.out.shape), theta)
             step(fvals, resid, scale)
             gamma = rate(n)
             if observe is not None:
@@ -460,15 +466,15 @@ def _measure_run(arch, theta0, measure, target, schedule, steps, log_stride, sna
                           "the flow approximation may lose monotonicity", stacklevel=3)
     rate = _rate_fn(schedule)
 
-    def batch(n, blocks, ws):
+    def batch(n, ws):
         if ws is None:
-            ws = lease.workspace(blocks, len(points))
+            ws = lease.workspace(arch.widths, 1, len(points))
             ws.points[0] = points.T
         return ws, measure.weights
 
     with _Lease() as lease, _Recorder(lease, arch, target.f0, steps, log_stride, snapshot_steps, dt) as record:
         fvals = _target_operand(target.xi) if target.is_constant else np.ascontiguousarray(fvals.T)
-        _train(arch, theta0[None], rate, record.steps, batch, fvals, record)
+        _train(lease, arch, theta0[None], rate, record.steps, batch, fvals, record)
     return record.trajectory(measure.input_scale, measure.mass)
 
 
@@ -555,12 +561,12 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
     1.0 or a term +-0.0 is skipped, so on the presets' box [0, 1] a draw is one
     pass.  An int batch size is checked on entry, before any checkpoint.
     Workspaces are taken from the call's ``lease``; at a change of a callable's
-    batch size the step `_Workspace` goes back and one of the new size is
-    taken.  A checkpoint rewinds the (seed, 0) generator and draws the sample again,
+    batch size one of the new size is taken and the step `_Workspace` it
+    replaces goes back (see `_train`).  A checkpoint rewinds the (seed, 0) generator and draws the sample again,
     block by block of `_eval_block` in trial order, each straight into the
-    first [x; 1] of a forward-only workspace bound to a (rows, d) copy of the
-    block's parameters, leased together: one for the full block and one for a
-    ragged last block or part, once per call.  Such a workspace holds its
+    first [x; 1] of a forward-only workspace whose own parameter block takes
+    a copy of the block's rows: one for the full block and one for a
+    ragged last block or part, leased once per call.  Such a workspace holds its
     inputs and output row and keeps no preactivation: each hidden ReLU is taken
     in place in the next layer's input rows.  Stream order makes the points
     those of one (trials, samples, l_0) draw, bit for bit, without holding it
@@ -586,14 +592,12 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
         if staged or a != 0.0:
             np.add(a, u, out=ws.draw_target)
 
-    def batch(n, blocks, ws):
+    def batch(n, ws):
         nonlocal weight
         if ws is None or varying:
             size = cfg.batch_at(n) if varying else m
             if ws is None or ws.points.shape[-1] != size:
-                if ws is not None:
-                    lease.give(ws)
-                ws, weight = lease.workspace(blocks, size), 1.0 / size
+                ws, weight = lease.workspace(arch.widths, rows_here, size), 1.0 / size
         draw(streams(n), ws)
         return ws, weight
 
@@ -601,17 +605,12 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
         """Each block's risks, summed per trial over the residual's width and then its samples."""
         rng.bit_generator.state = start
         total = np.zeros(rows_here)
-        for part, params, ws in plan:
+        for part, ws in plan:
             draw(rng, ws)
-            np.copyto(params, theta[part])
+            np.copyto(ws.theta, theta[part])
             out = ws.forward()
             total[part] += np.add.reduce(_square_sum(np.subtract(out, target, out=out)), axis=-1)
         return total / cfg.eval_samples
-
-    def eval_workspace(count, m):
-        """A (count, d) array for a block's parameters and a forward-only workspace bound to it once."""
-        params = _aligned((count, theta0s.shape[1]))
-        return params, _Workspace(_augmented_blocks(arch.widths, params), m, backward=False)
 
     target, plan = _target_operand(xi), []
     if eval_grid:
@@ -623,9 +622,9 @@ def _sgd_train(lease, arch, theta0s, schedule, a, b, xi, cfg: SgdConfig, observe
             for s0 in range(0, cfg.eval_samples, width):
                 shape = (min(rows, rows_here - t0), min(width, cfg.eval_samples - s0))
                 if shape not in eval_ws:  # the full block, and a ragged last block or part
-                    eval_ws[shape] = lease.take(("eval", arch.widths) + shape, lambda: eval_workspace(*shape))
-                plan.append((slice(t0, t0 + shape[0]),) + eval_ws[shape])
-    risk, theta = _train(arch, theta0s, rate, cfg.steps, batch, target, observe, evaluate, eval_grid)
+                    eval_ws[shape] = lease.workspace(arch.widths, *shape, False)
+                plan.append((slice(t0, t0 + shape[0]), eval_ws[shape]))
+    risk, theta = _train(lease, arch, theta0s, rate, cfg.steps, batch, target, observe, evaluate, eval_grid)
     return EnsembleResult(eval_steps=np.asarray(eval_grid, dtype=np.int64), risk=risk, theta_final=theta)
 
 

@@ -143,7 +143,7 @@ def test_bad_step_size_is_usage_error(tmp_path, capsys, monkeypatch, command, ba
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("command", ["sgd", "gd", "gf", "verify", "nonconvexity"])
+@pytest.mark.parametrize("command", ["sgd", "gd", "gf", "verify"])
 def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch, command):
     """A negative --seed is a usage error naming the flag, before any threshold is computed or printed: it exited 2
     with numpy's "expected non-negative integer", which names no flag."""
@@ -160,6 +160,19 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch, command):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("flag", [("--seed", "1"), ("--seed", "-1"), ("--out", "n.csv")], ids=["seed", "negative-seed", "out"])
+def test_nonconvexity_rejects_seed_and_out(tmp_path, capsys, monkeypatch, flag):
+    """nonconvexity draws nothing and writes no file, so --seed and --out are
+    usage errors (exit 2) there, not flags it takes and ignores."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["nonconvexity", "--arch", "1,7,1", *flag])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["sgd", "gd", "gf", "nonconvexity"])
 @pytest.mark.parametrize("xi", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_target_is_usage_error(tmp_path, capsys, command, xi):
@@ -167,7 +180,8 @@ def test_non_finite_target_is_usage_error(tmp_path, capsys, command, xi):
     run: sgd exited 3 ("diverged ... at step 0") and gd blamed the step size."""
     out_path = tmp_path / "x.csv"
     small = ["--trials", "2", "--steps", "3", "--eval-samples", "10"] if command == "sgd" else []
-    code, out, err = run(capsys, command, "--arch", "1,7,1", f"--xi={xi}", *small, "--out", str(out_path))
+    given = ["--out", str(out_path)] if command != "nonconvexity" else []  # which writes no file
+    code, out, err = run(capsys, command, "--arch", "1,7,1", f"--xi={xi}", *small, *given)
     assert code == 2
     assert "--xi must be finite" in err
     assert not out_path.exists()
@@ -193,7 +207,8 @@ def test_grid_commands_name_the_flag_they_reject(tmp_path, capsys, command, bad,
     """Before any threshold: the grid's own errors read "count must be positive"
     and "points have shape (101, 1), expected (M, 2)" (the grid has one input)."""
     out_path = tmp_path / "g.csv"
-    code, out, err = run(capsys, command, "--arch", "1,7,1", *bad, "--out", str(out_path))
+    given = ["--out", str(out_path)] if command != "nonconvexity" else []  # which writes no file
+    code, out, err = run(capsys, command, "--arch", "1,7,1", *bad, *given)
     assert code == 2
     assert f"error: {flag} must" in err and out == ""
     assert not out_path.exists()

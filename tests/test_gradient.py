@@ -20,7 +20,7 @@ from relu_lyapunov import (
 from relu_lyapunov.activation import DEFAULT_CLAMP
 from relu_lyapunov.arch import layer_views
 from relu_lyapunov.gradient import _backward, _left_gate, _smooth_gate
-from relu_lyapunov.network import _augmented_blocks, _augmented_order, _forward, _relu_unit, _smooth_unit, _Workspace
+from relu_lyapunov.network import _augmented_order, _forward, _relu_unit, _smooth_unit, _Workspace
 
 
 def test_linear_network_gradient_closed_form():
@@ -198,16 +198,17 @@ def test_stacked_kernel_matches_pathsum_oracle(instance):
 @example(_stacked_instance((2, 3, 2, 1), 3, 4, 1))  # factored, with back
 @example(_stacked_instance((2, 3, 2), 3, 4, 2))  # general
 def test_workspace_sweep_matches_pathsum_oracle(instance):
-    """The step a `_Workspace` binds, the training kernel (its bound forward
-    pass, residual and reverse sweep), gives each trial's path-sum gradient
-    in ``ws.grad``, on every route of the sweep."""
+    """The step a `_Workspace` builds, the training kernel (its forward pass,
+    residual and reverse sweep over its own parameters), gives each trial's
+    path-sum gradient in ``ws.grad``, on every route of the sweep."""
     _workspace_step_matches_oracle(*instance)
 
 
 def _workspace_step_matches_oracle(arch, thetas, points, weights, xi) -> _Workspace:
     """A workspace over ``thetas`` after one step at ``points``, its gradient checked against the path-sum oracle."""
     order = _augmented_order(arch.widths)
-    ws = _Workspace(_augmented_blocks(arch.widths, np.take(thetas, order, axis=1)), points.shape[1])
+    ws = _Workspace(arch.widths, len(thetas), points.shape[1])
+    ws.theta[...] = thetas[:, order]
     ws.points[...] = points.swapaxes(-1, -2)
     ws.step(xi[:, None], ws.out, 2.0 * weights)
     fast = np.empty_like(thetas)
@@ -267,8 +268,8 @@ def test_narrow_step_writes_delta_into_the_ones_row(trials):
     arch, m = Architecture((1, 7, 1)), 25
     rng = np.random.default_rng(31)
     thetas = rng.normal(0.0, 0.5, (trials, arch.param_count))
-    blocks = _augmented_blocks(arch.widths, np.take(thetas, _augmented_order(arch.widths), axis=1))
-    ws = _Workspace(blocks, m)
+    ws = _Workspace(arch.widths, trials, m)
+    ws.theta[...] = thetas[:, _augmented_order(arch.widths)]
     assert ws.narrow and ws.matmul is (np.dot if trials == 1 else np.matmul)
     ws.points[...] = rng.random((trials, 1, m))
     resid, scale = np.empty(ws.out.shape), np.array(2.0 / m)
@@ -277,6 +278,6 @@ def test_narrow_step_writes_delta_into_the_ones_row(trials):
     assert ws.scaled[:, 1:].tobytes() == delta.tobytes()
     assert ws.scaled[:, :1].tobytes() == (delta * ws.points).tobytes()
     both = (ws.hidden[0] > 0.0).astype(np.float64) @ np.multiply(delta, ws.inputs[0]).swapaxes(-1, -2)
-    both *= blocks[1][:, 0, :-1, None]
+    both *= ws.blocks[1][:, 0, :-1, None]
     assert ws.grads[0].tobytes() == both.tobytes()
     assert ws.grads[1].tobytes() == (delta @ ws.inputs[1].swapaxes(-1, -2)).tobytes()

@@ -33,7 +33,7 @@ from relu_lyapunov import (
 from relu_lyapunov import optimize
 from relu_lyapunov.gradient import _backward, _left_gate
 from relu_lyapunov.lyapunov import _augmented_coeff
-from relu_lyapunov.network import _augmented_blocks, _augmented_order, _forward, _relu_unit
+from relu_lyapunov.network import _augmented_order, _forward, _relu_unit
 from relu_lyapunov.optimize import _eval_block, _measure_run, decade_steps, geometric_checkpoints
 
 
@@ -777,9 +777,9 @@ def _count_workspaces(monkeypatch) -> list[tuple[int, int, bool]]:
     built = []
 
     class Counted(optimize._Workspace):
-        def __init__(self, blocks, m, backward=True):
-            built.append((blocks[0].shape[0], m, backward))
-            super().__init__(blocks, m, backward)
+        def __init__(self, widths, trials, m, backward=True):
+            built.append((trials, m, backward))
+            super().__init__(widths, trials, m, backward)
 
     _in_process(monkeypatch)
     monkeypatch.setattr(optimize, "_spare", {})
@@ -790,38 +790,45 @@ def _count_workspaces(monkeypatch) -> list[tuple[int, int, bool]]:
 def test_checkpoints_build_at_most_two_workspaces(monkeypatch):
     """Checkpoints run on at most two workspaces, leased once per call and
     reused at every checkpoint: the full block of trial rows and a ragged last
-    one (20 trials at 400 samples: blocks of 6 and 2), both forward-only."""
+    one (20 trials at 400 samples: blocks of 6 and 2), both forward-only.  A
+    call with no step evaluates its own copy of θ0 and takes no step workspace."""
     built = _count_workspaces(monkeypatch)
     arch = Architecture((1, 7, 1))
     theta0s = gaussian_init(arch, seed=1, scale=7.0**-0.5, trials=20)
+    sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, 1.0, SgdConfig(batch_size=100, steps=0, seed=3, eval_samples=400, eval_steps=(0,)))
+    assert sorted(built) == [(2, 400, False), (6, 400, False)]
     sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, 1.0, SgdConfig(batch_size=100, steps=20, seed=3, eval_samples=400))
     assert sorted(built) == [(2, 400, False), (6, 400, False), (20, 100, True)]
-    ws = optimize._Workspace(_augmented_blocks(arch.widths, np.empty((2, arch.param_count))), 400, backward=False)
+    ws = optimize._Workspace(arch.widths, 2, 400, backward=False)
     assert not any(hasattr(ws, name) for name in ("gates", "grad", "scaled", "back"))
 
 
 def test_workspace_buffers_start_on_cache_lines(monkeypatch):
-    """Every buffer of a step or eval workspace starts on a 64-byte line,
-    whatever the allocator returned (numpy aligns to 16 bytes), and so does
-    every other array the spares hold: the observer's blocks and the
-    parameters of an eval block.  A forward-only (eval) workspace holds its
+    """Every buffer of a step or eval workspace, its parameter block first,
+    starts on a 64-byte line, whatever the allocator returned (numpy aligns
+    to 16 bytes), and so does every other array the spares hold: the
+    observer's blocks.  Every view the kernel reads lies in those buffers, so
+    a spare pins no caller's memory.  A forward-only (eval) workspace holds its parameters,
     inputs and its output row, no hidden preactivation: at one trial of 10^4
     samples, 8 x 10^4 B per hidden unit less than one that kept them."""
     kept = {(1, 7, 1): 1_440_000 - 560_000, (1, 3, 7, 1): 2_000_000 - 800_000, (2, 3, 2): 1_120_000 - 240_000}
     for widths in ((1, 7, 1), (1, 3, 7, 1), (2, 3, 2)):
         arch = Architecture(widths)
         for trials, m, backward in ((100, 100, True), (1, 10_000, False), (3, 7, True)):
-            blocks = _augmented_blocks(arch.widths, np.empty((trials, arch.param_count)))
-            ws = optimize._Workspace(blocks, m, backward)
+            ws = optimize._Workspace(arch.widths, trials, m, backward)
+            assert ws.theta.shape == (trials, arch.param_count)
+            assert all(np.shares_memory(block, ws.theta) for block in ws.blocks)
+            flat = lambda x: [a for y in x for a in flat(y)] if isinstance(x, (list, tuple)) else [x]  # noqa: E731
+            assert all(any(np.shares_memory(a, b) for b in ws.buffers) for a in flat(list(ws.views.values())))
             # one input's points are drawn into in place, so only l_0 > 1 has a staging buffer
             assert hasattr(ws, "draw") == (widths[0] > 1)
-            buffers = ([ws.draw] if widths[0] > 1 else []) + ws.inputs
+            buffers = [ws.theta] + ([ws.draw] if widths[0] > 1 else []) + ws.inputs
             if backward:
                 buffers += ws.deltas + [ws.out] + ws.gates + [ws.grad]
                 buffers += [getattr(ws, name) for name in ("scaled", "back") if hasattr(ws, name)]
             else:
                 buffers += [ws.out]
-                assert ws.deltas == [] and ws.nbytes == kept[widths]
+                assert ws.deltas == [] and ws.nbytes == kept[widths] + 8 * arch.param_count
             assert all(a.ctypes.data % 64 == 0 for a in buffers)
             assert ws.buffers == buffers and ws.nbytes == sum(a.nbytes for a in buffers)
             assert all((a[..., -1, :] == 1.0).all() for a in ws.inputs)
@@ -901,8 +908,8 @@ def test_repeated_calls_build_no_workspace(monkeypatch):
 def test_a_leased_workspace_is_bound_to_each_call(monkeypatch, widths):
     """Two gd runs, and two ensembles, of the same shapes from different θ0
     reuse one leased step workspace, and each equals its run on workspaces
-    built for it, bit for bit: a kernel bound when its workspace is built
-    rather than at each lease runs the second call on the first call's
+    built for it, bit for bit: a leased workspace whose parameter block did
+    not take each call's θ0 runs the second call on the first call's
     parameters."""
     built = _count_workspaces(monkeypatch)
     arch, measure, target = Architecture(widths), DiscreteMeasure.uniform_grid(0.0, 1.0, 101), TargetSpec.constant(1.0)
@@ -925,10 +932,15 @@ def test_a_leased_workspace_is_bound_to_each_call(monkeypatch, widths):
 def test_concurrent_calls_share_no_buffers():
     """Four threads running same-shape ensembles at once, with a short switch
     interval, each lease their own workspaces: every result equals the same
-    call run alone, bit for bit."""
+    call run alone, bit for bit.  Half the calls take a batch size that
+    alternates 100/101, so they run in-process and hand their parameters to a
+    workspace of the new size at each of 200 steps: it must take them before
+    the workspace it replaces goes back to the spares, where another thread
+    takes it and writes its own (copied after the give, 20 of 21 runs failed)."""
     arch = Architecture((1, 3, 7, 1))
     theta0s = gaussian_init(arch, seed=2, scale=3.0**-0.5, trials=10)
     cfgs = [SgdConfig(batch_size=50, steps=40, seed=s, eval_samples=500, eval_steps=(0, 40)) for s in range(8)]
+    cfgs += [replace(cfg, batch_size=lambda n: 100 + n % 2, steps=200) for cfg in cfgs]
 
     def run(cfg):
         return _run_outputs(sgd_ensemble(arch, theta0s, 1e-3, 0.0, 1.0, 1.0, cfg))
@@ -1055,7 +1067,7 @@ def test_spare_list_stays_within_its_byte_bound(monkeypatch):
     def run(points):
         gd_run(arch, theta0, DiscreteMeasure.uniform_grid(0.0, 1.0, points), target, 1e-3, 3)
         return {m: nbytes for key, (ws, nbytes) in optimize._spare.items() if isinstance(ws, optimize._Workspace)
-                for m in [key[-1]]}
+                for m in [key[2]]}
 
     assert list(run(101)) == [101]
     kept = run(100_000)
