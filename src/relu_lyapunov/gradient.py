@@ -77,12 +77,12 @@ def _build_step(ws: _Workspace):
     ``ws.out`` (but see ``narrow`` below), and sweeps back with the exact gate in ``out=`` calls that
     leave the gradient in ``ws.grad``: layer k's is the one product
     ``delta_k @ [h; 1]^T`` (its bias column a product with the ones row), its
-    gate is h_k > 0 read from ``ws.hidden`` (the ReLU output, as no
-    preactivation is kept) and delta_k goes into ``ws.deltas``.  With
-    scalar output (l_L = 1, L >= 2) the output weights ``w = W_L[..., 0, :]``
-    are factored out of layer L-1's gradients, ``w[..., :, None] * (D @ [a; 1]^T)``
-    with ``D = G * delta``, G the gate after layer L-1 and ``a`` its input,
-    and the plain sweep goes on from ``delta_{L-2} = ((W_{L-1}^T * w[..., None, :]) @ D) * gate(L-2)``,
+    gate is h_k > 0 read from ``ws.hidden`` (the ReLU output, as no preactivation is kept) into ``ws.gates``, and
+    delta_{k-1} is written over h_{k-1} once both have read it.  With scalar output (l_L = 1, L >= 2) the output
+    weights ``w = W_L[..., 0, :]`` are factored out of layer L-1's gradients, ``w[..., :, None] * (D @ [a; 1]^T)``
+    (over (l, c, trials) views on stacked blocks: numpy's own order loops over c-long rows) with ``D = G * delta``,
+    G the float gate after layer L-1, both written over h_{L-1}, and ``a`` its input, and
+    the plain sweep goes on from ``delta_{L-2} = ((W_{L-1}^T * w[..., None, :]) @ D) * gate(L-2)``,
     the bracket written into ``ws.back``; for 1 -> h -> 1 (``ws.narrow``)
     delta goes on the two-row side, ``w[..., :, None] * (G @ (delta * [x; 1])^T)``,
     written straight into the ones row of ``ws.scaled`` (delta * 1.0 is delta),
@@ -93,7 +93,8 @@ def _build_step(ws: _Workspace):
     """
     matmul, multiply, greater, subtract, copyto, zero = ws.matmul, np.multiply, np.greater, np.subtract, np.copyto, _ZERO
     v = ws.views  # the buffers as the products take them, by name
-    blocks, grads, inputs_t, hidden, out, stacked = v["blocks"], v["grads"], v["inputs_t"], v["layers"], v["out"], ws.out
+    blocks, grads, inputs_t, out, stacked = v["blocks"], v["grads"], v["inputs_t"], v["out"], ws.out
+    hidden = list(zip(v["hidden"], v["gates"]))  # each hidden layer's h rows and gate
     forward, depth, plain, first_t, first_grad = ws.forward, len(blocks), [], inputs_t[0], grads[0]
     # the plain layers k = L or L-2 .. 2: gradient, then delta_{k-1} through W_k^T (a broadcast at fan-out 1)
     for k in range(depth - 2 if ws.factored else depth, 1, -1):
@@ -101,10 +102,10 @@ def _build_step(ws: _Workspace):
         plain.append((grads[k - 1], inputs_t[k - 1], multiply if w_t.shape[-1] == 1 else matmul, w_t, *hidden[k - 2]))
 
     def sweep(delta):
-        for grad, x_t, back, w_t, h, d, gate in plain:
+        for grad, x_t, back, w_t, h, gate in plain:
             matmul(delta, x_t, out=grad)
             below = greater(h, zero, out=gate)
-            delta = back(w_t, delta, out=d)
+            delta = back(w_t, delta, out=h)
             delta *= below
         matmul(delta, first_t, out=first_grad)
 
@@ -116,34 +117,33 @@ def _build_step(ws: _Workspace):
             sweep(out)
 
         return step
-    # the gate G is taken as floats into g, layer L-1's delta buffer: times the broadcast delta, ~1.5x faster than bools
-    (h, g, g_gate), top_t, top_grad, g_grad, w = hidden[-1], inputs_t[-1], grads[-1], grads[-2], blocks[-1][..., 0, :-1]
+    # the gate G is taken as floats over h: times the broadcast delta, ~1.5x faster than bools
+    (g, g_gate), top_t, top_grad, g_grad, w = hidden[-1], inputs_t[-1], grads[-1], grads[-2], blocks[-1][..., 0, :-1]
     # delta goes into `stacked` and the top gradient reads it from `top`; D's product is left * right into prod
     if ws.narrow:  # into the ones row of delta * [x; 1], and delta * x from it into the x row
         stacked, top = ws.scaled[..., 1:, :], v["scaled"][..., 1:, :]
         left, right, prod, rows = top, v["inputs"][0][..., :1, :], v["scaled"][..., :1, :], v["scaled_t"]
     else:
         top, left, right, prod, rows = out, g, out, g, inputs_t[-2]
-    w_col, w_row, deep = w[..., :, None], w[..., None, :], depth > 2
+    both, w_col = (g_grad.transpose(1, 2, 0), w.T[:, None]) if g_grad.ndim == 3 else (g_grad, w[:, None])
+    w_row, deep = w[..., None, :], depth > 2
     if deep:
-        (a, d, a_gate), w_t, back = hidden[-2], blocks[-2][..., :-1].swapaxes(-1, -2), v["back"]
+        (a, a_gate), w_t, back = hidden[-2], blocks[-2][..., :-1].swapaxes(-1, -2), v["back"]
 
     def step(fvals, resid, scale):
         subtract(forward(), fvals, out=resid)
         multiply(resid, scale, out=stacked)
         matmul(top, top_t, out=top_grad)
-        copyto(g, greater(h, zero, out=g_gate))
+        copyto(g, greater(g, zero, out=g_gate))
         multiply(left, right, out=prod)
-        both = matmul(g, rows, out=g_grad)
-        if deep:  # delta_{L-2}, then the plain layers below
+        matmul(g, rows, out=g_grad)
+        multiply(both, w_col, out=both, order="C")
+        if deep:  # delta_{L-2} over a, then the plain layers below
             below = greater(a, zero, out=a_gate)
             multiply(w_t, w_row, out=back)
-            delta = matmul(back, g, out=d)
+            delta = matmul(back, g, out=a)
             delta *= below
-            both *= w_col
             sweep(delta)
-        else:
-            both *= w_col
 
     return step
 

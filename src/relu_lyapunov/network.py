@@ -101,7 +101,7 @@ _ZERO.flags.writeable = False
 # the cost of np.matmul on the stacked ones and with the same bits; np.dot is 1.1x slower at 1,024 samples and 1.8x
 # at 10^4 (ROADMAP.md, Measurements), and at one sample W^T @ delta is a gemv whose last bit the two round apart.
 _DOT_SAMPLES = 512
-_KERNEL_BUFFERS = ("blocks", "inputs", "inputs_t", "hidden", "deltas", "gates", "out", "grads", "scaled", "scaled_t", "back")
+_KERNEL_BUFFERS = ("blocks", "inputs", "inputs_t", "hidden", "gates", "out", "grads", "scaled", "scaled_t", "back")
 
 
 class _Workspace:
@@ -129,13 +129,13 @@ class _Workspace:
     through the ones row rather than an add, which moves outputs at the
     rounding level), and ``step`` (`gradient._build_step`) adds the residual
     and the reverse sweep, which reads the gates from ``hidden`` into
-    ``gates``, writes the deltas into ``out`` and ``deltas`` and keeps
-    ``W_{L-1}^T * w`` in ``back`` (``factored``, L >= 3); on the ``narrow``
-    route delta goes not into ``out`` but straight into the ones row of
-    delta * [x; 1] in ``scaled``.  Without ``backward`` it has ``forward``
-    alone and holds only its parameters, inputs and ``out``, none of the
-    buffers only ``step`` writes: ``deltas``, ``gates``, ``grad``, ``scaled``
-    and ``back``.  Every buffer starts on a cache line (`_aligned`);
+    ``gates``, writes the output delta into ``out`` and each hidden one over
+    h rows read for the last time, and keeps ``W_{L-1}^T * w`` in ``back``
+    (``factored``, L >= 3); on the ``narrow`` route delta goes not into
+    ``out`` but straight into the ones row of delta * [x; 1] in ``scaled``.
+    Without ``backward`` it has ``forward`` alone and holds only its
+    parameters, inputs and ``out``, none of the buffers only ``step`` writes:
+    ``gates``, ``grad``, ``scaled`` and ``back``.  Every buffer starts on a cache line (`_aligned`);
     ``buffers`` lists them, and the kernel reads no other memory.
 
     The kernel reads the buffers through ``views``, by name, taken here: at
@@ -160,11 +160,10 @@ class _Workspace:
         self.points = self.inputs[0][..., :-1, :]
         self.draw_target = self.points.swapaxes(-1, -2)
         self.hidden = [a[..., :-1, :] for a in self.inputs[1:]]
-        self.deltas = [_aligned((w, trials, m)).transpose(1, 0, 2) for w in widths[1:-1]] if backward else []
         self.out = _aligned((widths[-1], trials, m)).transpose(1, 0, 2)
         self.factored = depth > 1 and widths[-1] == 1
         self.narrow = self.factored and depth == 2 and widths[0] == 1
-        self.buffers = [self.theta] + ([self.draw] if widths[0] > 1 else []) + [*self.inputs, *self.deltas, self.out]
+        self.buffers = [self.theta] + ([self.draw] if widths[0] > 1 else []) + [*self.inputs, self.out]
         if backward:
             self.inputs_t = [a.swapaxes(-1, -2) for a in self.inputs]
             self.gates = [_aligned((w, trials, m), bool).transpose(1, 0, 2) for w in widths[1:-1]]
@@ -191,10 +190,9 @@ class _Workspace:
             return out
 
         self.forward = forward
-        if backward:  # each hidden layer's h rows, delta and gate, zipped for the step
+        if backward:
             from .gradient import _build_step  # gradient imports this module
 
-            views["layers"] = list(zip(*(views[n] for n in ("hidden", "deltas", "gates"))))
             self.step = _build_step(self)
 
     @property

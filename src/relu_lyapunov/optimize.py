@@ -209,8 +209,8 @@ def _eval_grid(cfg: SgdConfig) -> tuple[int, ...]:
 
 
 # Buffer sets kept between calls, one per key, within a byte bound: a benchmark process ends holding 7
-# sets and 2.3 MB (1,7,1 at 100 trials) or 3.1 MB (1,3,7,1), or 6 sets and 0.85 MB (one trial).  A set
-# over the bound (a gd run over 10^5 points, ~22 MB on 1,3,7,1) is freed when its call ends.
+# sets and 2.05 MB (1,7,1 at 100 trials) or 2.68 MB (1,3,7,1), or 6 sets and 0.84 MB (one trial).  A set
+# over the bound (a gd run over 10^5 points, 13 MB on 1,3,7,1) is freed when its call ends.
 _SPARE_BYTES = 8 << 20
 _spare: dict[tuple, tuple[object, int]] = {}  # key: (buffers, bytes) given back, the least recently returned first
 _spare_lock = threading.Lock()

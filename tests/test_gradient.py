@@ -264,7 +264,8 @@ def test_narrow_step_writes_delta_into_the_ones_row(trials):
     the step writes delta = resid * scale straight into the ones row of
     ``scaled`` and delta * x into its x row, and its gradient is the two-row
     product replayed here, multiply(delta, [x; 1]), then G @ S^T, then times
-    w (and delta @ [h; 1]^T on top), bit for bit."""
+    w (and delta @ [h; 1]^T on top), bit for bit.  The step leaves the float
+    gate G in the h rows, so [h; 1] is copied from a forward pass before it."""
     arch, m = Architecture((1, 7, 1)), 25
     rng = np.random.default_rng(31)
     thetas = rng.normal(0.0, 0.5, (trials, arch.param_count))
@@ -272,12 +273,60 @@ def test_narrow_step_writes_delta_into_the_ones_row(trials):
     ws.theta[...] = thetas[:, _augmented_order(arch.widths)]
     assert ws.narrow and ws.matmul is (np.dot if trials == 1 else np.matmul)
     ws.points[...] = rng.random((trials, 1, m))
+    ws.forward()
+    top = ws.inputs[1].copy(order="K")  # the top layer's input [h; 1]
     resid, scale = np.empty(ws.out.shape), np.array(2.0 / m)
     ws.step(np.array(0.75), resid, scale)
     delta = resid * scale
     assert ws.scaled[:, 1:].tobytes() == delta.tobytes()
     assert ws.scaled[:, :1].tobytes() == (delta * ws.points).tobytes()
-    both = (ws.hidden[0] > 0.0).astype(np.float64) @ np.multiply(delta, ws.inputs[0]).swapaxes(-1, -2)
+    gate = (top[:, :-1] > 0.0).astype(np.float64)
+    both = gate @ np.multiply(delta, ws.inputs[0]).swapaxes(-1, -2)
     both *= ws.blocks[1][:, 0, :-1, None]
     assert ws.grads[0].tobytes() == both.tobytes()
-    assert ws.grads[1].tobytes() == (delta @ ws.inputs[1].swapaxes(-1, -2)).tobytes()
+    assert ws.grads[1].tobytes() == (delta @ top.swapaxes(-1, -2)).tobytes()
+    assert ws.hidden[0].tobytes() == gate.tobytes()
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("widths", [(1, 3, 7, 1), (1, 5, 5, 5, 1)])
+def test_factored_step_writes_deltas_over_the_h_rows(widths, trials):
+    """On the factored route, below one hidden layer (1,3,7,1) and below
+    three (1,5,5,5,1: two plain layers under the factored pair), at one
+    trial (``np.dot``) and at three (``np.matmul``), every gradient block is
+    the allocating replay here bit for bit: the top product, D = G * delta,
+    w * (D @ [a; 1]^T) as a broadcast product, delta_{L-2} through
+    W_{L-1}^T * w and each plain layer's delta through W_k^T, each times its
+    gate.  After the step the h rows of hidden layer k hold delta_k (D for
+    layer L-1), and ``ws.gates`` hold z > 0 of the allocating `_forward`."""
+    arch, m = Architecture(widths), 25
+    rng = np.random.default_rng(37)
+    thetas = rng.normal(0.0, 0.6, (trials, arch.param_count))
+    points = rng.random((trials, 1, m))
+    ws = _Workspace(arch.widths, trials, m)
+    ws.theta[...] = thetas[:, _augmented_order(arch.widths)]
+    assert ws.factored and not ws.narrow and ws.matmul is (np.dot if trials == 1 else np.matmul)
+    ws.points[...] = points
+    ws.forward()
+    inputs = [a.copy(order="K") for a in ws.inputs]  # [x; 1] and each [h; 1], before the step writes over h
+    resid, scale = np.empty(ws.out.shape), np.array(2.0 / m)
+    ws.step(np.array(0.75), resid, scale)
+    delta = resid * scale
+    depth, blocks = arch.depth, ws.blocks
+    grads = [None] * depth
+    grads[-1] = delta @ inputs[-1].swapaxes(-1, -2)
+    w = blocks[-1][:, 0, :-1]
+    d = (inputs[-1][:, :-1] > 0.0).astype(np.float64) * delta
+    grads[-2] = (d @ inputs[-2].swapaxes(-1, -2)) * w[:, :, None]
+    deltas = [None] * (depth - 2) + [d]
+    back = blocks[-2][:, :, :-1].swapaxes(-1, -2) * w[:, None, :]
+    delta = (back @ d) * (inputs[-2][:, :-1] > 0.0)
+    for k in range(depth - 2, 0, -1):
+        deltas[k - 1] = delta
+        grads[k - 1] = delta @ inputs[k - 1].swapaxes(-1, -2)
+        if k > 1:
+            delta = (blocks[k - 1][:, :, :-1].swapaxes(-1, -2) @ delta) * (inputs[k - 1][:, :-1] > 0.0)
+    assert [g.tobytes() for g in ws.grads] == [g.tobytes() for g in grads]
+    assert [h.tobytes() for h in ws.hidden] == [d.tobytes() for d in deltas]
+    pres, _ = _forward(_stack_layers(arch, thetas), points, _relu_unit)
+    assert all(np.array_equal(gate, z > 0.0) for gate, z in zip(ws.gates, pres[:-1]))

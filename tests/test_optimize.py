@@ -810,8 +810,15 @@ def test_workspace_buffers_start_on_cache_lines(monkeypatch):
     observer's blocks.  Every view the kernel reads lies in those buffers, so
     a spare pins no caller's memory.  A forward-only (eval) workspace holds its parameters,
     inputs and its output row, no hidden preactivation: at one trial of 10^4
-    samples, 8 x 10^4 B per hidden unit less than one that kept them."""
+    samples, 8 x 10^4 B per hidden unit less than one that kept them.  A step
+    workspace writes each hidden delta over h rows and keeps no delta buffer:
+    8 B per hidden unit, trial and sample less than one that kept them."""
     kept = {(1, 7, 1): 1_440_000 - 560_000, (1, 3, 7, 1): 2_000_000 - 800_000, (2, 3, 2): 1_120_000 - 240_000}
+    with_deltas = {  # the step workspaces' bytes with a delta buffer per hidden layer, at (trials, m)
+        (1, 7, 1): {(100, 100): 1_705_200, (3, 7): 4_563},
+        (1, 3, 7, 1): {(100, 100): 2_184_000, (3, 7): 6_930},
+        (2, 3, 2): {(100, 100): 1_177_200, (3, 7): 3_231},
+    }
     for widths in ((1, 7, 1), (1, 3, 7, 1), (2, 3, 2)):
         arch = Architecture(widths)
         for trials, m, backward in ((100, 100, True), (1, 10_000, False), (3, 7, True)):
@@ -823,12 +830,14 @@ def test_workspace_buffers_start_on_cache_lines(monkeypatch):
             # one input's points are drawn into in place, so only l_0 > 1 has a staging buffer
             assert hasattr(ws, "draw") == (widths[0] > 1)
             buffers = [ws.theta] + ([ws.draw] if widths[0] > 1 else []) + ws.inputs
+            assert not hasattr(ws, "deltas")
             if backward:
-                buffers += ws.deltas + [ws.out] + ws.gates + [ws.grad]
+                buffers += [ws.out] + ws.gates + [ws.grad]
                 buffers += [getattr(ws, name) for name in ("scaled", "back") if hasattr(ws, name)]
+                assert ws.nbytes == with_deltas[widths][trials, m] - 8 * sum(widths[1:-1]) * trials * m
             else:
                 buffers += [ws.out]
-                assert ws.deltas == [] and ws.nbytes == kept[widths] + 8 * arch.param_count
+                assert ws.nbytes == kept[widths] + 8 * arch.param_count
             assert all(a.ctypes.data % 64 == 0 for a in buffers)
             assert ws.buffers == buffers and ws.nbytes == sum(a.nbytes for a in buffers)
             assert all((a[..., -1, :] == 1.0).all() for a in ws.inputs)
@@ -1056,7 +1065,7 @@ def test_a_changing_batch_size_reuses_workspaces(monkeypatch):
 
 def test_spare_list_stays_within_its_byte_bound(monkeypatch):
     """The spare list keeps at most `_SPARE_BYTES`: a gd run over 10^5 points
-    on 1,3,7,1 (~22 MB of step workspace) frees that workspace when it ends
+    on 1,3,7,1 (13 MB of step workspace) frees that workspace when it ends
     and keeps the small sets of the run before it, and runs whose sets add up
     past the bound leave only the most recent that fit."""
     built = _count_workspaces(monkeypatch)
@@ -1073,9 +1082,9 @@ def test_spare_list_stays_within_its_byte_bound(monkeypatch):
     kept = run(100_000)
     assert list(kept) == [101] and built[-1] == (1, 100_000, True)
     assert run(100_000) == kept and built[-1] == (1, 100_000, True) and len(built) == 3
-    sizes = [run(points) for points in (15_000, 15_001, 15_002)]
-    assert sizes[0][15_000] > optimize._SPARE_BYTES / 3  # three of these do not fit
-    assert 15_002 in sizes[-1] and 15_000 not in sizes[-1]
+    sizes = [run(points) for points in (25_000, 25_001, 25_002)]  # 3.25 MB of step workspace each
+    assert sizes[0][25_000] > optimize._SPARE_BYTES / 3  # three of these do not fit
+    assert 25_002 in sizes[-1] and 25_000 not in sizes[-1]
     assert _spare_bytes() <= optimize._SPARE_BYTES
 
 
