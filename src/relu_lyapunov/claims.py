@@ -13,7 +13,7 @@ from .arch import Architecture, layer_views
 from .convexity import last_layer_midpoint_check, midpoint_gap, nonconvexity_witness
 from .gradient import generalized_gradient, gradient_growth_bound, gradient_pathsum_oracle, smooth_gradient
 from .lyapunov import LyapunovContext, descent_certificate, gd_threshold, lyapunov_gradient, lyapunov_value, pairing
-from .lyapunov import sandwich_bounds, sgd_threshold
+from .lyapunov import _norm_sq_bound, sandwich_bounds, sgd_threshold
 from .network import _forward, _smooth_unit, layer_sharpness
 from .optimize import SgdConfig, gaussian_init, gd_run, sgd_run
 from .risk import DiscreteMeasure, TargetSpec, UniformSampler, risk_exact, risk_smooth
@@ -210,17 +210,21 @@ def _lyapunov_gradient_fd(seed):
 
 @_claim("lyapunov.sandwich")
 def _sandwich(seed):
-    """0.5 ||theta||^2 - 2 L^2 ||f0||^2 <= V <= 2 L ||theta||^2 + L ||f0||^2 to 1e-10, bounds to 1e-12 (1 + |bound|)."""
+    """V + L ||f0||^2 = sum_k ||W_k||^2 + k ||b_k - [k = L] f0||^2 to 1e-12 (1 + |V|).  V lies in `sandwich_bounds`,
+    which are both V at theta* (0 but b_L = f0), and ||theta||^2 under `_norm_sq_bound`(V), each to 1e-12 (1 + |.|)."""
     regimes = ((2000, (None,), dict(scale=2.0, depth=4)), (1500, ((1, 1), (1, 2, 1), (1, 3, 7, 1)), dict(scale=2.0)))
-    bad = 0
+    worst, bad = 0.0, 0
     for arch, theta, _, target in _instances(np.random.default_rng(seed), regimes):
-        ctx, depth = LyapunovContext(arch, target.f0), arch.depth
-        low, high = sandwich_bounds(ctx, theta)
-        norm_sq, f0_sq = float(theta @ theta), float(target.f0 @ target.f0)
-        forms = abs(low - (0.5 * norm_sq - 2.0 * depth**2 * f0_sq)) <= 1e-12 * (1.0 + abs(low))
-        forms &= abs(high - (2.0 * depth * norm_sq + depth * f0_sq)) <= 1e-12 * (1.0 + abs(high))
-        bad += not (forms and low - 1e-10 <= lyapunov_value(ctx, theta) <= high + 1e-10)
-    return bad == 0, f"{bad} violations in 3500 draws"
+        ctx, depth, star = LyapunovContext(arch, target.f0), arch.depth, np.zeros(arch.param_count)
+        star[arch.bias_slice(depth)] = target.f0
+        v, f0_term, norm_sq = lyapunov_value(ctx, theta), depth * float(target.f0 @ target.f0), float(theta @ theta)
+        dist = sum(float(np.sum(w * w)) + k * float(b @ b) for k, (w, b) in enumerate(layer_views(arch, theta - star), 1))
+        worst = max(worst, abs(v + f0_term - dist) / (1.0 + abs(v)))
+        (low, high), exact = sandwich_bounds(ctx, theta), sandwich_bounds(ctx, star) + (lyapunov_value(ctx, star),)
+        bad += not (low - 1e-12 * (1.0 + abs(v)) <= v <= high + 1e-12 * (1.0 + abs(v))
+                    and norm_sq <= _norm_sq_bound(ctx, v) + 1e-12 * (1.0 + norm_sq)
+                    and max(abs(e + f0_term) for e in exact) <= 1e-12 * (1.0 + f0_term))
+    return worst <= 1e-12 and bad == 0, f"identity max dev {worst:.3g} (1 + |V|), {bad} bound violations in 3500 draws"
 
 
 @_claim("convexity.witness_gap")

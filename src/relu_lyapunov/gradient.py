@@ -250,8 +250,8 @@ def _growth_factor(arch: Architecture, base: float, mass: float, input_scale: fl
     """L scale^2 prod_p (l_p + 1) base^(L-1) mass, in Python floats: inf where it overflows.
 
     The constant of the gradient growth lemma: at base = ||theta||^2 + 1 it
-    bounds ||G(theta)||^2 by 4 times itself times the risk.  The descent
-    thresholds in `lyapunov` take it at base = 2 V + 4 L^2 ||f0||^2 + 1.
+    bounds ||G(theta)||^2 by 4 times itself times the risk.  The descent thresholds in `lyapunov` take it
+    at base = (||f0|| + sqrt(V + L ||f0||^2))^2 + 1, the norm bound `lyapunov._norm_sq_bound` plus 1.
     """
     depth = arch.depth
     try:

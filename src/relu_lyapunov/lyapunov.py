@@ -5,12 +5,13 @@ squared weight norms, and subtracts 2 L <f(0), b_L>.  Along gradient descent
 and admissibly stepped SGD this quantity never increases, and its decrease
 controls the risk; the helpers here expose the identities tests lean on.
 
-Two constants follow from V: the norm bound ||theta||^2 <= 2 V + 4 L^2 ||f0||^2
-(`_norm_sq_bound`, from the lower sandwich) and the growth factor of the
-gradient growth lemma (`gradient._growth_factor`) at the base that bound
-plus 1.  The step-size thresholds (`gd_threshold`, `sgd_threshold`) give the
-regime in which V is guaranteed to decrease towards a constant target, and
-`descent_certificate` checks a finished trajectory against that guarantee.
+Completing the square in b_L gives V(theta) + L ||f0||^2 = ||theta - theta*||_C^2,
+with theta* 0 but b_L = f0 and C = `_flat_coeff` in [1, L]; the exact sandwich
+(`sandwich_bounds`) and the bound (||f0|| + sqrt(V + L ||f0||^2))^2 on ||theta||^2
+(`_norm_sq_bound`) follow.  The thresholds (`gd_threshold`, `sgd_threshold`) give the
+steps at which V is guaranteed to decrease towards a constant target, the gd one from
+the growth factor of the gradient growth lemma (`gradient._growth_factor`) at that
+bound plus 1, and `descent_certificate` checks a finished trajectory against that.
 """
 
 from __future__ import annotations
@@ -79,24 +80,27 @@ def lyapunov_gradient(ctx: LyapunovContext, theta) -> np.ndarray:
 
 
 def sandwich_bounds(ctx: LyapunovContext, theta) -> tuple[float, float]:
-    """(lower, upper) with lower <= V(theta) <= upper:
+    """(lower, upper) = (||theta - theta*||^2, L ||theta - theta*||^2) - L ||f0||^2 around V(theta), as 1 <= C <= L.
 
-    0.5 ||theta||^2 - 2 L^2 ||f0||^2  and  2 L ||theta||^2 + L ||f0||^2.
+    Both are V at theta*; the lower one where theta - theta* lies off b_2..b_L, the upper one where it lies on b_L.
     """
-    theta = check_params(ctx.arch, theta)
-    depth = ctx.arch.depth
-    norm_sq = float(theta @ theta)
-    f0_sq = float(ctx.f0 @ ctx.f0)
-    return 0.5 * norm_sq - 2.0 * depth**2 * f0_sq, 2.0 * depth * norm_sq + depth * f0_sq
+    theta, depth = check_params(ctx.arch, theta), ctx.arch.depth
+    diff = theta.copy()
+    diff[ctx.arch.bias_slice(depth)] -= ctx.f0
+    dist_sq, f0_term = float(diff @ diff), depth * float(ctx.f0 @ ctx.f0)
+    return dist_sq - f0_term, depth * dist_sq - f0_term
 
 
 def _norm_sq_bound(ctx: LyapunovContext, v: float) -> float:
-    """2 v + 4 L^2 ||f0||^2, which bounds ||theta||^2 wherever V(theta) = v: the lower sandwich solved for the norm."""
-    return 2.0 * v + 4.0 * ctx.arch.depth**2 * float(ctx.f0 @ ctx.f0)
+    """(||f0|| + sqrt(v + L ||f0||^2))^2 >= ||theta||^2 where V(theta) = v, as ||theta|| <= ||theta*|| + ||theta - theta*||."""
+    f0_sq = float(ctx.f0 @ ctx.f0)
+    # a radicand rounded below 0 counts as 0; max keeps a NaN first argument, so a NaN v gives NaN
+    root = math.sqrt(f0_sq) + math.sqrt(max(v + ctx.arch.depth * f0_sq, 0.0))
+    return root * root
 
 
 def norm_bound(ctx: LyapunovContext, theta) -> float:
-    """||theta|| <= sqrt(2 V(theta) + 4 L^2 ||f0||^2): the root of `_norm_sq_bound` at V(theta)."""
+    """||theta|| <= ||f0|| + sqrt(V(theta) + L ||f0||^2): the root of `_norm_sq_bound` at V(theta)."""
     return float(np.sqrt(_norm_sq_bound(ctx, lyapunov_value(ctx, theta))))
 
 
@@ -119,20 +123,25 @@ def gd_threshold(arch: Architecture, theta0, f0, mass: float, input_scale: float
     """Largest constant step with guaranteed Lyapunov descent for gd_run towards a constant target f0.
 
     1 / `gradient._growth_factor` at base `_norm_sq_bound`(V(theta0)) + 1, that is
-    1 / (L scale^2 prod_p(l_p+1) (2 V(theta0) + 4 L^2 ||f0||^2 + 1)^(L-1) mass);
-    infinite when the measure has no mass, 0.0 when the bound is below the
-    smallest float.  ``input_scale`` is the box scale max(|a|, |b|, 1).
-    Towards other targets it guarantees nothing (V can rise below it).
+    1 / (L scale^2 prod_p(l_p+1) ((||f0|| + sqrt(V(theta0) + L ||f0||^2))^2 + 1)^(L-1) mass);
+    infinite when the measure has no mass, 0.0 when the bound is below the smallest
+    float (at L >= 2, also where V(theta0) overflows).  ``input_scale`` is the box
+    scale max(|a|, |b|, 1); a NaN mass or box scale, or a non-finite theta0, is a
+    ValueError naming it.  Towards other targets it guarantees nothing (V can rise below it).
     """
     mass, input_scale = float(mass), float(input_scale)
     if not mass >= 0.0:
         raise ValueError(f"mass must be nonnegative, got {mass}")
     if not input_scale >= 1.0:
         raise ValueError(f"input_scale must be at least 1, got {input_scale}")
+    if not np.isfinite(theta0 := check_params(arch, theta0)).all():
+        raise ValueError("theta0 must be finite, got a NaN or inf entry")
     if mass == 0.0:
         return math.inf
     ctx = LyapunovContext(arch, f0)
-    return 1.0 / _growth_factor(arch, _norm_sq_bound(ctx, lyapunov_value(ctx, theta0)) + 1.0, mass, input_scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # V is NaN only as inf - inf: a term, and so the bound, overflows
+        v = lyapunov_value(ctx, theta0)
+        return 1.0 / _growth_factor(arch, _norm_sq_bound(ctx, math.inf if math.isnan(v) else v) + 1.0, mass, input_scale)
 
 
 def sgd_threshold(arch: Architecture, theta0_norm: float, xi, a: float, b: float) -> float:
@@ -192,7 +201,7 @@ def descent_certificate(trajectory, ctx: LyapunovContext) -> DescentReport:
     V_{n+1} - V_n <= -4 gamma_n L (1 - delta) risk_n with delta = sup gamma
     times `gradient._growth_factor` at base `_norm_sq_bound`(V_0) + 1, as in
     `gd_threshold` (0 at a zero step, inf where the factor overflows), and
-    (c) every logged parameter norm stays below sqrt(`_norm_sq_bound`(V_0)).
+    (c) every logged parameter norm stays below sqrt(`_norm_sq_bound`(V_0)), ||f0|| + sqrt(V_0 + L ||f0||^2).
     (b) needs delta < 1: otherwise its bound is nonnegative and
     ``stepwise_ok`` is false.  Requires every step to be logged.
     """
@@ -219,7 +228,7 @@ def descent_certificate(trajectory, ctx: LyapunovContext) -> DescentReport:
     stepwise_ok = bool(delta < 1.0 and np.all(diffs <= rhs + slack))
     stepwise_margin = float(np.min(rhs - diffs))
 
-    norm_bound_value = math.sqrt(max(bound_sq, 0.0))
+    norm_bound_value = math.sqrt(bound_sq)
     sup_norm = float(trajectory.param_norm.max())
     norm_ok = sup_norm <= norm_bound_value * (1.0 + 1e-12) + 1e-12
 

@@ -22,7 +22,7 @@ from relu_lyapunov import (
     gd_threshold,
     generalized_gradient,
     gf_euler_run,
-    lyapunov_value,
+    norm_bound,
     population_risk_mc,
     sgd_ensemble,
     sgd_run,
@@ -114,9 +114,7 @@ def test_gd_descent_boundedness_convergence():
     gamma = 0.9 * gd_threshold(arch, theta0, target.f0, measure.mass, measure.input_scale)
     traj = gd_run(arch, theta0, measure, target, gamma, 100_000)
     assert np.all(np.diff(traj.v) <= 0.0)
-    ctx = LyapunovContext(arch, target.f0)
-    v0 = lyapunov_value(ctx, theta0)
-    bound = float(np.sqrt(2.0 * v0 + 4.0 * arch.depth**2 * float(target.f0 @ target.f0)))
+    bound = norm_bound(LyapunovContext(arch, target.f0), theta0)
     assert traj.param_norm.max() <= bound * (1.0 + 1e-12)
     assert traj.risk[-1] < 1e-6
 

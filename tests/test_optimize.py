@@ -1098,7 +1098,7 @@ def test_augmented_order_built_once_per_widths():
     gd_run(arch, theta0, measure, target, 1e-3, 3)
     assert _augmented_order.cache_info().misses == 1
     with pytest.warns(UserWarning, match="exceeds the descent threshold"):
-        gf_euler_run(arch, theta0, measure, target, 1e-3, 3)
+        gf_euler_run(arch, theta0, measure, target, 1e-2, 3)
     sgd_run(arch, theta0, 1e-3, UniformSampler(0.0, 1.0, 1), 1.0, SgdConfig(batch_size=5, steps=3, eval_samples=10))
     sgd_ensemble(arch, theta0[None], 1e-3, 0.0, 1.0, 1.0, SgdConfig(batch_size=5, steps=3, eval_samples=10))
     assert _augmented_order.cache_info().misses == 1
